@@ -1,0 +1,1 @@
+"""Fixed-work end-to-end and per-layer benchmark (see README.md)."""
