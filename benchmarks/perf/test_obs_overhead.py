@@ -128,7 +128,7 @@ def test_disabled_path_tracks_exec_baseline(measurements):
     throughput = baseline.get("throughput", {})
 
     for name, entry in measurements.items():
-        recorded = throughput.get(name, {}).get("auto", {}).get("minst_per_s")
+        recorded = throughput.get(name, {}).get("fast", {}).get("minst_per_s")
         if not recorded:
             continue
         current = entry["minst_per_s_off"]

@@ -33,7 +33,7 @@ from repro.core.coverage import CoverageReport
 from repro.kernel import KernelBuilder, Program
 from repro.sim import GPU, GlobalMemory, KernelResult
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "ConfigError",

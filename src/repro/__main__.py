@@ -16,7 +16,7 @@ Commands
 ``inject WORKLOAD``
     Inject a fault, report detection/corruption, and localize the lane.
 ``bench``
-    Benchmark the vectorized execution engine against the scalar
+    Benchmark the fast execution engine against the scalar
     interpreter and write machine-readable ``BENCH_exec.json``.
 ``campaign WORKLOAD``
     Run a scaled fault-injection campaign: stratified transient-fault
@@ -49,8 +49,8 @@ Commands
 ``fuzz``
     Grow, replay or minimize the differential kernel corpus: seeded
     generation of mini-ISA kernels, each admitted only after the
-    scalar reference, the scalar engine and the vectorized engine
-    produce bit-identical memory images.  Writes machine-readable
+    scalar reference, the scalar engine and the fast engine produce
+    bit-identical memory images.  Writes machine-readable
     ``FUZZ_report.json`` and exits nonzero on any mismatch.
 ``serve``
     The distributed campaign fabric (:mod:`repro.service`).  ``serve
@@ -347,14 +347,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _campaign_cache(args):
-    if args.no_cache:
-        return None
-    if args.cache_dir is not None:
-        return args.cache_dir
-    return True
-
-
 def cmd_campaign(args) -> int:
     import json
     import time
@@ -369,7 +361,7 @@ def cmd_campaign(args) -> int:
         scale=args.scale,
         seed=args.seed,
     )
-    engine = CampaignEngine(spec, cache=_campaign_cache(args),
+    engine = CampaignEngine(spec, cache=_cache_arg(args),
                             jobs=args.parallel)
     sampler = FaultSampler(spec.config, windows=args.windows)
     horizon = engine.golden_result().cycles

@@ -1,7 +1,8 @@
 """Execution-engine benchmarks (``python -m repro bench``).
 
-Measures the vectorized execution engine (:mod:`repro.sim.vexec`)
-against the scalar per-lane interpreter on three levels:
+Measures the ``fast`` execution engine (per-issue vectorization plus
+region fusion) against the ``scalar`` per-lane interpreter on three
+levels:
 
 * **instruction throughput** — synthetic full-warp kernels that stream
   int-ALU, float-ALU and SFU instructions with no divergence, isolating
@@ -12,7 +13,7 @@ against the scalar per-lane interpreter on three levels:
   analysis run.
 
 Results are emitted as machine-readable JSON (``BENCH_exec.json``) so
-CI can gate on the scalar/vector ratio and archive the numbers.
+CI can gate on the fast/scalar ratio and archive the numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.config import LaunchConfig
+from repro.common.config import GPUConfig, LaunchConfig
 from repro.isa.opcodes import CmpOp
 from repro.isa.operands import SReg, SpecialReg
 from repro.kernel.builder import KernelBuilder
@@ -31,11 +32,9 @@ from repro.kernel.program import Program
 from repro.sim.gpu import GPU
 from repro.workloads import all_workloads
 
-#: engines compared by every benchmark
 #: engines every benchmark runs side by side, in one process, over the
-#: same programs: the scalar oracle, the per-issue vector engine, and
-#: the trace-fused megakernel engine
-ENGINES: Tuple[str, str, str] = ("scalar", "vector", "mega")
+#: same programs: the scalar oracle first, then the fast engine
+ENGINES: Tuple[str, str] = ("scalar", "fast")
 
 #: static unrolled ALU ops per loop iteration in the synthetic kernels
 _UNROLL = 8
@@ -127,35 +126,25 @@ _MICROBENCHES: Dict[str, Callable[[int], Program]] = {
 def _time_launch(program: Program, launch: LaunchConfig,
                  engine: str) -> Tuple[float, int]:
     """One timed launch; returns (seconds, thread_instructions)."""
-    gpu = GPU(engine=engine)
+    gpu = GPU(GPUConfig(engine=engine))
     start = time.perf_counter()
     result = gpu.launch(program, launch)
     elapsed = time.perf_counter() - start
     return elapsed, result.stats.value("thread_instructions")
 
 
-def _speedups(entry: Dict[str, dict], unit: str = "seconds") -> None:
-    """Attach the three engine ratios to one benchmark *entry* in place.
-
-    ``speedup`` is the headline scalar-over-mega ratio; ``speedup_vector``
-    is scalar-over-vector; ``speedup_mega_vs_vector`` isolates what
-    region fusion adds on top of per-issue vectorization.
-    """
-    scalar = entry["scalar"][unit]
-    vector = entry["vector"][unit]
-    mega = entry["mega"][unit]
-    entry["speedup"] = scalar / mega
-    entry["speedup_vector"] = scalar / vector
-    entry["speedup_mega_vs_vector"] = vector / mega
+def _speedups(entry: Dict[str, dict]) -> None:
+    """Attach ``speedup``, scalar time over fast time, to *entry*."""
+    entry["speedup"] = entry["scalar"]["seconds"] / entry["fast"]["seconds"]
 
 
 def bench_throughput(iters: int = 200, blocks: int = 2,
                      block_dim: int = 128) -> Dict[str, dict]:
-    """Instruction-throughput microbenchmarks, all three engines.
+    """Instruction-throughput microbenchmarks, both engines.
 
     Returns per-kernel ``{engine: {seconds, thread_instructions,
-    minst_per_s}}`` plus the ratio keys of :func:`_speedups` (>1 means
-    the faster engine wins).
+    minst_per_s}}`` plus the ratio of :func:`_speedups` (>1 means the
+    fast engine wins).
     """
     launch = LaunchConfig(grid_dim=blocks, block_dim=block_dim)
     report: Dict[str, dict] = {}
@@ -175,13 +164,13 @@ def bench_throughput(iters: int = 200, blocks: int = 2,
 
 
 def bench_workloads(scale: float = 0.5, seed: int = 0) -> Dict[str, dict]:
-    """End-to-end workload wall-clock, all three engines."""
+    """End-to-end workload wall-clock, both engines."""
     report: Dict[str, dict] = {}
     for name, workload in all_workloads().items():
         entry: Dict[str, object] = {}
         for engine in ENGINES:
             run = workload.prepare(scale=scale, seed=seed)
-            gpu = GPU(engine=engine)
+            gpu = GPU(GPUConfig(engine=engine))
             start = time.perf_counter()
             gpu.launch(run.program, run.launch, memory=run.memory)
             entry[engine] = {"seconds": time.perf_counter() - start}
@@ -191,14 +180,14 @@ def bench_workloads(scale: float = 0.5, seed: int = 0) -> Dict[str, dict]:
 
 
 def bench_fig9b(scale: float = 0.25, seed: int = 0) -> Dict[str, dict]:
-    """Cold (cache-disabled) Figure 9(b) regeneration, all engines."""
+    """Cold (cache-disabled) Figure 9(b) regeneration, both engines."""
     from repro.analysis.overhead_sweep import run_figure9b
     from repro.analysis.runner import SuiteRunner, experiment_config
 
     entry: Dict[str, object] = {}
     for engine in ENGINES:
-        runner = SuiteRunner(experiment_config(num_sms=2), scale=scale,
-                             seed=seed, cache=None, engine=engine)
+        runner = SuiteRunner(experiment_config(num_sms=2, engine=engine),
+                             scale=scale, seed=seed, cache=None)
         start = time.perf_counter()
         run_figure9b(runner)
         entry[engine] = {"seconds": time.perf_counter() - start}
@@ -294,8 +283,6 @@ def format_campaign_bench(payload: dict) -> str:
 def run_bench(scale: float = 0.5, seed: int = 0, iters: int = 200,
               quick: bool = False) -> dict:
     """Full benchmark sweep; returns the ``BENCH_exec.json`` payload."""
-    from repro.common.config import GPUConfig
-
     payload = {
         "benchmark": "exec-engine",
         "python": platform.python_version(),
@@ -323,15 +310,12 @@ def format_bench(payload: dict) -> str:
     rows = [
         [name,
          f"{entry['scalar']['minst_per_s']:.2f}",
-         f"{entry['vector']['minst_per_s']:.2f}",
-         f"{entry['mega']['minst_per_s']:.2f}",
-         f"{entry['speedup']:.2f}x",
-         f"{entry['speedup_mega_vs_vector']:.2f}x"]
+         f"{entry['fast']['minst_per_s']:.2f}",
+         f"{entry['speedup']:.2f}x"]
         for name, entry in payload["throughput"].items()
     ]
     sections.append(format_table(
-        ["kernel", "scalar Minst/s", "vector Minst/s", "mega Minst/s",
-         "mega/scalar", "mega/vector"], rows,
+        ["kernel", "scalar Minst/s", "fast Minst/s", "fast/scalar"], rows,
         title="Instruction throughput (full warps, no divergence)",
     ))
     for key, title in (("workloads", "Workload wall-clock"),
@@ -341,13 +325,12 @@ def format_bench(payload: dict) -> str:
         rows = [
             [name,
              f"{entry['scalar']['seconds'] * 1000:.1f}",
-             f"{entry['vector']['seconds'] * 1000:.1f}",
-             f"{entry['mega']['seconds'] * 1000:.1f}",
+             f"{entry['fast']['seconds'] * 1000:.1f}",
              f"{entry['speedup']:.2f}x"]
             for name, entry in payload[key].items()
         ]
         sections.append(format_table(
-            ["name", "scalar ms", "vector ms", "mega ms", "mega/scalar"],
+            ["name", "scalar ms", "fast ms", "fast/scalar"],
             rows, title=title,
         ))
     return "\n\n".join(sections)

@@ -72,7 +72,7 @@ def default_cache_dir() -> pathlib.Path:
 
 def result_key(name: str, dmr: DMRConfig, config: GPUConfig,
                scale: float, seed: int, check_outputs: bool,
-               obs: bool = False, engine: Optional[str] = None) -> str:
+               obs: bool = False) -> str:
     """Stable content address of one simulation.
 
     Covers *every* run input — the fingerprints expand all config
@@ -80,7 +80,7 @@ def result_key(name: str, dmr: DMRConfig, config: GPUConfig,
     share a key iff they are the same simulation.  ``obs`` keys whether
     the run carried a metrics snapshot: an obs-on result embeds the
     snapshot payload, so it must not be served to (or shadowed by) an
-    obs-off request.  ``engine`` is the *resolved* execution engine:
+    obs-off request.  The execution engine is a ``config`` field:
     although the engines are bit-identical by contract, a cache hit
     must never mask an engine divergence (the differential suite that
     enforces the contract would otherwise compare one engine's cached
@@ -94,7 +94,6 @@ def result_key(name: str, dmr: DMRConfig, config: GPUConfig,
         "seed": seed,
         "check_outputs": check_outputs,
         "obs": obs,
-        "engine": engine,
         "salt": code_version_salt(),
     })
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

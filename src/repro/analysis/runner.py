@@ -89,23 +89,20 @@ def pool_map(fn, args: Sequence, workers: int, *,
 
 
 def _simulate_payload(args: Tuple[str, DMRConfig, GPUConfig, float, int,
-                                  bool, Optional[str], bool]) -> dict:
+                                  bool, bool]) -> dict:
     """Worker entry point: simulate one spec, return the result payload.
 
     Module-level so it pickles under any multiprocessing start method;
     returns plain data (not a KernelResult) so the transfer does not
     depend on simulator classes unpickling identically in the parent.
-    The obs flag (8th element) turns on the metrics registry; the
+    The obs flag (last element) turns on the metrics registry; the
     snapshot travels back inside the payload's ``obs`` key, which is how
     parallel workers ship metrics to the parent for aggregation.
     """
-    name, dmr, config, scale, seed, check_outputs, *rest = args
-    engine = rest[0] if rest else None  # 6-tuples predate the engine knob
-    obs = rest[1] if len(rest) > 1 else False  # 7-tuples predate obs
+    name, dmr, config, scale, seed, check_outputs, obs = args
     workload = get_workload(name)
     run = workload.prepare(scale, seed)
-    gpu = GPU(config, dmr=dmr, engine=engine,
-              obs=("metrics" if obs else False))
+    gpu = GPU(config, dmr=dmr, obs=("metrics" if obs else False))
     result = gpu.launch(run.program, run.launch, memory=run.memory)
     if check_outputs:
         run.check(run.memory)
@@ -135,15 +132,8 @@ class SuiteRunner:
     in-memory only, ``True`` for the default on-disk location, a path
     for a specific directory, or a ready :class:`ResultCache`.
     ``jobs`` sets the default fan-out for :meth:`run_many` /
-    :meth:`run_suite` (1 = serial in-process).
-
-    ``engine`` pins the execution engine ("scalar"/"vector"/"mega"/
-    "auto"; default the GPU's own resolution).  The cache key includes
-    the *resolved* engine: the engines are bit-identical by contract,
-    but serving one engine's cached result to another would let a
-    cache hit mask an engine divergence (the differential suite would
-    compare an engine against its own cached twin), so each engine
-    keeps separate entries.
+    :meth:`run_suite` (1 = serial in-process).  The execution engine
+    is the run's ``GPUConfig.engine``, so it keys like any config field.
 
     Fan-outs are supervised (:mod:`repro.resilience`): worker deaths,
     broken pools and flaky exceptions retry with deterministic backoff,
@@ -159,15 +149,13 @@ class SuiteRunner:
                  check_outputs: bool = True,
                  cache: Union[None, bool, str, os.PathLike,
                               ResultCache] = None,
-                 jobs: int = 1, engine: Optional[str] = None,
-                 obs: bool = False,
+                 jobs: int = 1, obs: bool = False,
                  supervisor: Optional[Supervisor] = None,
                  deadline: Optional[float] = None) -> None:
         self.config = config or experiment_config()
         self.scale = scale
         self.seed = seed
         self.check_outputs = check_outputs
-        self.engine = engine
         self.obs = bool(obs)
         self.jobs = max(1, jobs)
         self._cache: Dict[str, KernelResult] = {}
@@ -194,14 +182,12 @@ class SuiteRunner:
         """Content address of one run.
 
         Must cover every input of the simulation — in particular
-        ``scale``, ``seed``, ``check_outputs`` and the resolved
-        engine: omitting them would alias two runners' entries once
-        the cache persists across processes.
+        ``scale``, ``seed`` and ``check_outputs``: omitting them would
+        alias two runners' entries once the cache persists across
+        processes.
         """
-        engine = (self.engine or os.environ.get("REPRO_EXEC")
-                  or config.engine)
         return result_key(name, dmr, config, self.scale, self.seed,
-                          self.check_outputs, self.obs, engine)
+                          self.check_outputs, self.obs)
 
     def _spec(self, name: str, dmr: Optional[DMRConfig],
               config: Optional[GPUConfig]) -> RunSpec:
@@ -234,7 +220,7 @@ class SuiteRunner:
             return cached
         payload = _simulate_payload(
             (name, dmr, config, self.scale, self.seed, self.check_outputs,
-             self.engine, self.obs)
+             self.obs)
         )
         self.simulations += 1
         result = KernelResult.from_payload(payload)
@@ -276,7 +262,7 @@ class SuiteRunner:
         if workers > 1:
             order = list(missing.items())
             args = [(name, dmr, config, self.scale, self.seed,
-                     self.check_outputs, self.engine, self.obs)
+                     self.check_outputs, self.obs)
                     for name, dmr, config in (spec for _, spec in order)]
             payloads = self.supervisor.map(_simulate_payload, args, workers)
             for (key, _), payload in zip(order, payloads):

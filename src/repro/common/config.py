@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
@@ -81,13 +82,19 @@ class SchedulerPolicy(enum.Enum):
     GREEDY_THEN_OLDEST = "gto"
 
 
-#: execution engines a simulation can be pinned to.  ``scalar`` is the
-#: per-lane interpreter (the differential oracle), ``vector`` the
-#: per-issue lane-vectorized engine (:mod:`repro.sim.vexec`), ``mega``
-#: the trace-fused megakernel engine (:mod:`repro.sim.megakernel`,
-#: vexec plus region fusion and cross-SM batching).  ``auto`` resolves
-#: to the fastest engine that preserves bit-identity — currently mega.
-ENGINE_NAMES = ("auto", "scalar", "vector", "mega")
+#: how the host executes a simulation.  ``fast`` vectorizes each issue
+#: (:mod:`repro.sim.vexec`) and fuses straight-line regions across SMs
+#: wherever :meth:`repro.sim.sm.SM.fusion_allowed` permits
+#: (:mod:`repro.sim.megakernel`); ``scalar`` is the per-lane interpreter,
+#: the differential oracle.  A speed choice only: both produce
+#: byte-identical results.
+ENGINE_NAMES = ("fast", "scalar")
+
+
+def _default_engine() -> str:
+    """``$REPRO_EXEC``, else ``fast``: the engine of a config built
+    without one."""
+    return os.environ.get("REPRO_EXEC") or "fast"
 
 
 @dataclass(frozen=True)
@@ -142,11 +149,11 @@ class GPUConfig:
     # bound (one cycle per serialized bank access).
     model_bank_conflicts: bool = False
 
-    # Execution engine (see ENGINE_NAMES).  Part of the config so every
-    # persistent cache key derived from a config fingerprint separates
-    # engines; an explicit GPU(engine=...) argument or $REPRO_EXEC still
-    # overrides this per launch.
-    engine: str = "auto"
+    # Execution engine (see ENGINE_NAMES), read from $REPRO_EXEC once
+    # when the config is built.  The only engine selector: every cache
+    # key and durable job spec fingerprints the config, so each names
+    # the engine that ran.
+    engine: str = dataclasses.field(default_factory=_default_engine)
 
     # Event-driven cycle skipping: when every resident warp is stalled
     # (latency, ReplayQ drain, barrier), the SM jumps its cycle counter
@@ -239,10 +246,6 @@ class GPUConfig:
     def with_schedule_seed(self, seed: Optional[int]) -> "GPUConfig":
         """Return a copy exploring the interleaving named by *seed*."""
         return replace(self, schedule_seed=seed)
-
-    def with_engine(self, engine: str) -> "GPUConfig":
-        """Return a copy pinned to execution engine *engine*."""
-        return replace(self, engine=engine)
 
     def to_dict(self) -> Dict[str, Any]:
         """Flat dict form, convenient for experiment logs."""

@@ -6,13 +6,12 @@ paper discusses — transient bit flips and permanent stuck-at defects in
 execution-unit lanes — and classifying each run's outcome (detected /
 silent data corruption / masked / hung).
 
-Two campaign harnesses exist: :class:`FaultCampaign` runs arbitrary
-kernels in-process, while :class:`CampaignEngine` scales registry
-workloads out across worker processes with every ``(workload, config,
-fault)`` classification content-addressed in the persistent result
-cache.  :class:`FaultSampler` draws stratified fault samples so big
-campaigns can report coverage with a confidence interval instead of
-running exhaustively.
+:class:`CampaignEngine` runs campaigns, in-process or across worker
+processes, with every ``(workload, config, fault)`` classification
+content-addressed in the persistent result cache.
+:class:`FaultSampler` draws stratified fault samples so big campaigns
+can report coverage with a confidence interval instead of running
+exhaustively.
 """
 
 from repro.faults.models import (
@@ -29,7 +28,6 @@ from repro.faults.campaign import (
     CampaignEngine,
     CampaignResult,
     CampaignSpec,
-    FaultCampaign,
     FaultRun,
     Outcome,
     cycle_budget,
@@ -42,7 +40,6 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "Fault",
-    "FaultCampaign",
     "FaultInjector",
     "FaultRun",
     "FaultSampler",

@@ -13,22 +13,18 @@ one run per fault, classifying each faulty run:
 * ``HUNG`` — the fault corrupted control flow into a livelock, caught
   by the campaign's cycle-budget watchdog (see below).
 
-Two harnesses share the classification logic:
+:class:`CampaignEngine` is the harness.  It takes a plain-data
+:class:`CampaignSpec` (a registry workload + configs), so every
+``(workload, config, fault)`` run is content-addressable in the
+persistent :class:`~repro.analysis.result_cache.ResultCache` and the
+misses fan out across worker processes.  A warm-cache rerun — or a
+campaign interrupted and restarted — performs **zero** new
+simulations.  Tests inject into hand-built kernels by subclassing the
+spec and overriding :meth:`CampaignSpec.prepare`.
 
-* :class:`FaultCampaign` — the in-process harness.  Takes arbitrary
-  ``make_run``/``output_of`` callables, so tests can inject into any
-  hand-built kernel; runs serially, one simulation per fault.
-* :class:`CampaignEngine` — the scaled harness.  Takes a plain-data
-  :class:`CampaignSpec` (a registry workload + configs), so every
-  ``(workload, config, fault)`` run is content-addressable in the
-  persistent :class:`~repro.analysis.result_cache.ResultCache` and the
-  misses fan out across worker processes.  A warm-cache rerun — or a
-  campaign interrupted and restarted — performs **zero** new
-  simulations.
-
-Both harnesses bound faulty runs with a *cycle-budget watchdog*: the
-budget is ``watchdog_factor x golden_cycles + watchdog_slack`` (capped
-by ``max_cycles``), mirroring how real fault-injection rigs detect
+Faulty runs are bounded by a *cycle-budget watchdog*: the budget is
+``watchdog_factor x golden_cycles + watchdog_slack`` (capped by
+``max_cycles``), mirroring how real fault-injection rigs detect
 livelock — a timeout calibrated against the fault-free runtime, not an
 absolute cap.  A faulty run that exceeds its budget raises inside the
 simulator and is classified ``HUNG``.
@@ -40,7 +36,7 @@ import enum
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError
@@ -58,7 +54,6 @@ from repro.resilience.deadline import (  # noqa: F401  (re-exported API)
 )
 from repro.service.sharding import fanout_workers, pool_chunks
 from repro.sim.gpu import GPU, KernelResult
-from repro.sim.memory import GlobalMemory
 
 
 class Outcome(enum.Enum):
@@ -219,93 +214,6 @@ def _outputs_equal(a: Sequence, b: Sequence) -> bool:
     return True
 
 
-class FaultCampaign:
-    """Runs a workload repeatedly under injected faults (in-process)."""
-
-    def __init__(
-        self,
-        config: GPUConfig,
-        dmr: DMRConfig,
-        make_run: Callable[[], object],
-        output_of: Callable[[GlobalMemory], Sequence],
-        max_cycles: int = DEFAULT_MAX_FAULTY_CYCLES,
-        watchdog_factor: int = DEFAULT_WATCHDOG_FACTOR,
-        watchdog_slack: int = DEFAULT_WATCHDOG_SLACK,
-        engine: Optional[str] = None,
-    ) -> None:
-        """*make_run* builds a fresh ``WorkloadRun``-like object exposing
-        ``program``, ``launch`` and ``memory``; *output_of* extracts the
-        comparable output from a finished run's memory.  Faulty runs are
-        bounded by the cycle-budget watchdog (``watchdog_factor`` x
-        golden cycles + ``watchdog_slack``, capped at ``max_cycles``):
-        an injected fault can corrupt a loop predicate and livelock the
-        kernel, which the watchdog classifies ``HUNG``."""
-        self.config = config
-        self.dmr = dmr
-        self.make_run = make_run
-        self.output_of = output_of
-        self.max_cycles = max_cycles
-        self.watchdog_factor = watchdog_factor
-        self.watchdog_slack = watchdog_slack
-        self.engine = engine
-        self._golden_result: Optional[KernelResult] = None
-
-    def golden_result(self) -> KernelResult:
-        """The fault-free run (cached): output baseline + watchdog scale."""
-        if self._golden_result is None:
-            run = self.make_run()
-            gpu = GPU(self.config, dmr=DMRConfig.disabled(),
-                      engine=self.engine)
-            self._golden_result = gpu.launch(run.program, run.launch,
-                                             memory=run.memory)
-        return self._golden_result
-
-    def golden_output(self) -> Sequence:
-        return self.output_of(self.golden_result().memory)
-
-    def cycle_budget(self) -> int:
-        """This campaign's per-run watchdog budget."""
-        return cycle_budget(self.golden_result().cycles,
-                            self.watchdog_factor, self.watchdog_slack,
-                            self.max_cycles)
-
-    def run_fault(self, fault: Fault,
-                  golden: Optional[Sequence] = None) -> FaultRun:
-        from repro.common.errors import SimulationError
-
-        if golden is None:
-            golden = self.golden_output()
-        run = self.make_run()
-        injector = FaultInjector([fault])
-        gpu = GPU(self.config, dmr=self.dmr, fault_hook=injector,
-                  max_cycles=self.cycle_budget(), engine=self.engine)
-        try:
-            result = gpu.launch(run.program, run.launch, memory=run.memory)
-        except SimulationError:
-            return FaultRun(
-                fault=fault,
-                outcome=Outcome.HUNG,
-                detections=0,
-                activations=injector.activations,
-            )
-        output = self.output_of(run.memory)
-        corrupt = not _outputs_equal(output, golden)
-        return FaultRun(
-            fault=fault,
-            outcome=classify(len(result.detections), corrupt),
-            detections=len(result.detections),
-            activations=injector.activations,
-            cycles=result.cycles,
-        )
-
-    def run(self, faults: Sequence[Fault]) -> CampaignResult:
-        golden = self.golden_output()
-        result = CampaignResult()
-        for fault in faults:
-            result.runs.append(self.run_fault(fault, golden))
-        return result
-
-
 # ----------------------------------------------------------------------
 # Scaled campaigns: plain-data specs, worker fan-out, persistent cache
 # ----------------------------------------------------------------------
@@ -324,14 +232,10 @@ class CampaignSpec:
 
     Plain data (registry workload name + frozen configs), so a spec
     pickles into worker processes and fingerprints into cache keys.
-    ``engine`` pins the faulty runs' execution engine ("scalar" /
-    "auto"; ``None`` = the GPU default).  Like the suite runner's cache,
-    the fault-run cache key deliberately excludes it: the engines are
-    bit-identical by contract (enforced by the engine-differential
-    tests), so their classifications are interchangeable.  The watchdog
-    parameters *are* keyed — they decide what counts as ``HUNG`` — and
-    so is ``scheme``: a SECDED classification must never be served to
-    (or shadowed by) a DMR request.
+    The execution engine is ``config.engine``.  The watchdog parameters
+    are keyed — they decide what counts as ``HUNG`` — and so is
+    ``scheme``: a SECDED classification must never be served to (or
+    shadowed by) a DMR request.
     """
 
     workload: str
@@ -339,7 +243,6 @@ class CampaignSpec:
     dmr: DMRConfig
     scale: float = 0.5
     seed: int = 0
-    engine: Optional[str] = None
     watchdog_factor: int = DEFAULT_WATCHDOG_FACTOR
     watchdog_slack: int = DEFAULT_WATCHDOG_SLACK
     max_cycles: int = DEFAULT_MAX_FAULTY_CYCLES
@@ -370,10 +273,10 @@ def fault_run_key(spec: CampaignSpec, fault: Fault) -> str:
     """Content address of one ``(workload, config, fault)`` run.
 
     Covers every input of the faulty simulation — workload identity,
-    both configs, scale/seed, the watchdog envelope and the fault
-    itself — plus the code-version salt, so stale code never serves a
-    classification.  The engine is excluded by the bit-identity
-    contract (see :class:`CampaignSpec`).
+    both configs (the GPU config names the engine, so the two engines'
+    classifications stay apart, as suite results do), scale/seed, the
+    watchdog envelope and the fault itself — plus the code-version
+    salt, so stale code never serves a classification.
     """
     from repro.analysis.result_cache import code_version_salt
 
@@ -474,8 +377,7 @@ def run_single_fault(spec: CampaignSpec, fault: Fault,
     run = spec.prepare()
     hook, config = _detection_hook(spec, fault)
     gpu = GPU(config, dmr=spec.dmr, fault_hook=hook,
-              max_cycles=budget, engine=spec.engine,
-              obs=("metrics" if spec.obs else False))
+              max_cycles=budget, obs=("metrics" if spec.obs else False))
     try:
         result = gpu.launch(run.program, run.launch, memory=run.memory)
     except SimulationError:
@@ -590,10 +492,10 @@ class CampaignEngine:
         from repro.analysis.result_cache import result_key
 
         spec = self.spec
-        # the golden baseline never records metrics, so obs=False keeps
-        # it shared with suite-runner baselines regardless of spec.obs
+        # keyed exactly like SuiteRunner.baseline (outputs checked, no
+        # metrics) so a figure regeneration and a campaign share it
         return result_key(spec.workload, DMRConfig.disabled(), spec.config,
-                          spec.scale, spec.seed, False, False)
+                          spec.scale, spec.seed, True, False)
 
     def golden_result(self) -> KernelResult:
         """The fault-free baseline run (computed at most once, ever)."""
@@ -607,12 +509,14 @@ class CampaignEngine:
                 return cached
         spec = self.spec
         run = spec.prepare()
-        gpu = GPU(spec.config, dmr=DMRConfig.disabled(), engine=spec.engine)
+        gpu = GPU(spec.config, dmr=DMRConfig.disabled())
         started = time.perf_counter()
         result = gpu.launch(run.program, run.launch, memory=run.memory)
         # the measured fault-free wall time calibrates worker deadlines
         # (a cache-served golden run leaves this None: nothing was timed)
         self._golden_seconds = time.perf_counter() - started
+        # every classification compares against this output
+        run.check(run.memory)
         if self.persistent_cache is not None:
             self.persistent_cache.put(key, result)
         self._golden = result

@@ -5,8 +5,8 @@ of a fixed benchmark set, it draws arbitrarily many mini-ISA kernels
 from a seed — divergence, instruction mix, RAW distances and barrier
 placement all steered by a profile — and admits each one to a
 persistent content-addressed corpus only after the barrier-aware scalar
-reference, the simulator's scalar engine, and the vectorized engine
-produce bit-identical memory images.  The corpus then feeds the
+reference, the simulator's scalar engine, and its fast engine produce
+bit-identical memory images.  The corpus then feeds the
 schedule-interleaving explorer (:mod:`repro.analysis.sched_sweep`) and
 the fault-injection campaigns with reproducible scenarios.
 

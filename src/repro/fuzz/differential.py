@@ -1,16 +1,15 @@
 """Differential oracle: scalar reference vs every simulator engine.
 
-Every fuzzed kernel is executed four ways before it may enter a
+Every fuzzed kernel is executed three ways before it may enter a
 corpus:
 
 1. the barrier-aware scalar reference interpreter
    (:mod:`repro.sim.scalar_ref`) over plain Python dict memories — the
    semantic ground truth, with no pipeline model at all;
 2. the full simulator with the scalar execution engine;
-3. the full simulator with the per-issue vectorized engine
-   (``repro.sim.vexec``, ``engine="vector"``);
-4. the full simulator with the trace-fused megakernel engine
-   (``repro.sim.megakernel``, ``engine="mega"``).
+3. the full simulator with the ``fast`` engine (per-issue
+   vectorization, :mod:`repro.sim.vexec`, plus region fusion,
+   :mod:`repro.sim.megakernel`).
 
 All final global-memory images must be *bit-identical* (equal
 canonical digests, exact float bit patterns included).  Any mismatch is
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.common.config import DMRConfig, GPUConfig
+from repro.common.config import ENGINE_NAMES, DMRConfig, GPUConfig
 from repro.fuzz.serialize import FuzzKernel, Number, memory_digest
 from repro.sim.gpu import GPU, KernelResult
 from repro.sim.memory import GlobalMemory
@@ -60,7 +59,6 @@ def reference_memory(kernel: FuzzKernel) -> Dict[int, Number]:
 def run_kernel(kernel: FuzzKernel, *,
                config: Optional[GPUConfig] = None,
                dmr: Optional[DMRConfig] = None,
-               engine: Optional[str] = None,
                schedule_seed: Optional[int] = None,
                obs: object = False,
                max_cycles: Optional[int] = None) -> KernelResult:
@@ -70,8 +68,7 @@ def run_kernel(kernel: FuzzKernel, *,
         config = config.with_schedule_seed(schedule_seed)
     gpu = GPU(config=config,
               dmr=dmr if dmr is not None else DMRConfig.disabled(),
-              max_cycles=max_cycles or kernel.cycle_budget,
-              engine=engine, obs=obs)
+              max_cycles=max_cycles or kernel.cycle_budget, obs=obs)
     return gpu.launch(kernel.program, kernel.launch,
                       memory=build_memory(kernel))
 
@@ -100,7 +97,7 @@ class Validation:
 
 def validate_kernel(kernel: FuzzKernel,
                     config: Optional[GPUConfig] = None) -> Validation:
-    """Check bit-identity of reference, scalar, vector and mega."""
+    """Check bit-identity of reference, scalar and fast."""
     outcome = Validation(kernel_digest=kernel.digest(),
                          reference_digest="")
     try:
@@ -108,9 +105,10 @@ def validate_kernel(kernel: FuzzKernel,
     except Exception as exc:  # noqa: BLE001 - report, don't crash the run
         outcome.errors.append(f"reference: {type(exc).__name__}: {exc}")
         return outcome
-    for engine in ("scalar", "vector", "mega"):
+    config = config if config is not None else fuzz_gpu_config()
+    for engine in ENGINE_NAMES:
         try:
-            result = run_kernel(kernel, config=config, engine=engine)
+            result = run_kernel(kernel, config=replace(config, engine=engine))
         except Exception as exc:  # noqa: BLE001
             outcome.errors.append(f"{engine}: {type(exc).__name__}: {exc}")
             continue

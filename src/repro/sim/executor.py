@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.common.bitops import ActiveMask, active_lane_list
+from repro.common.config import ENGINE_NAMES
 from repro.common.errors import SimulationError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CmpOp, Opcode, UnitType
@@ -47,12 +48,6 @@ _SETP_CMP = {
     CmpOp.LT: operator.lt, CmpOp.LE: operator.le,
     CmpOp.GT: operator.gt, CmpOp.GE: operator.ge,
 }
-
-#: engines an :class:`Executor` can be pinned to: ``scalar`` (per-lane
-#: interpreter, the oracle), ``vector`` (per-issue lane-vectorized),
-#: ``mega`` (vector + trace-fused regions and cross-SM warp batching),
-#: ``auto`` (the fastest bit-identical engine — currently mega)
-ENGINES = ("auto", "scalar", "vector", "mega")
 
 
 def _wrap_i32(value: int) -> int:
@@ -199,7 +194,7 @@ class FaultHook:
     def may_perturb(self, sm_id: int, cycle: int) -> bool:
         """Whether any fault could perturb a computation on *sm_id* now.
 
-        The executor's ``auto`` engine consults this per issue: while a
+        The executor's ``fast`` engine consults this per issue: while a
         hook reports ``False`` the lane-vectorized fast path (which
         never calls :meth:`apply`) is safe, because skipping the hook
         provably cannot change the computation.  The conservative
@@ -231,9 +226,10 @@ class ExecResult:
 class Executor:
     """Stateful functional executor bound to one SM.
 
-    ``engine`` selects the execution strategy: ``"auto"`` (default)
-    runs the vectorized engine whenever it can reproduce scalar
-    semantics bit-for-bit, ``"scalar"`` pins every issue to the
+    ``engine`` selects the execution strategy (the SM passes its
+    ``GPUConfig.engine``): ``"fast"`` (default) runs the vectorized
+    engine whenever it can reproduce scalar semantics bit-for-bit, and
+    may run fused regions; ``"scalar"`` pins every issue to the
     per-lane interpreter.  With a fault hook armed, each issue first
     asks the hook whether any fault could perturb this SM at the
     current cycle (:meth:`FaultHook.may_perturb`): only those issues —
@@ -246,19 +242,18 @@ class Executor:
 
     def __init__(self, sm_id: int, global_memory: GlobalMemory,
                  fault_hook: Optional[FaultHook] = None,
-                 engine: str = "auto") -> None:
-        if engine not in ENGINES:
+                 engine: str = "fast") -> None:
+        if engine not in ENGINE_NAMES:
             raise SimulationError(
                 f"unknown execution engine {engine!r}; expected one of "
-                f"{ENGINES}"
+                f"{ENGINE_NAMES}"
             )
         self.sm_id = sm_id
         self.global_memory = global_memory
         self.fault_hook = fault_hook or FaultHook()
         self.engine = engine
         self._faulty = fault_hook is not None
-        self._vector_enabled = engine != "scalar"
-        self._fuse_requested = engine in ("auto", "mega")
+        self._vector_enabled = engine == "fast"
         #: region-fusion context (a WarpBatcher); attached by the SM/GPU
         #: only when nothing observes issues at instruction granularity
         self._mega: Optional[object] = None
@@ -277,7 +272,7 @@ class Executor:
     @property
     def fusion_capable(self) -> bool:
         """Whether this executor may ever run fused regions."""
-        return self._fuse_requested and not self._faulty
+        return self._vector_enabled and not self._faulty
 
     # ------------------------------------------------------------------
     def _operand_value(self, warp: Warp, slot: int, operand) -> object:

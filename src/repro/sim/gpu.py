@@ -10,7 +10,6 @@ only consumes per-SM issue streams and total kernel cycles.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -109,20 +108,12 @@ class GPU:
         dmr: Optional[DMRConfig] = None,
         fault_hook: Optional[FaultHook] = None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        engine: Optional[str] = None,
         obs: object = False,
     ) -> None:
         self.config = config or GPUConfig.paper_baseline()
         self.dmr = dmr or DMRConfig.disabled()
         self.fault_hook = fault_hook
         self.max_cycles = max_cycles
-        # execution engine: explicit arg > REPRO_EXEC env var > config.
-        # "auto"/"mega" fuse straight-line regions whenever exactness
-        # allows (never with a fault hook, DMR, or issue listeners
-        # attached); "vector" pins per-issue vectorization; "scalar"
-        # pins the per-lane interpreter.
-        self.engine = engine or os.environ.get("REPRO_EXEC") \
-            or self.config.engine
         # observability: an ObsSession, a mode string ("metrics"/
         # "trace"), True, or None to defer to $REPRO_OBS.  False (the
         # default) disables it outright: no probes are created and the
@@ -193,7 +184,6 @@ class GPU:
                 lane_of_slot=lane_of_slot,
                 fault_hook=self.fault_hook,
                 max_cycles=self.max_cycles,
-                engine=self.engine,
                 probe=probe,
             )
             if controller_factory is not None:

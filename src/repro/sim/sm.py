@@ -17,10 +17,10 @@ accounting (both asserted cycle/byte-identical by the invariance
 tests):
 
 * **Region fusion** (:mod:`repro.sim.megakernel`): when the engine is
-  ``auto``/``mega`` and nothing observes issues at instruction
-  granularity, a :class:`~repro.sim.megakernel.WarpBatcher` hoists the
-  functional work of straight-line regions; the SM still issues every
-  instruction through the scheduler/scoreboard.
+  ``fast`` and nothing observes issues at instruction granularity, a
+  :class:`~repro.sim.megakernel.WarpBatcher` hoists the functional work
+  of straight-line regions; the SM still issues every instruction
+  through the scheduler/scoreboard.
 * **Event-driven cycle skipping** (``GPUConfig.cycle_skip``): pending
   stall cycles with one cause burn as a single booked span, and when
   every resident warp is stalled the cycle counter jumps to the next
@@ -86,7 +86,6 @@ class SM:
         dmr: Optional[object] = None,
         fault_hook: Optional[FaultHook] = None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        engine: str = "auto",
         probe: Optional[object] = None,
     ) -> None:
         self.sm_id = sm_id
@@ -98,7 +97,7 @@ class SM:
         self.dmr = dmr
         self.max_cycles = max_cycles
         self.executor = Executor(sm_id, global_memory, fault_hook,
-                                 engine=engine)
+                                 engine=config.engine)
         self.executor.bind_program(program)
         self._schedulers = [
             WarpScheduler(
@@ -176,7 +175,7 @@ class SM:
     def fusion_allowed(self) -> bool:
         """Whether this SM may run fused regions.
 
-        Requires an engine that fuses AND nothing that observes issues
+        Requires the ``fast`` engine AND nothing that observes issues
         at instruction granularity: no DMR controller, no fault hook,
         no issue listeners.  Evaluated after attachment (GPU.launch
         attaches controllers and listeners post-construction).

@@ -27,7 +27,8 @@ from repro.analysis.runner import (
     default_jobs,
     experiment_config,
 )
-from repro.common.config import DMRConfig, GPUConfig
+from repro.common.config import ENGINE_NAMES, DMRConfig, GPUConfig
+from repro.common.errors import ConfigError
 from repro.workloads import PAPER_ORDER
 
 SCALE = 0.25
@@ -79,30 +80,57 @@ class TestKeyCompleteness:
         The engines are bit-identical by contract, but a shared key
         would let a cache hit mask an engine divergence — the
         differential suite would compare an engine against its own
-        cached result.
+        cached result.  The engine is a config field, so the key
+        carries it like any other.
         """
+        runner = make_runner()
         dmr = DMRConfig.disabled()
         keys = {
-            make_runner(engine=engine)._key("scan", dmr,
-                                            experiment_config(num_sms=2))
-            for engine in ("scalar", "vector", "mega", "auto")
+            engine: runner._key("scan", dmr,
+                                experiment_config(num_sms=2, engine=engine))
+            for engine in ENGINE_NAMES
         }
-        assert len(keys) == 4
+        assert len(set(keys.values())) == len(ENGINE_NAMES) == 2
+        assert keys["fast"] == result_key(
+            "scan", dmr, experiment_config(num_sms=2, engine="fast"),
+            SCALE, 0, True)
 
     def test_repro_exec_env_reaches_the_key(self, monkeypatch):
+        """``$REPRO_EXEC`` picks the engine of a config built without
+        one, so such a config keys as the engine it names."""
         dmr = DMRConfig.disabled()
-        runner = make_runner()  # no explicit engine: env resolves it
-        base = runner._key("scan", dmr, runner.config)
+        runner = make_runner()
+        scalar = runner._key("scan", dmr,
+                             experiment_config(num_sms=2, engine="scalar"))
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        assert experiment_config().engine == "fast"
+        assert runner._key("scan", dmr, experiment_config(num_sms=2)) \
+            != scalar
         monkeypatch.setenv("REPRO_EXEC", "scalar")
-        assert runner._key("scan", dmr, runner.config) != base
+        assert runner._key("scan", dmr, experiment_config(num_sms=2)) \
+            == scalar
 
     def test_explicit_engine_shadows_env(self, monkeypatch):
         """An explicit engine pin must key identically regardless of env."""
         dmr = DMRConfig.disabled()
-        runner = make_runner(engine="mega")
-        base = runner._key("scan", dmr, runner.config)
+        runner = make_runner()
+        base = runner._key("scan", dmr,
+                           experiment_config(num_sms=2, engine="fast"))
         monkeypatch.setenv("REPRO_EXEC", "scalar")
-        assert runner._key("scan", dmr, runner.config) == base
+        assert runner._key("scan", dmr,
+                           experiment_config(num_sms=2, engine="fast")) \
+            == base
+
+    def test_unknown_engine_rejected(self, monkeypatch):
+        """``auto``, ``vector`` and ``mega`` are gone: naming one, or
+        any other unknown engine, is a config error, from the field or
+        from ``$REPRO_EXEC``."""
+        for name in ("auto", "vector", "mega", "turbo"):
+            with pytest.raises(ConfigError, match="unknown execution engine"):
+                GPUConfig(engine=name)
+        monkeypatch.setenv("REPRO_EXEC", "mega")
+        with pytest.raises(ConfigError, match="unknown execution engine"):
+            GPUConfig()
 
     def test_different_scales_never_alias_on_disk(self, tmp_path):
         quarter = make_runner(scale=0.25, cache=tmp_path)
@@ -300,7 +328,7 @@ class TestCrossProcessDeterminism:
         """Two independent worker processes must produce byte-identical
         payloads for the same spec (what the cache persists)."""
         args = ("scan", DMRConfig.paper_default(),
-                experiment_config(num_sms=2), SCALE, 0, True)
+                experiment_config(num_sms=2), SCALE, 0, True, False)
         payloads = []
         for _ in range(2):  # one single-worker pool each => two processes
             with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
@@ -314,7 +342,7 @@ class TestCrossProcessDeterminism:
         # a nonsense config cannot fail check, so just assert the flag
         # round-trips: check_outputs=False skips verification paths
         args = ("scan", DMRConfig.disabled(),
-                experiment_config(num_sms=2), SCALE, 0, False)
+                experiment_config(num_sms=2), SCALE, 0, False, False)
         payload = _simulate_payload(args)
         assert payload["cycles"] > 0
 

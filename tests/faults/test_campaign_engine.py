@@ -12,18 +12,25 @@ The scaled-campaign acceptance criteria, asserted:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.result_cache import ResultCache
+from repro.analysis.runner import SuiteRunner
 from repro.common.config import DMRConfig, GPUConfig
-from repro.faults.campaign import (CampaignEngine, CampaignSpec,
-                                   FaultCampaign, Outcome, fault_run_key)
-from repro.faults.models import TransientFault
+from repro.faults.campaign import (CampaignEngine, CampaignSpec, Outcome,
+                                   fault_run_key)
+from repro.faults.models import TransientFault, fault_from_payload
 from repro.faults.sampler import FaultSampler
 from repro.isa.opcodes import UnitType
-from repro.workloads import get_workload
+from repro.service import codec
+from repro.service.jobs import submit_campaign_job
+from repro.service.store import JobStore
+from repro.service.worker import ServiceWorker
+from repro.sim.gpu import GPU
 
-from tests.conftest import build_counting_kernel
+from tests.conftest import CountingSpec, counting_spec
 
 
 @pytest.fixture
@@ -70,6 +77,46 @@ class TestResumableCache:
         assert second.persistent_cache.hits == 1
         assert again.to_payload() == golden.to_payload()
 
+    def test_golden_run_shares_the_suite_baseline(self, spec, tmp_path,
+                                                  monkeypatch):
+        """A figure's baseline and a campaign's golden run are one
+        simulation: the campaign cache-hits the suite runner's entry."""
+        launches = []
+        launch = GPU.launch
+
+        def counting_launch(gpu, *args, **kwargs):
+            launches.append(args)
+            return launch(gpu, *args, **kwargs)
+
+        monkeypatch.setattr(GPU, "launch", counting_launch)
+        runner = SuiteRunner(spec.config, scale=spec.scale, seed=spec.seed,
+                             cache=tmp_path)
+        baseline = runner.baseline(spec.workload)
+        engine = CampaignEngine(spec, cache=runner.persistent_cache)
+        golden = engine.golden_result()
+        assert len(launches) == 1
+        assert golden.to_payload() == baseline.to_payload()
+
+    def test_golden_run_checks_its_output(self, tmp_path):
+        """Every classification compares against the golden output, so
+        a golden run that fails its workload check is never cached."""
+        def reject(memory):
+            raise AssertionError("golden output rejected")
+
+        class Rejected(CountingSpec):
+            def prepare(self):
+                run = super().prepare()
+                run.check = reject
+                return run
+
+        spec = Rejected(workload="counting-rejected",
+                        config=GPUConfig.small(1),
+                        dmr=DMRConfig.paper_default())
+        engine = CampaignEngine(spec, cache=tmp_path)
+        with pytest.raises(AssertionError, match="golden output rejected"):
+            engine.golden_result()
+        assert len(engine.persistent_cache) == 0
+
     def test_duplicate_faults_simulate_once(self, spec):
         fault = sampled_faults(spec, 1)[0]
         engine = CampaignEngine(spec)
@@ -85,12 +132,44 @@ class TestResumableCache:
                                      unit=fault.unit, bit=fault.bit,
                                      cycle=fault.cycle + 1)
         assert fault_run_key(spec, fault) != fault_run_key(spec, other_fault)
-        from dataclasses import replace
         assert (fault_run_key(replace(spec, seed=1), fault)
                 != fault_run_key(spec, fault))
-        # engine is excluded by the bit-identity contract
-        assert (fault_run_key(replace(spec, engine="scalar"), fault)
-                == fault_run_key(replace(spec, engine="auto"), fault))
+        # the config names the engine, so each engine's
+        # classifications stay apart, as suite results do
+        assert (fault_run_key(replace(spec, config=replace(
+                    spec.config, engine="scalar")), fault)
+                != fault_run_key(replace(spec, config=replace(
+                    spec.config, engine="fast")), fault))
+
+
+class TestEngineIsAConfigField:
+    """``GPUConfig.engine`` is the one engine knob, and every key and
+    durable job spec carries it."""
+
+    def test_job_json_carries_the_submitters_engine(self, tmp_path,
+                                                    monkeypatch):
+        """A worker whose ``$REPRO_EXEC`` differs from the submitter's
+        still runs the submitter's engine: it rides in ``job.json``."""
+        monkeypatch.setenv("REPRO_EXEC", "scalar")
+        spec = CampaignSpec(workload="scan", config=GPUConfig.small(1),
+                            dmr=DMRConfig.paper_default(), scale=0.25)
+        assert spec.config.engine == "scalar"
+        store = JobStore(tmp_path / "store")
+        job_id, _ = submit_campaign_job(store, spec, samples=2, windows=1)
+
+        monkeypatch.setenv("REPRO_EXEC", "fast")
+        job = store.load_job(job_id)
+        assert codec.campaign_spec_from_payload(job["spec"]) == spec
+        worker = ServiceWorker(store, owner="fast-env")
+        while worker.run_once() is not None:
+            pass
+        cache = ResultCache(store.cache_dir)
+        fast_spec = replace(spec, config=replace(spec.config,
+                                                 engine="fast"))
+        for run in store.read_merged(job_id)["runs"]:
+            fault = fault_from_payload(run["fault"])
+            assert cache.get_payload(fault_run_key(spec, fault)) == run
+            assert cache.get_payload(fault_run_key(fast_spec, fault)) is None
 
 
 class TestParallelFanOut:
@@ -128,24 +207,7 @@ class TestSampledCoverageBracketsExhaustive:
 
     @pytest.fixture(scope="class")
     def campaign(self):
-        program = build_counting_kernel(6)
-        threads = self.THREADS
-
-        class Run:
-            def __init__(self):
-                from repro.common.config import LaunchConfig
-                from repro.sim.memory import GlobalMemory
-                self.program = program
-                self.launch = LaunchConfig(1, threads)
-                self.memory = GlobalMemory()
-
-        return FaultCampaign(
-            config=GPUConfig.small(1),
-            dmr=DMRConfig.paper_default(),
-            make_run=Run,
-            output_of=lambda memory: [memory.load(g)
-                                      for g in range(threads)],
-        )
+        return CampaignEngine(counting_spec(self.THREADS, iterations=6))
 
     @pytest.fixture(scope="class")
     def universe(self, campaign):

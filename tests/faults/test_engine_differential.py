@@ -1,11 +1,12 @@
 """Engine differential: faulty runs must be execution-engine invariant.
 
-The campaign cache deliberately excludes the execution engine from its
-keys — a classification computed under the scalar interpreter must be
-interchangeable with one computed under the windowed vector path (run
+A classification computed under the scalar interpreter must equal one
+computed under the ``fast`` engine's windowed vector path (run
 vectorized until the fault can fire, scalar only inside the activation
-window).  These tests are that contract's enforcement: identical fault
-lists under ``engine="scalar"`` and ``engine="auto"`` must yield
+window).  The campaign cache keys the two engines apart (the engine is
+a ``GPUConfig`` field), so these tests compare real runs, never a
+cached twin: identical fault lists under a config pinned to
+``engine="scalar"`` and one pinned to ``engine="fast"`` must yield
 byte-identical :class:`FaultRun` payloads — outcomes, detection counts,
 activations and cycle counts — across DMR configurations.
 
@@ -40,9 +41,11 @@ DMR_CONFIGS = [
 ]
 
 
-def campaign_payloads(spec: CampaignSpec, faults) -> list:
-    engine = CampaignEngine(spec)
-    return [run.to_payload() for run in engine.run(faults).runs]
+def campaign_payloads(spec: CampaignSpec, engine: str, faults) -> list:
+    """Classify *faults* with *spec* pinned to execution *engine*."""
+    pinned = replace(spec, config=replace(spec.config, engine=engine))
+    return [run.to_payload()
+            for run in CampaignEngine(pinned).run(faults).runs]
 
 
 @pytest.mark.parametrize("dmr", DMR_CONFIGS,
@@ -54,9 +57,8 @@ def test_sampled_transients_engine_invariant(dmr):
     horizon = CampaignEngine(spec).golden_result().cycles
     faults = FaultSampler(spec.config, windows=2).sample(
         12, horizon, seed=11)
-    scalar = campaign_payloads(replace(spec, engine="scalar"), faults)
-    auto = campaign_payloads(replace(spec, engine="auto"), faults)
-    assert scalar == auto
+    assert (campaign_payloads(spec, "scalar", faults)
+            == campaign_payloads(spec, "fast", faults))
 
 
 def test_stuck_at_faults_engine_invariant():
@@ -68,20 +70,19 @@ def test_stuck_at_faults_engine_invariant():
         for lane, unit, bit in [(0, UnitType.SP, 0), (5, UnitType.SP, 3),
                                 (9, UnitType.LDST, 1), (13, UnitType.SFU, 7)]
     ]
-    scalar = campaign_payloads(replace(spec, engine="scalar"), faults)
-    auto = campaign_payloads(replace(spec, engine="auto"), faults)
-    assert scalar == auto
+    assert (campaign_payloads(spec, "scalar", faults)
+            == campaign_payloads(spec, "fast", faults))
 
 
 def _run_faulty_sm(fault, iterations: int = 40) -> SM:
-    """One SM running the counting kernel under *fault*, engine=auto."""
-    config = GPUConfig.small(1)
+    """One SM running the counting kernel under *fault*, engine=fast."""
+    config = GPUConfig(num_sms=1, engine="fast")
     program = build_counting_kernel(iterations)
     sm = SM(sm_id=0, config=config, program=program,
             launch=LaunchConfig(1, 32), block_ids=[0],
             global_memory=GlobalMemory(),
             lane_of_slot=list(range(config.warp_size)),
-            fault_hook=FaultInjector([fault]), engine="auto")
+            fault_hook=FaultInjector([fault]))
     sm.run()
     return sm
 

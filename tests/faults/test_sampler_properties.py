@@ -10,16 +10,15 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
+from repro.common.config import GPUConfig
 from repro.common.stats import (binomial_interval, clopper_pearson_interval,
                                 wilson_interval)
-from repro.faults.campaign import FaultCampaign, Outcome
+from repro.faults.campaign import CampaignEngine, Outcome
 from repro.faults.models import StuckAtFault, TransientFault
 from repro.faults.sampler import FaultSampler, allocate
 from repro.isa.opcodes import UnitType
-from repro.sim.memory import GlobalMemory
 
-from tests.conftest import build_counting_kernel
+from tests.conftest import counting_spec
 
 
 class TestAllocation:
@@ -153,24 +152,8 @@ class TestIntervals:
         assert clopper_pearson_interval(0, n)[0] == 0.0
 
 
-def _make_campaign(threads: int = 32) -> FaultCampaign:
-    program = build_counting_kernel(5)
-
-    class Run:
-        def __init__(self):
-            self.program = program
-            self.launch = LaunchConfig(1, threads)
-            self.memory = GlobalMemory()
-
-    return FaultCampaign(
-        config=GPUConfig.small(1),
-        dmr=DMRConfig.paper_default(),
-        make_run=Run,
-        output_of=lambda memory: [memory.load(g) for g in range(threads)],
-    )
-
-
-_CAMPAIGN = _make_campaign()
+_SPEC = counting_spec(iterations=5)
+_CAMPAIGN = CampaignEngine(_SPEC)
 _GOLDEN = _CAMPAIGN.golden_output()
 _HORIZON = _CAMPAIGN.golden_result().cycles
 
@@ -197,21 +180,21 @@ class TestOutcomeInvariants:
     @given(fault=fault_strategy)
     @settings(max_examples=30, deadline=None)
     def test_outcome_lattice_invariants(self, fault):
-        run = _CAMPAIGN.run_fault(fault, golden=_GOLDEN)
+        run = _CAMPAIGN.run_fault(fault)
         if run.outcome in (Outcome.DETECTED, Outcome.DETECTED_AND_CORRUPT):
             assert run.detections >= 1
         else:
             assert run.detections == 0
         if run.outcome is not Outcome.HUNG:
             # replaying the fault must corrupt iff the outcome says so
-            fresh = _CAMPAIGN.make_run()
+            fresh = _SPEC.prepare()
             from repro.faults.injector import FaultInjector
             from repro.sim.gpu import GPU
-            gpu = GPU(_CAMPAIGN.config, dmr=_CAMPAIGN.dmr,
+            gpu = GPU(_SPEC.config, dmr=_SPEC.dmr,
                       fault_hook=FaultInjector([fault]),
                       max_cycles=_CAMPAIGN.cycle_budget())
             gpu.launch(fresh.program, fresh.launch, memory=fresh.memory)
-            output = _CAMPAIGN.output_of(fresh.memory)
+            output = fresh.output_of(fresh.memory)
             corrupt = output != _GOLDEN
             expect_corrupt = run.outcome in (Outcome.SDC,
                                              Outcome.DETECTED_AND_CORRUPT)
@@ -222,6 +205,6 @@ class TestOutcomeInvariants:
     @given(fault=fault_strategy)
     @settings(max_examples=15, deadline=None)
     def test_inactive_fault_is_masked(self, fault):
-        run = _CAMPAIGN.run_fault(fault, golden=_GOLDEN)
+        run = _CAMPAIGN.run_fault(fault)
         if run.activations == 0 and run.outcome is not Outcome.HUNG:
             assert run.outcome is Outcome.MASKED

@@ -17,15 +17,14 @@ from repro.common.errors import SimulationError
 from repro.faults.campaign import (DEFAULT_MAX_FAULTY_CYCLES,
                                    DEFAULT_WATCHDOG_FACTOR,
                                    DEFAULT_WATCHDOG_SLACK, CampaignEngine,
-                                   CampaignSpec, FaultCampaign, Outcome,
-                                   cycle_budget)
+                                   CampaignSpec, Outcome, cycle_budget)
 from repro.faults.injector import FaultInjector
 from repro.faults.models import StuckAtFault
 from repro.isa.opcodes import UnitType
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 
-from tests.conftest import build_counting_kernel
+from tests.conftest import build_counting_kernel, counting_spec
 
 #: forces the SETP loop predicate permanently true on every lane it hits
 LIVELOCK_FAULT = StuckAtFault(sm_id=0, hw_lane=0, unit=UnitType.SP,
@@ -57,21 +56,8 @@ class TestLivelockIsReal:
 
 
 class TestCampaignWatchdog:
-    def _campaign(self) -> FaultCampaign:
-        program = build_counting_kernel(6)
-
-        class Run:
-            def __init__(self):
-                self.program = program
-                self.launch = LaunchConfig(1, 32)
-                self.memory = GlobalMemory()
-
-        return FaultCampaign(
-            config=GPUConfig.small(1),
-            dmr=DMRConfig.paper_default(),
-            make_run=Run,
-            output_of=lambda memory: [memory.load(g) for g in range(32)],
-        )
+    def _campaign(self) -> CampaignEngine:
+        return CampaignEngine(counting_spec(iterations=6))
 
     def test_campaign_classifies_livelock_as_hung(self):
         campaign = self._campaign()

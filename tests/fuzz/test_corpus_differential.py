@@ -7,27 +7,28 @@ reproduce its golden digest, and both simulator engines must reproduce
 it under DMR — detection must never alter functional results.
 
 Running the full {off, intra, inter} x {ReplayQ 2, unbounded} x
-{scalar, vector, mega} cross product on all 64 kernels would cost 1152
+{scalar, fast} cross product on all 64 kernels would cost 768
 simulations, so each kernel is assigned one (mode, size) cell
 round-robin by corpus index — every cell is exercised by >= 10 kernels
-and all three engines run for every kernel, at 1/6 the cost.  The
-DMR-off cell doubles as the plain engine-equivalence check.
+and both engines run for every kernel, at 1/6 the cost.  The DMR-off
+cell doubles as the plain engine-equivalence check.
 
-(Under DMR the mega engine's region fusion is gated off at launch, so
+(Under DMR the fast engine's region fusion is gated off at launch, so
 its DMR cells certify the gating path stays bit-identical too.)
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.overhead_sweep import UNBOUNDED_REPLAYQ
-from repro.common.config import DMRConfig, MappingPolicy
+from repro.common.config import ENGINE_NAMES, DMRConfig, MappingPolicy
 from repro.fuzz import Corpus, memory_digest, reference_memory, run_kernel
-from repro.fuzz.differential import result_digest
+from repro.fuzz.differential import fuzz_gpu_config, result_digest
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_PATH = CORPUS_DIR / "GOLDEN.json"
@@ -79,8 +80,9 @@ def test_reference_reproduces_every_golden_digest():
 def test_engines_bit_identical_under_dmr(index, digest):
     kernel = _corpus.load(digest)
     dmr, label = _cell(index)
-    for engine in ("scalar", "vector", "mega"):
-        result = run_kernel(kernel, dmr=dmr, engine=engine)
+    for engine in ENGINE_NAMES:
+        config = replace(fuzz_gpu_config(), engine=engine)
+        result = run_kernel(kernel, config=config, dmr=dmr)
         assert result_digest(result) == GOLDEN[digest]["result"], (
             f"{digest[:12]} under {label} engine={engine}")
         # A fault-free run must never report a detection.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.common.config import ENGINE_NAMES
 from repro.fuzz import (FuzzKernel, generate_kernel, validate_kernel)
 from repro.fuzz.profile import PRESETS
 from repro.isa.opcodes import Opcode
@@ -120,7 +121,7 @@ class TestExecution:
     @given(seed=SEEDS)
     @settings(max_examples=12, deadline=None)
     def test_validates_within_declared_budget(self, seed):
-        """Terminates under its own cycle budget, bit-identical 4 ways.
+        """Terminates under its own cycle budget, bit-identical 3 ways.
 
         ``validate_kernel`` simulates with ``max_cycles`` set to the
         kernel's declared budget, so a budget overrun surfaces as a
@@ -129,5 +130,6 @@ class TestExecution:
         kernel = generate_kernel(seed, PRESETS["tiny"])
         outcome = validate_kernel(kernel)
         assert outcome.ok, (seed, outcome.errors)
-        for engine in ("scalar", "vector", "mega"):
-            assert outcome.engine_digests[engine] == outcome.reference_digest
+        assert set(outcome.engine_digests) == set(ENGINE_NAMES)
+        for digest in outcome.engine_digests.values():
+            assert digest == outcome.reference_digest

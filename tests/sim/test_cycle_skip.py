@@ -71,11 +71,10 @@ KERNELS = {
 }
 
 
-def run(build, *, grid, block, cycle_skip, engine="mega", dmr=None,
+def run(build, *, grid, block, cycle_skip, engine="fast", dmr=None,
         obs=False, num_sms=2):
-    config = replace(GPUConfig.small(num_sms), cycle_skip=cycle_skip)
-    gpu = GPU(config, dmr=dmr or DMRConfig.disabled(), engine=engine,
-              obs=obs)
+    config = GPUConfig(num_sms=num_sms, cycle_skip=cycle_skip, engine=engine)
+    gpu = GPU(config, dmr=dmr or DMRConfig.disabled(), obs=obs)
     return gpu.launch(build(), LaunchConfig(grid_dim=grid, block_dim=block),
                       memory=GlobalMemory())
 
@@ -87,7 +86,7 @@ def full_payload(result) -> bytes:
 
 class TestSkipInvariance:
     @pytest.mark.parametrize("name", sorted(KERNELS))
-    @pytest.mark.parametrize("engine", ["scalar", "mega"])
+    @pytest.mark.parametrize("engine", ["scalar", "fast"])
     def test_payload_identical_with_and_without_skipping(self, name, engine):
         build, kwargs = KERNELS[name]
         on = run(build, **kwargs, cycle_skip=True, engine=engine)

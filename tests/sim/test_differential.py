@@ -18,8 +18,7 @@ from repro.isa.opcodes import CmpOp, Opcode
 from repro.kernel.builder import KernelBuilder
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
-
-from tests.scalar_reference import run_scalar_block
+from repro.sim.scalar_ref import run_scalar_block
 
 NUM_REGS = 6  # r0..r5 scratch; program stores them all at the end
 

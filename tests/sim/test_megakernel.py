@@ -5,8 +5,9 @@ structural invariants — region boundaries at control flow / memory ops /
 reconvergence targets, suffix regions for mid-run entry, copy-then-commit
 fallback, and strict stash/issue lockstep.  These tests pin each
 invariant directly on the region table and batcher objects, then close
-the loop with full-launch payload differentials against the scalar and
-per-issue vector engines.
+the loop with full-launch payload differentials of the ``fast`` engine,
+fused and with fusion gated off (per-issue vectorization only), against
+the ``scalar`` engine.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from repro.sim.megakernel import (
 from repro.sim.sm import SM
 from repro.sim.vexec import VectorFallback
 
-from tests.conftest import build_counting_kernel, build_divergent_kernel
+from tests.conftest import (build_counting_kernel, build_divergent_kernel,
+                           fusion_disabled)
 
 
 def launch(program, engine, *, grid=1, block=32, num_sms=1, dmr=None,
            listener=None):
-    gpu = GPU(GPUConfig.small(num_sms), dmr=dmr or DMRConfig.disabled(),
-              engine=engine)
+    gpu = GPU(GPUConfig(num_sms=num_sms, engine=engine),
+              dmr=dmr or DMRConfig.disabled())
     memory = GlobalMemory()
     result = gpu.launch(
         program, LaunchConfig(grid_dim=grid, block_dim=block),
@@ -53,9 +55,9 @@ def payload(result) -> bytes:
                          result.detections))
 
 
-def make_sm(program, *, block_ids=(0,), grid=1, block=32, engine="mega",
+def make_sm(program, *, block_ids=(0,), grid=1, block=32, engine="fast",
             fault_hook=None):
-    config = GPUConfig.small(1)
+    config = GPUConfig(num_sms=1, engine=engine)
     return SM(
         sm_id=0,
         config=config,
@@ -64,7 +66,6 @@ def make_sm(program, *, block_ids=(0,), grid=1, block=32, engine="mega",
         block_ids=list(block_ids),
         global_memory=GlobalMemory(),
         lane_of_slot=list(range(config.warp_size)),
-        engine=engine,
         fault_hook=fault_hook,
     )
 
@@ -232,14 +233,14 @@ class TestFallbackPoisoning:
         assert warp.mega_stash is None
 
     def test_launch_survives_total_fallback_bit_identically(self, monkeypatch):
-        """With every fuse attempt failing, mega must degrade to the
-        per-issue engines and still match scalar byte for byte."""
+        """With every fuse attempt failing, fast must degrade to
+        per-issue execution and still match scalar byte for byte."""
         monkeypatch.setattr(
             megakernel, "execute_region",
             lambda region, warps, mask: (_ for _ in ()).throw(
                 VectorFallback("forced")))
         program = build_counting_kernel(iterations=3)
-        assert payload(launch(program, "mega")) == \
+        assert payload(launch(program, "fast")) == \
             payload(launch(program, "scalar"))
 
 
@@ -261,14 +262,13 @@ class TestFusionGating:
         assert not sm.fusion_allowed()
 
     def test_non_fusing_engines_block_fusion(self):
-        for engine in ("scalar", "vector"):
-            sm = make_sm(build_straightline(), engine=engine)
-            assert not sm.fusion_allowed(), engine
+        sm = make_sm(build_straightline(), engine="scalar")
+        assert not sm.fusion_allowed()
 
     def test_gated_launch_matches_scalar_under_dmr(self):
         program = build_divergent_kernel()
         dmr = DMRConfig.paper_default()
-        assert payload(launch(program, "mega", dmr=dmr)) == \
+        assert payload(launch(program, "fast", dmr=dmr)) == \
             payload(launch(program, "scalar", dmr=dmr))
 
 
@@ -299,12 +299,27 @@ class TestEngineDifferential:
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_mega_matches_scalar_and_vector(self, name):
+        """Fused regions and per-issue vectorization both match scalar."""
         build, kwargs = self.KERNELS[name]
         golden = payload(launch(build(), "scalar", **kwargs))
-        assert payload(launch(build(), "mega", **kwargs)) == golden
-        assert payload(launch(build(), "vector", **kwargs)) == golden
+        assert payload(launch(build(), "fast", **kwargs)) == golden
+        with fusion_disabled():
+            assert payload(launch(build(), "fast", **kwargs)) == golden
 
-    def test_auto_engine_is_mega(self):
+    def test_default_engine_is_fast(self, monkeypatch):
+        """Without ``$REPRO_EXEC`` a config runs ``fast``, which fuses."""
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        assert GPUConfig().engine == "fast"
         program = build_predicated_kernel()
-        assert payload(launch(program, "auto")) == \
-            payload(launch(program, "mega"))
+        batchers = []
+        attach = WarpBatcher.attach
+
+        def recording_attach(batcher):
+            batchers.append(batcher)
+            return attach(batcher)
+
+        monkeypatch.setattr(WarpBatcher, "attach", recording_attach)
+        gpu = GPU(GPUConfig.small(1))
+        assert payload(gpu.launch(program, LaunchConfig(1, 32))) == \
+            payload(launch(program, "scalar"))
+        assert batchers and batchers[0].fused_regions > 0

@@ -12,12 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.config import LaunchConfig
+from repro.common.config import GPUConfig, LaunchConfig
 from repro.common.errors import SimulationError
 from repro.sim import vexec
 from repro.sim.executor import Executor, FaultHook
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
+from repro.sim.sm import SM
 from repro.sim.warp import ThreadBlock, Warp
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -37,7 +38,7 @@ def _warp(block_dim=WARP, num_regs=4):
     return warp
 
 
-def _executor(engine="auto", fault_hook=None):
+def _executor(engine="fast", fault_hook=None):
     return Executor(0, GlobalMemory(size_words=1024), fault_hook,
                     engine=engine)
 
@@ -53,7 +54,7 @@ def test_invalid_engine_rejected():
         _executor(engine="turbo")
 
 
-def test_auto_engine_vectorizes():
+def test_fast_engine_vectorizes():
     ex, warp = _executor(), _warp()
     ex.execute(warp, IADD, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == (1, 0)
@@ -74,11 +75,25 @@ def test_fault_hook_forces_scalar_path():
 
 
 def test_repro_exec_env_pins_gpu_engine(monkeypatch):
+    """``$REPRO_EXEC`` names the engine of configs built without one,
+    the default ``GPU()`` chip included; it reaches every SM."""
     monkeypatch.setenv("REPRO_EXEC", "scalar")
-    assert GPU().engine == "scalar"
+    assert GPU().config.engine == "scalar"
     monkeypatch.delenv("REPRO_EXEC")
-    assert GPU().engine == "auto"
-    assert GPU(engine="scalar").engine == "scalar"
+    assert GPU().config.engine == "fast"
+    assert GPU(GPUConfig(engine="scalar")).config.engine == "scalar"
+    program = _tiny_program()
+    sms = []
+    original = SM.run
+
+    def recording_run(self):
+        sms.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SM, "run", recording_run)
+    GPU(GPUConfig(num_sms=1, engine="scalar")).launch(
+        program, LaunchConfig(grid_dim=1, block_dim=WARP))
+    assert [sm.executor.engine for sm in sms] == ["scalar"]
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +131,7 @@ def test_int_op_on_float_operand_falls_back():
 
 
 def test_f2i_nonfinite_raises_identically():
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "fast"):
         ex, warp = _executor(engine=engine), _warp()
         for slot in range(WARP):
             warp.write_reg(slot, 0, float("inf"))
@@ -184,7 +199,7 @@ def test_mask_bits_is_readonly():
 # End-to-end smoke: full launch on each engine
 # ----------------------------------------------------------------------
 def test_launch_smoke_both_engines():
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "fast"):
         k = KernelBuilder("smoke")
         addr, val = k.regs(2)
         k.gtid(addr)
@@ -192,7 +207,7 @@ def test_launch_smoke_both_engines():
         k.st_global(addr, val)
         k.exit()
         memory = GlobalMemory(size_words=1024)
-        GPU(engine=engine).launch(
+        GPU(GPUConfig(engine=engine)).launch(
             k.build(), LaunchConfig(grid_dim=2, block_dim=64), memory=memory)
         assert [memory.load(i) for i in range(128)] == [
             100 + 3 * i for i in range(128)]

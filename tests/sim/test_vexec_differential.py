@@ -187,7 +187,7 @@ def _snapshot(warp, executor, memory, result):
 def _run_both(inst, reg_values, pred_values, block_dim, mapping):
     """Execute *inst* on both engines; compare state or exception type."""
     outcomes = []
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "fast"):
         warp, executor, memory = _build(engine, block_dim, mapping)
         for reg, column in enumerate(reg_values):
             for slot in range(warp.live_slots):
@@ -282,21 +282,21 @@ ENGINE_DMR_VARIANTS = [
 def test_workload_payloads_identical_across_engines(name, dmr):
     """Scalar and vectorized runs must produce byte-identical payloads."""
     payloads = {}
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "fast"):
         run = get_workload(name).prepare(SCALE, SEED)
-        gpu = GPU(experiment_config(num_sms=2),
-                  dmr=dmr or DMRConfig.disabled(), engine=engine)
+        gpu = GPU(experiment_config(num_sms=2, engine=engine),
+                  dmr=dmr or DMRConfig.disabled())
         result = gpu.launch(run.program, run.launch, memory=run.memory)
         run.check(run.memory)
         payloads[engine] = pickle.dumps(result.to_payload())
-    assert payloads["scalar"] == payloads["auto"], (
+    assert payloads["scalar"] == payloads["fast"], (
         f"{name} diverged between execution engines under {dmr!r}"
     )
 
 
 def test_vector_engine_actually_engages():
     """The payload equality above must not be vacuous: a fault-free
-    auto-engine run executes (nearly) everything vectorized."""
+    fast-engine run executes (nearly) everything vectorized."""
     run = get_workload("matrixmul").prepare(SCALE, SEED)
     counts = {"vector": 0, "scalar": 0}
     from repro.sim.sm import SM
@@ -311,7 +311,7 @@ def test_vector_engine_actually_engages():
 
     SM.run = spying_run
     try:
-        GPU(experiment_config(num_sms=2), engine="auto").launch(
+        GPU(experiment_config(num_sms=2, engine="fast")).launch(
             run.program, run.launch, memory=run.memory)
     finally:
         SM.run = original

@@ -16,10 +16,10 @@ import pytest
 from repro.common.config import DMRConfig, MappingPolicy
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
+from repro.sim.scalar_ref import run_scalar_block
 from repro.workloads import all_workloads, get_workload
 
 from tests.conftest import build_counting_kernel
-from tests.scalar_reference import run_scalar_block
 
 from repro.analysis.runner import experiment_config
 

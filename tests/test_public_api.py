@@ -1,6 +1,7 @@
 """Public-API surface tests: everything advertised must exist and work."""
 
 import importlib
+import pathlib
 
 import pytest
 
@@ -13,7 +14,19 @@ class TestTopLevelExports:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
+
+    def test_pyproject_reads_the_package_version(self):
+        """The version lives in one place: the package metadata takes
+        ``repro.__version__`` (it salts every cache key)."""
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as handle:
+            project = tomllib.load(handle)
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        assert (project["tool"]["setuptools"]["dynamic"]["version"]
+                == {"attr": "repro.__version__"})
 
     def test_key_types_importable_from_top(self):
         from repro import (
