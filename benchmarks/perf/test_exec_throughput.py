@@ -6,8 +6,9 @@ uploads the emitted ``BENCH_exec.json``.
 
 The gates are deliberately far below the locally measured speedups
 (fast lands 9-15x over scalar on the throughput microbenches, and its
-region fusion 1.4-2.4x over per-issue vectorization alone, see
-EXPERIMENTS.md): shared CI runners are noisy, and the gate's job is to
+region fusion 1.4-2.4x over per-issue vectorization alone without DMR
+and 1.1-1.5x under the paper's timing-only DMR, see EXPERIMENTS.md):
+shared CI runners are noisy, and the gate's job is to
 catch an engine silently degrading (a decode-cache miss, an accidental
 per-issue fallback, a region that stopped fusing), not to certify a
 precise ratio.
@@ -24,7 +25,7 @@ import pytest
 from repro.analysis.bench import (_MICROBENCHES, _time_launch,
                                   bench_throughput, run_bench,
                                   write_bench_json)
-from repro.common.config import LaunchConfig
+from repro.common.config import DMRConfig, LaunchConfig
 
 from tests.conftest import fusion_disabled
 
@@ -52,6 +53,14 @@ def throughput() -> dict:
     return bench_throughput(iters=ITERS)
 
 
+#: the launch geometry of :func:`bench_throughput`
+LAUNCH = LaunchConfig(grid_dim=2, block_dim=128)
+
+#: fused/unfused timings per kernel under DMR, alternated; the best of
+#: each is kept
+DMR_REPEATS = 3
+
+
 @pytest.fixture(scope="module")
 def unfused_seconds() -> dict:
     """The fast engine per microbench with region fusion gated off.
@@ -60,9 +69,8 @@ def unfused_seconds() -> dict:
     time per-issue vectorization alone, over the same launch geometry
     as :func:`bench_throughput`.
     """
-    launch = LaunchConfig(grid_dim=2, block_dim=128)
     with fusion_disabled():
-        return {name: _time_launch(build(ITERS), launch, "fast")[0]
+        return {name: _time_launch(build(ITERS), LAUNCH, "fast")[0]
                 for name, build in _MICROBENCHES.items()}
 
 
@@ -98,6 +106,34 @@ def test_fusion_beats_unfused_geomean(throughput, unfused_seconds):
         f"fused-vs-unfused geomean {geomean:.2f}x below the "
         f"{MIN_FUSED_VS_UNFUSED_GEOMEAN}x floor: {ratios}; "
         "did regions stop fusing?"
+    )
+
+
+def test_fusion_beats_unfused_under_dmr_geomean():
+    """Fusion must also pay on the paper's path: a fault-free Warped-DMR
+    run whose controller only times and counts reads no lane values,
+    so its regions fuse and its issues record none (DESIGN.md §10);
+    patched off, it runs per issue and records them, as it used to.
+
+    The DMR controller's per-issue work is the same on both sides,
+    which narrows the margin, so each side keeps the best of
+    :data:`DMR_REPEATS` alternated runs.
+    """
+    dmr = DMRConfig.paper_default()
+    ratios = []
+    for build in _MICROBENCHES.values():
+        fused, unfused = [], []
+        for _ in range(DMR_REPEATS):
+            fused.append(_time_launch(build(ITERS), LAUNCH, "fast", dmr)[0])
+            with fusion_disabled():
+                unfused.append(
+                    _time_launch(build(ITERS), LAUNCH, "fast", dmr)[0])
+        ratios.append(min(unfused) / min(fused))
+    geomean = _geomean(ratios)
+    assert geomean >= MIN_FUSED_VS_UNFUSED_GEOMEAN, (
+        f"fused-vs-unfused geomean under DMR {geomean:.2f}x below the "
+        f"{MIN_FUSED_VS_UNFUSED_GEOMEAN}x floor: {ratios}; "
+        "is fusion gated off under timing-only DMR again?"
     )
 
 

@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.config import GPUConfig, LaunchConfig
+from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
 from repro.isa.opcodes import CmpOp
 from repro.isa.operands import SReg, SpecialReg
 from repro.kernel.builder import KernelBuilder
@@ -123,10 +123,10 @@ _MICROBENCHES: Dict[str, Callable[[int], Program]] = {
 }
 
 
-def _time_launch(program: Program, launch: LaunchConfig,
-                 engine: str) -> Tuple[float, int]:
+def _time_launch(program: Program, launch: LaunchConfig, engine: str,
+                 dmr: Optional[DMRConfig] = None) -> Tuple[float, int]:
     """One timed launch; returns (seconds, thread_instructions)."""
-    gpu = GPU(GPUConfig(engine=engine))
+    gpu = GPU(GPUConfig(engine=engine), dmr=dmr)
     start = time.perf_counter()
     result = gpu.launch(program, launch)
     elapsed = time.perf_counter() - start

@@ -80,6 +80,13 @@ class SamplingDMRController:
     def on_idle(self, cycle: int) -> None:
         self._inner.on_idle(cycle)
 
+    def quiescent(self) -> bool:
+        return self._inner.quiescent()
+
+    @property
+    def functional_verify(self) -> bool:
+        return self._inner.functional_verify
+
     def on_kernel_end(self, cycle: int) -> int:
         return self._inner.on_kernel_end(cycle)
 

@@ -8,6 +8,15 @@ The SM calls four hooks (see :mod:`repro.sim.sm`):
   returns stall cycles to charge;
 * ``on_idle(cycle)`` on no-issue cycles — free verification slots;
 * ``on_kernel_end(cycle)`` — ReplayQ flush.
+
+Two optional declarations let the SM take its fast paths while a
+controller is attached (DESIGN.md §10): ``functional_verify`` — when
+``False`` the controller reads only an issue's pc, opcode, unit and
+masks, never its lane values, so the SM may fuse regions and skip lane
+recording; and ``quiescent()`` — ``True`` when an idle cycle would be a
+no-op, so the SM may jump over a span of idle cycles.  A controller
+that declares neither gets per-issue lane values and per-cycle idle
+calls.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ class DMRController:
         self.gpu_config = gpu_config
         self.config = dmr_config
         self.stats = stats
+        self.functional_verify = functional_verify
         self.comparator = ResultComparator()
         # partial thread protection: None protects everything (and every
         # gate below short-circuits to the pre-knob behaviour)
@@ -124,6 +134,10 @@ class DMRController:
     def on_idle(self, cycle: int) -> None:
         if self.config.enabled:
             self.checker.on_idle(cycle)
+
+    def quiescent(self) -> bool:
+        """Whether :meth:`on_idle` is a no-op until the next issue."""
+        return not self.config.enabled or self.checker.quiescent()
 
     def on_kernel_end(self, cycle: int) -> int:
         if not self.config.enabled:

@@ -97,6 +97,11 @@ class ReplayChecker:
             self._pending = None
         self._drain_idle_units(cycle, used)
 
+    def quiescent(self) -> bool:
+        """Nothing latched or buffered: :meth:`on_idle` would do nothing
+        (and stays a no-op until the next issue)."""
+        return self._pending is None and self.replayq.is_empty
+
     def _drain_idle_units(self, cycle: int, used_units: set) -> None:
         """One verification per execution-unit type left idle this cycle.
 

@@ -15,7 +15,8 @@ paper's 8-lane-cluster variant in Figure 9(a) uses the 8-wide version).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 from repro.common.bitops import ActiveMask, lane_slice
 from repro.common.errors import ConfigError
@@ -58,6 +59,9 @@ class RegisterForwardingUnit:
         self._sequences = [
             priority_sequence(mux, cluster_size) for mux in range(cluster_size)
         ]
+        # pair_warp results per (hw_mask, warp_size): pure in the mask,
+        # and a kernel issues only a handful of distinct masks
+        self._warp_pairs: Dict[Tuple[int, int], Mapping[int, int]] = {}
 
     def pair_cluster(self, cluster_mask: ActiveMask) -> Dict[int, int]:
         """Map each idle lane to the active lane it verifies.
@@ -85,11 +89,23 @@ class RegisterForwardingUnit:
         return pairs
 
     def pair_warp(self, hw_mask: ActiveMask,
-                  warp_size: int) -> Dict[int, int]:
+                  warp_size: int) -> Mapping[int, int]:
         """Warp-wide pairing: idle hw lane -> active hw lane it verifies.
 
-        Forwarding never crosses a cluster boundary (Section 4.2).
+        Forwarding never crosses a cluster boundary (Section 4.2).  The
+        result is memoized per mask and returned read-only;
+        :meth:`pair_cluster` stays the Table 1 reference it is built
+        from.
         """
+        key = (hw_mask, warp_size)
+        pairs = self._warp_pairs.get(key)
+        if pairs is None:
+            pairs = self._warp_pairs[key] = MappingProxyType(
+                self._pair_warp(hw_mask, warp_size))
+        return pairs
+
+    def _pair_warp(self, hw_mask: ActiveMask,
+                   warp_size: int) -> Dict[int, int]:
         if warp_size % self.cluster_size:
             raise ConfigError(
                 f"warp_size {warp_size} not a multiple of cluster size "

@@ -70,6 +70,24 @@ def _as_float(value: object) -> float:
     return float(value)
 
 
+def _nan_first(result: float, a: float, b: float) -> float:
+    """*result* of ``a op b``, except that two NaN operands give *a*'s.
+
+    IEEE 754 leaves open which NaN a two-NaN operation returns.  x86
+    returns its first source register's, but which operand is first is
+    the compiler's choice: CPython's ``a * b`` and ``a + b`` return
+    *b*'s NaN until its adaptive interpreter specializes the code site
+    and *a*'s after, NumPy's array loops *a*'s, and its
+    scalar-broadcast loops either.  The ISA therefore fixes it — the
+    first operand in instruction order, quieted (``a + 0.0``), as the
+    hardware returns it — and both engines apply the rule
+    (:mod:`repro.sim.vexec`).
+    """
+    if a != a and b != b:
+        return a + 0.0
+    return result
+
+
 def compute_lane(inst: Instruction, inputs: Tuple) -> object:
     """Pure per-lane ALU/AGU computation.
 
@@ -124,14 +142,26 @@ def compute_lane(inst: Instruction, inputs: Tuple) -> object:
     if op is Opcode.SHR:
         return _wrap_i32(_as_u32(inputs[0]) >> (_as_int(inputs[1]) & 31))
     if op is Opcode.FADD:
-        return _as_float(inputs[0]) + _as_float(inputs[1])
+        a, b = _as_float(inputs[0]), _as_float(inputs[1])
+        r = a + b
+        return r if r == r else _nan_first(r, a, b)
     if op is Opcode.FSUB:
-        return _as_float(inputs[0]) - _as_float(inputs[1])
+        a, b = _as_float(inputs[0]), _as_float(inputs[1])
+        r = a - b
+        return r if r == r else _nan_first(r, a, b)
     if op is Opcode.FMUL:
-        return _as_float(inputs[0]) * _as_float(inputs[1])
+        a, b = _as_float(inputs[0]), _as_float(inputs[1])
+        r = a * b
+        return r if r == r else _nan_first(r, a, b)
     if op is Opcode.FFMA:
-        return (_as_float(inputs[0]) * _as_float(inputs[1])
-                + _as_float(inputs[2]))
+        # two roundings: the product, then the sum
+        a, b, c = (_as_float(inputs[0]), _as_float(inputs[1]),
+                   _as_float(inputs[2]))
+        product = a * b
+        if product != product:
+            product = _nan_first(product, a, b)
+        r = product + c
+        return r if r == r else _nan_first(r, product, c)
     if op is Opcode.FMIN:
         return min(_as_float(inputs[0]), _as_float(inputs[1]))
     if op is Opcode.FMAX:
@@ -238,6 +268,15 @@ class Executor:
     contract.  Outside the window the hook provably cannot fire, so the
     vector engine (bit-identical by contract) is safe; this is what
     makes large transient-fault campaigns run near fault-free speed.
+
+    ``record_lanes`` says whether issue events must carry per-lane
+    inputs and results.  The SM clears it where regions may fuse,
+    i.e. when nothing attached reads lane values
+    (:meth:`repro.sim.sm.SM.fusion_allowed`); the vector engine then
+    skips building them.  A region fused by the
+    SM's :class:`~repro.sim.megakernel.WarpBatcher` is consumed one
+    issue at a time from its stash (counted in ``fused_issues``), with
+    value-free events from :meth:`issue_event`.
     """
 
     def __init__(self, sm_id: int, global_memory: GlobalMemory,
@@ -252,10 +291,13 @@ class Executor:
         self.global_memory = global_memory
         self.fault_hook = fault_hook or FaultHook()
         self.engine = engine
-        self._faulty = fault_hook is not None
+        #: whether a fault hook is armed (it reads every lane value)
+        self.faulty = fault_hook is not None
         self._vector_enabled = engine == "fast"
+        #: whether issue events carry per-lane inputs/results
+        self.record_lanes = True
         #: region-fusion context (a WarpBatcher); attached by the SM/GPU
-        #: only when nothing observes issues at instruction granularity
+        #: only when nothing reads lane values
         self._mega: Optional[object] = None
         self._decoded: Optional[list] = None
         self._adhoc: Dict[Instruction, vexec.DecodedInst] = {}
@@ -263,16 +305,32 @@ class Executor:
         #: result payloads stay byte-identical across engines)
         self.vector_issues = 0
         self.scalar_issues = 0
+        self.fused_issues = 0
 
     def bind_program(self, program) -> None:
         """Attach *program*'s decode cache for O(1) per-pc lookups."""
         self._decoded = (vexec.decoded(program)
                          if self._vector_enabled else None)
 
-    @property
-    def fusion_capable(self) -> bool:
-        """Whether this executor may ever run fused regions."""
-        return self._vector_enabled and not self._faulty
+    def issue_event(self, warp: Warp, inst: Instruction, pc: int,
+                    cycle: int, exec_mask: ActiveMask) -> IssueEvent:
+        """The issue's event with no lane values recorded (yet).
+
+        Carries everything a timing-only consumer reads: pc, opcode,
+        unit, masks and destination.  :meth:`execute` fills the lanes
+        in when ``record_lanes`` asks for them.
+        """
+        return IssueEvent(
+            cycle=cycle,
+            sm_id=self.sm_id,
+            warp_id=warp.warp_id,
+            pc=pc,
+            instruction=inst,
+            logical_mask=exec_mask,
+            hw_mask=warp.hw_mask(exec_mask),
+            warp_width=warp.warp_size,
+            dest_reg=inst.dest_register(),
+        )
 
     # ------------------------------------------------------------------
     def _operand_value(self, warp: Warp, slot: int, operand) -> object:
@@ -311,7 +369,7 @@ class Executor:
         """Decode-cache lookup, or ``None`` if the issue must go scalar."""
         if not self._vector_enabled or warp.reg_overflow:
             return None
-        if self._faulty and self.fault_hook.may_perturb(self.sm_id, cycle):
+        if self.faulty and self.fault_hook.may_perturb(self.sm_id, cycle):
             return None
         decoded = self._decoded
         if (decoded is not None and pc < len(decoded)
@@ -351,18 +409,7 @@ class Executor:
             exec_mask = simt_mask
         else:
             exec_mask = self._guard_mask(warp, inst, simt_mask)
-        hw_mask = warp.hw_mask(exec_mask)
-        event = IssueEvent(
-            cycle=cycle,
-            sm_id=self.sm_id,
-            warp_id=warp.warp_id,
-            pc=pc,
-            instruction=inst,
-            logical_mask=exec_mask,
-            hw_mask=hw_mask,
-            warp_width=warp.warp_size,
-            dest_reg=inst.dest_register(),
-        )
+        event = self.issue_event(warp, inst, pc, cycle, exec_mask)
         control = ControlOutcome()
         op = inst.opcode
         info = inst.info
@@ -452,8 +499,9 @@ class Executor:
 
         The functional results were committed when the region fused;
         the caller only needs the execution mask for bookkeeping.  The
-        SM's issue loop uses this directly (no event construction —
-        fusion is gated on nothing consuming per-lane data).
+        SM's issue loop uses this directly and builds a value-free
+        :meth:`issue_event` only for a timing-only DMR controller —
+        fusion is gated on nothing reading lane values.
         """
         region = stash.region
         index = stash.index
@@ -470,7 +518,7 @@ class Executor:
         stash.index = index + 1
         if stash.index >= len(entries):
             warp.mega_stash = None
-        self.vector_issues += 1
+        self.fused_issues += 1
         return stash.masks[index]
 
     def _consume_stash(self, warp: Warp, stash, inst: Instruction,
@@ -479,18 +527,8 @@ class Executor:
         callers that go through :meth:`execute` (first instruction of a
         freshly fused region, direct executor use in tests)."""
         exec_mask = self.consume_stash_mask(warp, stash, inst, pc)
-        event = IssueEvent(
-            cycle=cycle,
-            sm_id=self.sm_id,
-            warp_id=warp.warp_id,
-            pc=pc,
-            instruction=inst,
-            logical_mask=exec_mask,
-            hw_mask=warp.hw_mask(exec_mask),
-            warp_width=warp.warp_size,
-            dest_reg=inst.dest_register(),
-        )
-        return ExecResult(event)  # regions are straight-line: "advance"
+        # regions are straight-line: control is always "advance"
+        return ExecResult(self.issue_event(warp, inst, pc, cycle, exec_mask))
 
     # ------------------------------------------------------------------
     def reexecute_lane(self, event: IssueEvent, original_lane: int,

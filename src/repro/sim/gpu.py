@@ -167,8 +167,8 @@ class GPU:
 
         # Construct and fully attach every SM before any of them runs:
         # the megakernel batcher needs all peers' initially-resident
-        # warps, and fusion eligibility (no DMR, no listeners) is only
-        # decidable after attachment.
+        # warps, and fusion eligibility (nothing reads lane values) is
+        # only decidable after attachment.
         sms: List[SM] = []
         for sm_id, block_ids in enumerate(blocks_of_sm):
             if not block_ids:
@@ -207,15 +207,18 @@ class GPU:
         # region as one wide array op.  SMs still run sequentially and
         # remain timing-independent; only functional work is shared.
         fusable = [sm for sm in sms if sm.fusion_allowed()]
-        if fusable:
-            WarpBatcher(fusable).attach()
+        batcher = WarpBatcher(fusable).attach() if fusable else None
 
-        for sm in sms:
-            sm.run()
-            per_sm_cycles.append(sm.cycle)
-            merged.merge(sm.stats)
-            if sm.dmr is not None:
-                detections.extend(sm.dmr.detections)
+        try:
+            for sm in sms:
+                sm.run()
+                per_sm_cycles.append(sm.cycle)
+                merged.merge(sm.stats)
+                if sm.dmr is not None:
+                    detections.extend(sm.dmr.detections)
+        finally:
+            if batcher is not None:
+                batcher.detach()
 
         return KernelResult(
             program_name=program.name,

@@ -26,10 +26,12 @@ Bit-identity invariants, in the order they are enforced:
   *start* a region).  Within a region the SIMT mask is therefore
   constant, so per-instruction execution masks depend only on staged
   guard predicates.
-* **Observability gating.**  Fusion is enabled only when nothing
-  observes issues at instruction granularity: no DMR controller, no
-  fault hook, no issue listeners.  Stash-produced events carry empty
-  per-lane input/result maps — nothing reads them under that gate.
+* **Lane-value gating.**  Fusion is enabled only when nothing reads
+  per-lane values (:meth:`repro.sim.sm.SM.lane_values_unread`): no
+  fault hook, no issue listeners, and no DMR controller or a
+  timing-only one (``functional_verify=False``).  Stash-produced
+  events carry empty per-lane input/result maps — a timing-only
+  controller reads only their pc, unit and masks.
 * **Copy-then-commit.**  The region executes entirely on staged copies;
   a :class:`~repro.sim.vexec.VectorFallback` anywhere aborts with no
   state touched and the issue re-runs on the per-issue engines.  A
@@ -413,6 +415,18 @@ class WarpBatcher:
             sm._batcher = self
             sm.executor._mega = self
         return self
+
+    def detach(self) -> None:
+        """Unlink from every SM once they have all run.
+
+        SM -> batcher -> SM is a reference cycle: left linked, a
+        launch's warps, register planes and controllers would live
+        until the next full garbage collection.
+        """
+        for sm in self._sms:
+            sm._batcher = None
+            sm.executor._mega = None
+        self._sms = []
 
     def try_fuse(self, warp, pc: int, inst) -> Optional[RegionStash]:
         """Attempt region fusion for *warp* issuing *inst* at *pc*.

@@ -17,16 +17,18 @@ accounting (both asserted cycle/byte-identical by the invariance
 tests):
 
 * **Region fusion** (:mod:`repro.sim.megakernel`): when the engine is
-  ``fast`` and nothing observes issues at instruction granularity, a
+  ``fast`` and nothing reads per-lane values (:meth:`SM.lane_values_unread`
+  — a timing-only DMR controller reads none), a
   :class:`~repro.sim.megakernel.WarpBatcher` hoists the functional work
   of straight-line regions; the SM still issues every instruction
-  through the scheduler/scoreboard.
+  through the scheduler/scoreboard, and DMR still sees every issue.
 * **Event-driven cycle skipping** (``GPUConfig.cycle_skip``): pending
   stall cycles with one cause burn as a single booked span, and when
   every resident warp is stalled the cycle counter jumps to the next
   wakeup, bulk-charging the idle counters and probe samples the burned
   ticks would have produced.  Skipping is disabled under Chrome tracing
-  (which records per-cycle instants) and under DMR idle work.
+  (which records per-cycle instants), and under DMR only idle spans the
+  controller reports quiescent are skipped.
 """
 
 from __future__ import annotations
@@ -134,6 +136,9 @@ class SM:
         #: region-fusion batcher (attached by GPU.launch, or a solo one
         #: created at run() time when fusion is allowed)
         self._batcher: Optional[object] = None
+        #: the DMR controller's ``quiescent`` check while idle skipping
+        #: is on (bound by run(), after attachment)
+        self._dmr_idle_skip: Optional[Callable[[], bool]] = None
         # -- per-cycle hot-path caches --------------------------------
         self._insts = program.instructions
         self._plans = program.memo("sm.hazard_plans", _hazard_plans)
@@ -172,16 +177,26 @@ class SM:
         """Register a callback invoked on every issue (tracing hook)."""
         self._issue_listeners.append(fn)
 
-    def fusion_allowed(self) -> bool:
-        """Whether this SM may run fused regions.
+    def lane_values_unread(self) -> bool:
+        """Whether nothing attached to this SM reads per-lane values.
 
-        Requires the ``fast`` engine AND nothing that observes issues
-        at instruction granularity: no DMR controller, no fault hook,
-        no issue listeners.  Evaluated after attachment (GPU.launch
-        attaches controllers and listeners post-construction).
+        Holds with no fault hook, no issue listener, and no DMR
+        controller or one declaring ``functional_verify=False`` (a
+        timing-only checker reads pcs, units and masks only).  A
+        controller that does not declare the flag counts as a reader.
+        Gates region fusion and, through :meth:`fusion_allowed`, lane
+        recording; evaluated after attachment (GPU.launch attaches
+        controllers and listeners post-construction).
         """
-        return (self.executor.fusion_capable and self.dmr is None
-                and not self._issue_listeners)
+        dmr = self.dmr
+        return (not self.executor.faulty and not self._issue_listeners
+                and (dmr is None
+                     or not getattr(dmr, "functional_verify", True)))
+
+    def fusion_allowed(self) -> bool:
+        """Whether this SM may run fused regions: the ``fast`` engine
+        and :meth:`lane_values_unread`."""
+        return self.config.engine == "fast" and self.lane_values_unread()
 
     def _admit_blocks(self) -> None:
         """Launch pending blocks while thread capacity allows."""
@@ -239,17 +254,28 @@ class SM:
     # ------------------------------------------------------------------
     def run(self) -> MetricsRegistry:
         """Execute every assigned block to completion; returns the stats."""
-        if self._batcher is None and self.fusion_allowed():
+        fuse = self.fusion_allowed()
+        # lane values go unrecorded exactly where regions may fuse: the
+        # fast engine with nothing reading them
+        self.executor.record_lanes = not fuse
+        quiescent = getattr(self.dmr, "quiescent", None)
+        self._dmr_idle_skip = quiescent if self._skip_enabled else None
+        solo = None
+        if self._batcher is None and fuse:
             from repro.sim.megakernel import WarpBatcher
-            WarpBatcher([self]).attach()
-        while self._has_work():
-            self._tick()
-            if self.cycle > self.max_cycles:
-                raise SimulationError(
-                    f"SM {self.sm_id} exceeded {self.max_cycles} cycles; "
-                    "likely a livelocked kernel (barrier divergence or "
-                    "non-terminating loop)"
-                )
+            solo = WarpBatcher([self]).attach()
+        try:
+            while self._has_work():
+                self._tick()
+                if self.cycle > self.max_cycles:
+                    raise SimulationError(
+                        f"SM {self.sm_id} exceeded {self.max_cycles} "
+                        "cycles; likely a livelocked kernel (barrier "
+                        "divergence or non-terminating loop)"
+                    )
+        finally:
+            if solo is not None:
+                solo.detach()
         if self.dmr is not None:
             flush = self.dmr.on_kernel_end(self.cycle)
             if flush:
@@ -301,7 +327,7 @@ class SM:
         if probe is not None:
             probe.on_cycle(cycle, len(self._resident_warps))
 
-        if self._fast_issue and self.dmr is None:
+        if self._fast_issue:
             issued = self._tick_fast(cycle)
         elif len(self._schedulers) == 1:
             issued = self._tick_single(cycle)
@@ -310,10 +336,15 @@ class SM:
 
         if issued == 0:
             self.stats.inc("cycles_idle")
-            if self.dmr is not None:
-                self.dmr.on_idle(cycle)
-            elif self._skip_enabled:
-                self._skip_idle(cycle)
+            dmr = self.dmr
+            if dmr is None:
+                if self._skip_enabled:
+                    self._skip_idle(cycle)
+            else:
+                dmr.on_idle(cycle)
+                quiescent = self._dmr_idle_skip
+                if quiescent is not None and quiescent():
+                    self._skip_idle(cycle)
         elif issued == 2:
             self.stats.inc("dual_issue_cycles")
         if self._retire_pending:
@@ -328,9 +359,9 @@ class SM:
 
         Semantically identical to :meth:`_tick_single` with a
         round-robin scheduler: same scan order, same cursor update,
-        same readiness memo.  Only taken when the scheduler is unseeded
-        round-robin, no probe is attached (``select`` would have to
-        report scan depths), and — checked per tick — no DMR.
+        same readiness memo, same DMR RAW check after the pick.  Only
+        taken when the scheduler is unseeded round-robin and no probe
+        is attached (``select`` would have to report scan depths).
         """
         scheduler = self._schedulers[0]
         warps = self._sched_lists[0]
@@ -358,7 +389,10 @@ class SM:
                 if ready > cycle:
                     continue
             scheduler._last_index = idx
-            self._issue(warp, self._insts[pc], pc, cycle)
+            inst = self._insts[pc]
+            if self.dmr is not None and self._raw_stalled(warp, inst):
+                return -1  # stalled, not idle
+            self._issue(warp, inst, pc, cycle)
             return 1
         return 0
 
@@ -371,15 +405,23 @@ class SM:
             return 0
         pc = warp.stack.current_pc
         inst = self._insts[pc]
-        if self.dmr is not None:
-            raw_stall = self.dmr.check_raw(warp.warp_id, inst)
-            if raw_stall > 0:
-                self._defer_stall("raw", raw_stall - 1)
-                self._book_stall("raw", 1)
-                self.stats.inc("raw_unverified_stalls")
-                return -1  # stalled, not idle
+        if self.dmr is not None and self._raw_stalled(warp, inst):
+            return -1  # stalled, not idle
         self._issue(warp, inst, pc, cycle)
         return 1
+
+    def _raw_stalled(self, warp: Warp, inst) -> bool:
+        """DMR's RAW-on-unverified rule for the picked single issue.
+
+        A stall burns one cycle now (this tick) and defers the rest.
+        """
+        raw_stall = self.dmr.check_raw(warp.warp_id, inst)
+        if raw_stall <= 0:
+            return False
+        self._defer_stall("raw", raw_stall - 1)
+        self._book_stall("raw", 1)
+        self.stats.inc("raw_unverified_stalls")
+        return True
 
     def _tick_dual(self, cycle: int) -> int:
         issued = 0
@@ -417,12 +459,14 @@ class SM:
     def _skip_idle(self, cycle: int) -> None:
         """Jump the cycle counter over a provably idle span.
 
-        Called after an idle tick (no DMR): nothing can issue before
-        every warp's ``max(stalled_until, scoreboard ready)``, barriers
-        only release through an issue, and scheduler no-pick state is
-        idempotent — so the skipped ticks are replayed exactly as bulk
-        counter/probe charges.  Clamped so the livelock watchdog fires
-        at the identical cycle.
+        Called after an idle tick with no DMR controller, or one that
+        reports itself quiescent (its ``on_idle`` is a no-op until the
+        next issue): nothing can issue before every warp's
+        ``max(stalled_until, scoreboard ready)``, barriers only release
+        through an issue, and scheduler no-pick state is idempotent —
+        so the skipped ticks are replayed exactly as bulk counter/probe
+        charges.  Clamped so the livelock watchdog fires at the
+        identical cycle.
         """
         wake: Optional[int] = None
         plans = self._plans
@@ -463,39 +507,39 @@ class SM:
         stash = warp.mega_stash
         if stash is not None:
             # Fused fast path: the region's results were committed when
-            # it fused, and fusion is gated on dmr is None and no issue
-            # listeners, so no event needs constructing.  Regions are
-            # straight-line (control is always "advance") and contain
-            # no EXIT, so the warp cannot finish here.  popcount is
-            # mapping-invariant: |hw_mask(m)| == |m|.
+            # it fused.  Regions are straight-line (control is always
+            # "advance") and contain no EXIT, so the warp cannot finish
+            # here.  popcount is mapping-invariant: |hw_mask(m)| == |m|.
             exec_mask = self.executor.consume_stash_mask(
                 warp, stash, inst, pc
             )
             warp.stack.advance()
-            self._charge_latency(warp, inst, pc, cycle)
-            self._record_stats(warp, inst, pc, exec_mask.bit_count(), cycle)
-            if self.config.model_bank_conflicts:
-                from repro.sim.regbank import conflict_extra_cycles
-                extra = conflict_extra_cycles(inst)
-                if extra:
-                    self._defer_stall("bank", extra)
-                    self.stats.inc("bank_conflict_cycles", extra)
-            return
-        result = self.executor.execute(warp, inst, pc, cycle)
-        self._apply_control(warp, inst, result)
-        if warp.done:
-            self._retire_pending = True
+            event = None
+            active = exec_mask.bit_count()
+        else:
+            result = self.executor.execute(warp, inst, pc, cycle)
+            self._apply_control(warp, inst, result)
+            if warp.done:
+                self._retire_pending = True
+            event = result.event
+            active = event.active_count
         self._charge_latency(warp, inst, pc, cycle)
-        event = result.event
-        self._record_stats(warp, inst, pc, event.active_count, cycle, event)
+        self._record_stats(warp, inst, pc, active, cycle, event)
         if self.config.model_bank_conflicts:
             from repro.sim.regbank import conflict_extra_cycles
             extra = conflict_extra_cycles(inst)
             if extra:
                 self._defer_stall("bank", extra)
                 self.stats.inc("bank_conflict_cycles", extra)
-        if self.dmr is not None:
-            stall = self.dmr.on_issue(event, self.executor)
+        dmr = self.dmr
+        if dmr is not None:
+            if event is None:
+                # fusion implies a timing-only controller: it reads no
+                # lane values, so a value-free event is all it needs
+                event = self.executor.issue_event(
+                    warp, inst, pc, cycle, exec_mask
+                )
+            stall = dmr.on_issue(event, self.executor)
             if stall:
                 self._defer_stall("replay", stall)
 

@@ -15,7 +15,8 @@ module replaces that with the shape GPGPU-Sim-class simulators use:
 Bit-identity with the scalar path is a hard contract: every handler
 reproduces :func:`repro.sim.executor.compute_lane` exactly (i32
 wrap-around, truncating division, Python ``min``/``max`` NaN ordering,
-SETP's per-lane int-vs-float comparison rule), and issue events carry
+the first-operand rule for two NaN operands, SETP's per-lane
+int-vs-float comparison rule), and issue events carry
 the same Python-native per-lane inputs and results, so the RFU /
 ReplayQ / comparator layers cannot tell which engine executed an
 instruction.  Anything the vector engine cannot reproduce exactly — a
@@ -263,21 +264,37 @@ def _h_shr(v, n):
     return _vi(_wrap((_ints(v[0]) & _U32) >> (_ints(v[1]) & 31)))
 
 
+def _nan_first(r, a, b):
+    """Vector form of the ALU's two-NaN rule (``executor._nan_first``):
+    where both operands are NaN, the result is *a*'s NaN, quieted —
+    never whichever operand NumPy's loop happened to propagate."""
+    if np.isnan(r).any():
+        both = np.isnan(a) & np.isnan(b)
+        if both.any():
+            r = np.where(both, np.add(a, 0.0), r)
+    return r
+
+
 def _h_fadd(v, n):
-    return _vf(_floats(v[0], n) + _floats(v[1], n))
+    a, b = _floats(v[0], n), _floats(v[1], n)
+    return _vf(_nan_first(a + b, a, b))
 
 
 def _h_fsub(v, n):
-    return _vf(_floats(v[0], n) - _floats(v[1], n))
+    a, b = _floats(v[0], n), _floats(v[1], n)
+    return _vf(_nan_first(a - b, a, b))
 
 
 def _h_fmul(v, n):
-    return _vf(_floats(v[0], n) * _floats(v[1], n))
+    a, b = _floats(v[0], n), _floats(v[1], n)
+    return _vf(_nan_first(a * b, a, b))
 
 
 def _h_ffma(v, n):
     # two roundings (mul then add), exactly like the scalar ALU
-    return _vf(_floats(v[0], n) * _floats(v[1], n) + _floats(v[2], n))
+    a, b, c = _floats(v[0], n), _floats(v[1], n), _floats(v[2], n)
+    product = _nan_first(a * b, a, b)
+    return _vf(_nan_first(product + c, product, c))
 
 
 def _h_fmin(v, n):
@@ -544,13 +561,15 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
                    exec_mask: int, control) -> None:
     """Run one issue on the vector engine (fault-free path only).
 
-    Mutates the warp/memory state, fills *event*, and sets *control*
+    Mutates the warp/memory state, fills *event* (when
+    ``executor.record_lanes`` asks for lane values), and sets *control*
     for branches.  Raises :class:`VectorFallback` — before touching any
     state — when the issue needs the scalar engine.
     """
     sel, slots, hw_lanes = warp.issue_view(exec_mask)
     n = len(slots)
     kind = entry.kind
+    record = executor.record_lanes
 
     if kind == _KIND_BRA:
         condition = warp.preds[sel, entry.pred] != entry.pred_neg
@@ -559,7 +578,8 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
         for slot, taken_flag in zip(slots, results):
             if taken_flag:
                 taken |= 1 << slot
-        _fill_event(event, hw_lanes, [results], results)
+        if record:
+            _fill_event(event, hw_lanes, [results], results)
         control.kind = "branch"
         control.target = int(entry.inst.target)
         control.taken_mask = taken
@@ -573,8 +593,9 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
         # so writing the dest first would corrupt recorded inputs when a
         # source aliases the destination (functional verify re-executes
         # from these inputs)
-        _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
-                    _py(result, n))
+        if record:
+            _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
+                        _py(result, n))
         if entry.dest is not None:
             _write_back(warp, sel, entry.dest, result)
         return
@@ -582,32 +603,32 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
     if kind == _KIND_SETP:
         outcome = entry.fn(vals, n)
         warp.preds[sel, entry.pdst] = outcome
-        _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
-                    outcome.tolist())
+        if record:
+            _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
+                        outcome.tolist())
         return
 
     if kind == _KIND_SELP:
         pred = _to_lanes(warp.preds[sel, entry.psrc], n)
         result = _normalize(_h_selp(vals, n, pred), n)
-        cols = [_py(v, n) for v in vals] + [pred.tolist()]
-        _fill_event(event, hw_lanes, cols, _py(result, n))
+        if record:
+            cols = [_py(v, n) for v in vals] + [pred.tolist()]
+            _fill_event(event, hw_lanes, cols, _py(result, n))
         if entry.dest is not None:
             _write_back(warp, sel, entry.dest, result)
         return
 
     # memory: vectorized effective addresses, per-lane word access
     addresses = (_to_lanes(_ints(vals[0]), n) + entry.offset).tolist()
-    cols = [_py(v, n) for v in vals]
-    _fill_event(event, hw_lanes, cols, addresses)
+    memory = executor.global_memory if entry.is_global else warp.block.shared
+    if record:
+        cols = [_py(v, n) for v in vals]
+        _fill_event(event, hw_lanes, cols, addresses)
     if kind == _KIND_LOAD:
-        memory = (executor.global_memory if entry.is_global
-                  else warp.block.shared)
         dest = entry.dest
         for slot, addr in zip(slots, addresses):
             warp.write_reg(slot, dest, memory.load(addr))
     else:
-        memory = (executor.global_memory if entry.is_global
-                  else warp.block.shared)
-        stored = cols[1]
+        stored = cols[1] if record else _py(vals[1], n)
         for addr, value in zip(addresses, stored):
             memory.store(addr, value)

@@ -1,5 +1,8 @@
 """Tests for the Sampling-DMR comparator (related work [15])."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.sampling import SamplingDMRController, sampling_factory
@@ -74,6 +77,17 @@ class TestCoverageTradeoff:
         _, memory = launch()
         for g in range(4 * 64):
             assert memory.load(g) == 16 * g
+
+    def test_forwarded_quiescence_keeps_idle_skipping_exact(self):
+        """The wrapper forwards its inner checker's quiescence, so the
+        SM skips idle spans under sampling too, invisibly."""
+        skipping = GPUConfig.small(1)
+        per_cycle = replace(skipping, cycle_skip=False)
+        for engine in ("scalar", "fast"):
+            on, _ = launch(config=replace(skipping, engine=engine))
+            off, _ = launch(config=replace(per_cycle, engine=engine))
+            assert pickle.dumps(on.to_payload()) == \
+                pickle.dumps(off.to_payload())
 
 
 class TestDetectionSemantics:

@@ -96,7 +96,9 @@ def counting_spec(threads: int = 32, iterations: int = 4,
 
 @contextlib.contextmanager
 def fusion_disabled():
-    """Run the ``fast`` engine per issue, with region fusion gated off.
+    """Run the ``fast`` engine per issue, with region fusion gated off
+    (and so, as before fusion reached timing-only DMR, with every
+    issue's lane values recorded).
 
     A test toggle only: the program offers no fusion option, so this
     patches :meth:`SM.fusion_allowed` for the duration.

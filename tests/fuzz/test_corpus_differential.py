@@ -13,13 +13,17 @@ round-robin by corpus index — every cell is exercised by >= 10 kernels
 and both engines run for every kernel, at 1/6 the cost.  The DMR-off
 cell doubles as the plain engine-equivalence check.
 
-(Under DMR the fast engine's region fusion is gated off at launch, so
-its DMR cells certify the gating path stays bit-identical too.)
+A fault-free DMR controller only times and counts, so the fast engine
+fuses regions under DMR too; each DMR cell therefore adds a third leg,
+the fast engine with region fusion patched off, and all three legs
+must reproduce the golden digest and agree on the full result payload.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +33,8 @@ from repro.analysis.overhead_sweep import UNBOUNDED_REPLAYQ
 from repro.common.config import ENGINE_NAMES, DMRConfig, MappingPolicy
 from repro.fuzz import Corpus, memory_digest, reference_memory, run_kernel
 from repro.fuzz.differential import fuzz_gpu_config, result_digest
+
+from tests.conftest import fusion_disabled
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_PATH = CORPUS_DIR / "GOLDEN.json"
@@ -80,10 +86,18 @@ def test_reference_reproduces_every_golden_digest():
 def test_engines_bit_identical_under_dmr(index, digest):
     kernel = _corpus.load(digest)
     dmr, label = _cell(index)
-    for engine in ENGINE_NAMES:
+    legs = [(engine, engine, contextlib.nullcontext)
+            for engine in ENGINE_NAMES]
+    if dmr.enabled:
+        legs.append(("fast/unfused", "fast", fusion_disabled))
+    payloads = set()
+    for leg, engine, context in legs:
         config = replace(fuzz_gpu_config(), engine=engine)
-        result = run_kernel(kernel, config=config, dmr=dmr)
+        with context():
+            result = run_kernel(kernel, config=config, dmr=dmr)
         assert result_digest(result) == GOLDEN[digest]["result"], (
-            f"{digest[:12]} under {label} engine={engine}")
+            f"{digest[:12]} under {label} engine={leg}")
         # A fault-free run must never report a detection.
-        assert not result.detections, (digest, label, engine)
+        assert not result.detections, (digest, label, leg)
+        payloads.add(pickle.dumps(result.to_payload()))
+    assert len(payloads) == 1, f"{digest[:12]} under {label}: legs differ"

@@ -7,7 +7,8 @@ wall-clock optimization.  Every architecturally visible artifact —
 the obs MetricSnapshot, memory images — must be byte-identical with
 skipping on and off, on the workload shapes that exercise the skip
 paths hardest: divergent control flow, barrier convoys, and long RAW
-stall chains.
+stall chains — with and without Warped-DMR, whose Replay Checker lets
+an idle span be skipped only while it is quiescent.
 """
 
 from __future__ import annotations
@@ -93,10 +94,12 @@ class TestSkipInvariance:
         off = run(build, **kwargs, cycle_skip=False, engine=engine)
         assert full_payload(on) == full_payload(off)
 
-    @pytest.mark.parametrize("name", ["barrier", "raw_chain"])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_invariance_holds_under_dmr(self, name):
-        """DMR stalls (replay/bank/flush) feed the skip paths too; the
-        stall-cause partition and ReplayQ depth histogram must not move."""
+        """DMR stalls (replay/bank/flush) feed the skip paths too, and
+        idle spans are skipped while the Replay Checker is quiescent;
+        the stall-cause partition and ReplayQ depth histogram must not
+        move."""
         build, kwargs = KERNELS[name]
         dmr = DMRConfig.paper_default()
         on = run(build, **kwargs, cycle_skip=True, dmr=dmr)
@@ -105,6 +108,38 @@ class TestSkipInvariance:
         off_stats = off.stats.to_payload()
         assert on_stats == off_stats
         assert full_payload(on) == full_payload(off)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_metric_snapshot_identical_under_dmr(self, name):
+        """Per-cycle ReplayQ depth samples and scheduler counts of the
+        obs snapshot replay exactly over skipped quiescent idle spans."""
+        build, kwargs = KERNELS[name]
+        dmr = DMRConfig.paper_default().with_replayq(1)
+        on = run(build, **kwargs, cycle_skip=True, dmr=dmr, obs="metrics")
+        off = run(build, **kwargs, cycle_skip=False, dmr=dmr, obs="metrics")
+        assert on.obs is not None and off.obs is not None
+        assert pickle.dumps(on.obs) == pickle.dumps(off.obs)
+        assert full_payload(on) == full_payload(off)
+
+    def test_quiescent_dmr_idle_spans_are_skipped(self, monkeypatch):
+        """Non-vacuity: under DMR the idle skipper actually jumps, and
+        only while the controller reports quiescent."""
+        from repro.sim.sm import SM
+
+        skips = []
+        original = SM._skip_idle
+
+        def recording_skip(self, cycle):
+            skips.append(self.dmr.quiescent())
+            return original(self, cycle)
+
+        monkeypatch.setattr(SM, "_skip_idle", recording_skip)
+        build, kwargs = KERNELS["raw_chain"]
+        run(build, **kwargs, cycle_skip=True, dmr=DMRConfig.paper_default())
+        assert skips and all(skips)
+        skips.clear()
+        run(build, **kwargs, cycle_skip=False, dmr=DMRConfig.paper_default())
+        assert not skips
 
     @pytest.mark.parametrize("name", ["divergent", "barrier"])
     def test_metric_snapshot_identical(self, name):

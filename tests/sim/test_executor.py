@@ -1,6 +1,11 @@
 """Unit tests for functional execution semantics."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -142,3 +147,39 @@ class TestMemoryAddressing:
 
     def test_negative_offset(self):
         assert make(Opcode.LD_SHARED, 10, offset=-4) == 6
+
+
+#: runs in a fresh interpreter: CPython picks a two-NaN operation's
+#: result NaN differently before and after its adaptive interpreter
+#: specializes the arithmetic (the first few executions of a code site
+#: return the second operand's NaN for ``*`` and ``+``), so the rule is
+#: checked on the ALU's very first executions
+_TWO_NAN_SCRIPT = textwrap.dedent("""
+    import struct
+    from repro.isa.instruction import Instruction
+    from repro.isa.opcodes import Opcode
+    from repro.isa.operands import Reg
+    from repro.sim.executor import compute_lane
+
+    def bits(value):
+        return struct.pack("<d", value)
+
+    nan = float("nan")
+    for a, b in ((nan, -nan), (-nan, nan)):
+        first = bits(a + 0.0)
+        for op, inputs in ((Opcode.FADD, (a, b)), (Opcode.FSUB, (a, b)),
+                           (Opcode.FMUL, (a, b)), (Opcode.FFMA, (a, b, 1.0)),
+                           (Opcode.FFMA, (1.0, a, b))):
+            inst = Instruction(opcode=op, dst=Reg(3),
+                               srcs=tuple(Reg(i) for i in range(len(inputs))))
+            assert bits(compute_lane(inst, inputs)) == first, (op, a, b)
+""")
+
+
+def test_two_nan_operands_give_the_first_operands_nan():
+    """FADD/FSUB/FMUL and both steps of FFMA return the first operand's
+    NaN when both operands are NaN, from the first execution on."""
+    src = pathlib.Path(__import__("repro").__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", _TWO_NAN_SCRIPT], env=env,
+                   check=True, timeout=60)

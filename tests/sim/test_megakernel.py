@@ -12,13 +12,20 @@ the ``scalar`` engine.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
+from repro.analysis.runner import experiment_config
+from repro.baselines.sampling import SamplingDMRController
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
 from repro.common.errors import SimulationError
-from repro.isa.opcodes import CmpOp
+from repro.core.dmr_controller import DMRController
+from repro.faults.injector import FaultInjector
+from repro.faults.models import TransientFault
+from repro.isa.opcodes import CmpOp, UnitType
 from repro.kernel.builder import KernelBuilder
 from repro.sim import megakernel
 from repro.sim.gpu import GPU
@@ -31,6 +38,7 @@ from repro.sim.megakernel import (
 )
 from repro.sim.sm import SM
 from repro.sim.vexec import VectorFallback
+from repro.workloads import get_workload
 
 from tests.conftest import (build_counting_kernel, build_divergent_kernel,
                            fusion_disabled)
@@ -244,12 +252,39 @@ class TestFallbackPoisoning:
             payload(launch(program, "scalar"))
 
 
+def _controllers(sm, functional_verify):
+    """Both shipped Warped-DMR controllers, as GPU.launch builds them."""
+    dmr = DMRConfig.paper_default()
+    return [
+        DMRController(sm.config, dmr, sm.stats,
+                      functional_verify=functional_verify),
+        SamplingDMRController(sm.config, dmr, sm.stats,
+                              functional_verify=functional_verify),
+    ]
+
+
 class TestFusionGating:
     def test_dmr_blocks_fusion(self):
+        """A controller that does not declare ``functional_verify`` is
+        assumed to read lane values."""
         sm = make_sm(build_straightline())
         assert sm.fusion_allowed()
         sm.dmr = object()
         assert not sm.fusion_allowed()
+
+    def test_timing_only_dmr_allows_fusion(self):
+        sm = make_sm(build_straightline())
+        for controller in _controllers(sm, functional_verify=False):
+            sm.dmr = controller
+            assert sm.lane_values_unread()
+            assert sm.fusion_allowed(), type(controller).__name__
+
+    def test_functional_verify_dmr_blocks_fusion(self):
+        sm = make_sm(build_straightline())
+        for controller in _controllers(sm, functional_verify=True):
+            sm.dmr = controller
+            assert not sm.lane_values_unread()
+            assert not sm.fusion_allowed(), type(controller).__name__
 
     def test_issue_listener_blocks_fusion(self):
         sm = make_sm(build_straightline())
@@ -270,6 +305,128 @@ class TestFusionGating:
         dmr = DMRConfig.paper_default()
         assert payload(launch(program, "fast", dmr=dmr)) == \
             payload(launch(program, "scalar", dmr=dmr))
+
+
+def _launch_counting_issues(monkeypatch, engine, *, dmr=None,
+                            fault_hook=None, controller_factory=None):
+    """matrixmul (scale 0.25, 2 SMs) plus the summed engine counters."""
+    counts = {"vector": 0, "scalar": 0, "fused": 0}
+    original = SM.run
+
+    def counting_run(self):
+        try:
+            return original(self)
+        finally:
+            counts["vector"] += self.executor.vector_issues
+            counts["scalar"] += self.executor.scalar_issues
+            counts["fused"] += self.executor.fused_issues
+
+    monkeypatch.setattr(SM, "run", counting_run)
+    run = get_workload("matrixmul").prepare(0.25, 0)
+    gpu = GPU(experiment_config(num_sms=2, engine=engine),
+              dmr=dmr or DMRConfig.disabled(), fault_hook=fault_hook)
+    result = gpu.launch(run.program, run.launch, memory=run.memory,
+                        controller_factory=controller_factory)
+    run.check(run.memory)
+    return pickle.dumps(result.to_payload()), counts
+
+
+class TestFusedIssues:
+    """``Executor.fused_issues`` counts stash consumptions: issues whose
+    arithmetic ran ahead, in a fused region (never in the stats)."""
+
+    DMR = DMRConfig.paper_default().with_replayq(10)
+
+    def test_timing_only_dmr_launch_fuses(self, monkeypatch):
+        assert self.DMR.mapping.value == "cross"
+        fast, counts = _launch_counting_issues(monkeypatch, "fast",
+                                               dmr=self.DMR)
+        assert counts["fused"] > 0
+        assert counts["vector"] > 0 and counts["scalar"] == 0
+        scalar, scalar_counts = _launch_counting_issues(
+            monkeypatch, "scalar", dmr=self.DMR)
+        assert scalar_counts["fused"] == 0
+        assert fast == scalar
+
+    def test_fault_hook_launch_does_not_fuse(self, monkeypatch):
+        def hook():  # armed, but strikes after the kernel has ended
+            return FaultInjector([TransientFault(
+                sm_id=0, hw_lane=0, unit=UnitType.SP, bit=0,
+                cycle=10 ** 9)])
+
+        fast, counts = _launch_counting_issues(
+            monkeypatch, "fast", dmr=self.DMR, fault_hook=hook())
+        assert counts["fused"] == 0
+        assert counts["vector"] > 0
+        scalar, _ = _launch_counting_issues(
+            monkeypatch, "scalar", dmr=self.DMR, fault_hook=hook())
+        assert fast == scalar
+
+    def test_functional_verify_controller_does_not_fuse(self, monkeypatch):
+        def factory(stats):
+            return DMRController(experiment_config(num_sms=2), self.DMR,
+                                 stats, functional_verify=True)
+
+        fast, counts = _launch_counting_issues(
+            monkeypatch, "fast", controller_factory=factory)
+        assert counts["fused"] == 0
+        assert counts["vector"] > 0
+        scalar, _ = _launch_counting_issues(
+            monkeypatch, "scalar", controller_factory=factory)
+        assert fast == scalar
+
+
+class TestLaunchLifetime:
+    """A launch's SMs, executors and DMR controllers die with its last
+    reference, not at the next full garbage collection: the batcher
+    that links every fusing SM is detached once they have all run."""
+
+    @pytest.mark.parametrize("dmr", [None, DMRConfig.paper_default()],
+                             ids=["no_dmr", "timing_only_dmr"])
+    def test_launch_frees_its_sms_without_cyclic_gc(self, monkeypatch, dmr):
+        refs = []
+        original = SM.run
+
+        def recording_run(self):
+            refs.extend(weakref.ref(part) for part in
+                        (self, self.executor, self.dmr) if part is not None)
+            return original(self)
+
+        monkeypatch.setattr(SM, "run", recording_run)
+        batchers = []
+        attach = WarpBatcher.attach
+
+        def recording_attach(batcher):
+            batchers.append(batcher)
+            return attach(batcher)
+
+        monkeypatch.setattr(WarpBatcher, "attach", recording_attach)
+        program = build_counting_kernel(iterations=3)
+        gc.collect()
+        gc.disable()
+        try:
+            result = launch(program, "fast", grid=4, block=64, num_sms=2,
+                            dmr=dmr)
+            assert batchers, "the launch must fuse for this to test it"
+            del result
+            assert len(refs) == (4 if dmr is None else 6)
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_solo_run_detaches_its_batcher(self):
+        sm = make_sm(build_straightline())
+        executor = weakref.ref(sm.executor)
+        gc.collect()
+        gc.disable()
+        try:
+            sm.run()
+            assert sm._batcher is None and sm.executor._mega is None
+            assert sm.executor.fused_issues > 0
+            del sm
+            assert executor() is None
+        finally:
+            gc.enable()
 
 
 def build_predicated_kernel():

@@ -13,8 +13,11 @@ contract two ways:
   int/float warps, partial warps, permuted lane mappings and guard
   predicates;
 * **full-workload payload equality** — all 11 Table 4 workloads under
-  multiple mapping policies and ReplayQ sizes, comparing the complete
-  ``KernelResult.to_payload()`` pickles byte for byte.
+  every Figure 9(b) configuration (plus an in-order mapping), on the
+  scalar engine, the fast engine and the fast engine with region
+  fusion off, comparing the complete ``KernelResult.to_payload()``
+  pickles — obs snapshot included — byte for byte, plus an
+  unobserved fast run that takes the SM's inlined issue scan.
 
 When an example makes *both* engines raise (``f2i`` of ``inf``, ``sin``
 of ``inf``), only the exception type is compared: the scalar path may
@@ -24,23 +27,30 @@ before mutating state, and the simulation aborts either way.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.overhead_sweep import REPLAYQ_SIZES
 from repro.analysis.runner import experiment_config
-from repro.common.config import DMRConfig, MappingPolicy
+from repro.common.config import (DMRConfig, GPUConfig, LaunchConfig,
+                                 MappingPolicy)
 from repro.core.mapping import lane_permutation
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CmpOp, Opcode
 from repro.isa.operands import Imm, Reg, SReg, SpecialReg
+from repro.kernel.builder import KernelBuilder
 from repro.sim.executor import Executor
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
+from repro.sim.megakernel import WarpBatcher
 from repro.sim.warp import ThreadBlock, Warp
 from repro.workloads import all_workloads, get_workload
+
+from tests.conftest import fusion_disabled
 
 WARP_SIZE = 32
 NUM_REGS = 4
@@ -268,30 +278,52 @@ def test_bra_bit_identity(data):
 SCALE = 0.25
 SEED = 0
 
+#: Figure 9(b)'s five configurations (DMR off, and the paper's DMR at
+#: every swept ReplayQ size) plus an in-order-mapping variant
 ENGINE_DMR_VARIANTS = [
     pytest.param(None, id="no_dmr"),
-    pytest.param(DMRConfig(mapping=MappingPolicy.CROSS, replayq_entries=10),
-                 id="cross_q10"),
+    *(pytest.param(DMRConfig.paper_default().with_replayq(size),
+                   id=f"cross_q{size}") for size in REPLAYQ_SIZES),
     pytest.param(DMRConfig(mapping=MappingPolicy.IN_ORDER,
                            replayq_entries=0), id="inorder_q0"),
 ]
+
+#: (engine, fusion toggle, obs) per leg: the fast engine as it runs and
+#: with region fusion patched off, all recording obs metrics (a probe
+#: runs the SM's general issue stage); the last leg records none, so
+#: the SM runs its inlined issue scan instead
+ENGINE_LEGS = {
+    "scalar": ("scalar", contextlib.nullcontext, "metrics"),
+    "fast": ("fast", contextlib.nullcontext, "metrics"),
+    "fast_unfused": ("fast", fusion_disabled, "metrics"),
+    "fast_unobserved": ("fast", contextlib.nullcontext, False),
+}
 
 
 @pytest.mark.parametrize("dmr", ENGINE_DMR_VARIANTS)
 @pytest.mark.parametrize("name", list(all_workloads()))
 def test_workload_payloads_identical_across_engines(name, dmr):
-    """Scalar and vectorized runs must produce byte-identical payloads."""
+    """Scalar, fused and unfused runs must produce byte-identical
+    payloads, obs metric snapshots (ReplayQ depth, stall partition)
+    included; the unobserved run must match them but for its obs."""
     payloads = {}
-    for engine in ("scalar", "fast"):
+    for leg, (engine, context, obs) in ENGINE_LEGS.items():
         run = get_workload(name).prepare(SCALE, SEED)
         gpu = GPU(experiment_config(num_sms=2, engine=engine),
-                  dmr=dmr or DMRConfig.disabled())
-        result = gpu.launch(run.program, run.launch, memory=run.memory)
+                  dmr=dmr or DMRConfig.disabled(), obs=obs)
+        with context():
+            result = gpu.launch(run.program, run.launch, memory=run.memory)
         run.check(run.memory)
-        payloads[engine] = pickle.dumps(result.to_payload())
-    assert payloads["scalar"] == payloads["fast"], (
-        f"{name} diverged between execution engines under {dmr!r}"
-    )
+        assert (result.obs is not None) == bool(obs)
+        payloads[leg] = result.to_payload()
+    golden = pickle.dumps(payloads["scalar"])
+    for leg in ("fast", "fast_unfused"):
+        assert pickle.dumps(payloads[leg]) == golden, (
+            f"{name} diverged between scalar and {leg} under {dmr!r}"
+        )
+    assert pickle.dumps(payloads["fast_unobserved"]) == \
+        pickle.dumps({**payloads["scalar"], "obs": None}), (
+            f"{name}: the inlined issue scan diverged under {dmr!r}")
 
 
 def test_vector_engine_actually_engages():
@@ -317,3 +349,112 @@ def test_vector_engine_actually_engages():
         SM.run = original
     assert counts["vector"] > 0
     assert counts["scalar"] == 0  # matrixmul has no fallback triggers
+
+
+# ----------------------------------------------------------------------
+# The FFMA corner, pinned on every execution path
+# ----------------------------------------------------------------------
+#: the operands of the rare Hypothesis ``ffma`` falsification (infinity,
+#: signed zeros, the smallest subnormal, +-2**53, NaNs of both signs)
+#: plus a finite float and an int-tagged lane for mixed warps
+FFMA_CORNERS = [float("-inf"), 0.0, -0.0, 5e-324, 2.0 ** 53, -(2.0 ** 53),
+                float("nan"), -float("nan"), 1.0, 3]
+FFMA_WARPS = 32
+FFMA_LANES = FFMA_WARPS * WARP_SIZE
+
+
+def _ffma_corner_triples():
+    """Every (a, b, c) corner triple once, padded to whole warps."""
+    triples = [(a, b, c) for a in FFMA_CORNERS for b in FFMA_CORNERS
+               for c in FFMA_CORNERS]
+    return (triples + triples)[:FFMA_LANES]
+
+
+#: results the corner kernel stores per lane
+FFMA_RESULTS = 4
+
+
+def _ffma_corner_kernel(lanes):
+    """Four operand loads, one fusable region of four FFMAs (operands
+    in three orders, one guarded, one with a float immediate), then a
+    store of every FFMA's result."""
+    b = KernelBuilder("ffma_corner")
+    g, a, x, c, k, t = b.regs(6)
+    results = b.regs(FFMA_RESULTS)
+    d, e, f, h = results
+    p = b.pred()
+    b.gtid(g)
+    b.ld_global(a, g)
+    b.ld_global(x, g, offset=lanes)
+    b.ld_global(c, g, offset=2 * lanes)
+    b.ld_global(k, g, offset=3 * lanes)
+    b.ffma(d, a, x, c)
+    b.ffma(e, c, x, a)
+    b.irem(t, k, 3)
+    b.setp(p, t, CmpOp.EQ, 0)
+    b.ffma(f, x, c, a, pred=p)
+    b.ffma(h, e, d, -0.0)
+    for index, reg in enumerate(results):
+        b.st_global(g, reg, offset=(4 + index) * lanes)
+    b.exit()
+    return b.build()
+
+
+def _ffma_corner_outputs(triples, first, *, engine, grid, block,
+                         num_sms=2):
+    """Launch the corner kernel over *triples* (the guard keys on each
+    triple's index, counted from *first*); per-lane FFMA results."""
+    lanes = len(triples)
+    memory = GlobalMemory()
+    for lane, operands in enumerate(triples):
+        for index, value in enumerate(operands + (first + lane,)):
+            memory.store(index * lanes + lane, value)
+    GPU(GPUConfig(num_sms=num_sms, engine=engine)).launch(
+        _ffma_corner_kernel(lanes), LaunchConfig(grid, block), memory=memory)
+    return [tuple(memory.load((4 + index) * lanes + lane)
+                  for index in range(FFMA_RESULTS))
+            for lane in range(lanes)]
+
+
+def test_ffma_corner_operands_identical_on_every_path(monkeypatch):
+    """FFMA over the corner operands, mixed per lane, is bit-identical
+    on the scalar engine, the per-issue vector engine, and fused
+    regions in both the solo ``(lanes,)`` and the batched
+    ``(warps, lanes)`` shape (pickles compare float bit patterns)."""
+    batchers = []
+    attach = WarpBatcher.attach
+
+    def recording_attach(batcher):
+        batchers.append(batcher)
+        return attach(batcher)
+
+    monkeypatch.setattr(WarpBatcher, "attach", recording_attach)
+    triples = _ffma_corner_triples()
+    whole = dict(grid=FFMA_WARPS // 4, block=4 * WARP_SIZE)
+    paths = {"scalar": _ffma_corner_outputs(triples, 0, engine="scalar",
+                                            **whole)}
+    with fusion_disabled():
+        paths["vector"] = _ffma_corner_outputs(triples, 0, engine="fast",
+                                               **whole)
+    assert not batchers
+    paths["fused_batched"] = _ffma_corner_outputs(triples, 0,
+                                                  engine="fast", **whole)
+    assert batchers[-1].fused_warps > batchers[-1].fused_regions > 0
+    solo = []
+    for warp in range(FFMA_WARPS):
+        first = warp * WARP_SIZE
+        solo += _ffma_corner_outputs(triples[first:first + WARP_SIZE],
+                                     first, engine="fast", grid=1,
+                                     block=WARP_SIZE, num_sms=1)
+        assert batchers[-1].fused_warps == batchers[-1].fused_regions > 0
+    paths["fused_solo"] = solo
+
+    scalar = paths["scalar"]
+    for name, outputs in paths.items():
+        if pickle.dumps(outputs) == pickle.dumps(scalar):
+            continue
+        lane = next(lane for lane, pair in enumerate(outputs)
+                    if pickle.dumps(pair) != pickle.dumps(scalar[lane]))
+        pytest.fail(f"{name} diverged from scalar at lane {lane}: operands "
+                    f"{triples[lane]!r} -> {outputs[lane]!r}, scalar "
+                    f"{scalar[lane]!r}")
