@@ -102,9 +102,8 @@ def run_figure9a_sampled(runner: SuiteRunner,
     Returns ``label -> {rate, low, high, samples, harmful, detected,
     outcomes}`` with rates in percent, figure-style.
     """
-    from repro.common.stats import binomial_interval
-    from repro.faults.campaign import CampaignResult, CampaignSpec
-    from repro.faults.campaign import CampaignEngine, Outcome
+    from repro.faults.campaign import (CampaignEngine, CampaignResult,
+                                       CampaignSpec)
     from repro.faults.sampler import FaultSampler
 
     jobs = runner.jobs if parallel is None else max(1, parallel)
@@ -120,16 +119,7 @@ def run_figure9a_sampled(runner: SuiteRunner,
             horizon = engine.golden_result().cycles
             faults = sampler.sample(samples, horizon, seed=runner.seed)
             pooled.runs.extend(engine.run(faults).runs)
-        low, high = pooled.coverage_interval(confidence)
-        data[label] = {
-            "rate": 100.0 * pooled.detection_rate,
-            "low": 100.0 * low,
-            "high": 100.0 * high,
-            "samples": pooled.total,
-            "harmful": pooled.harmful_runs,
-            "detected": pooled.detected_runs,
-            "outcomes": {o.value: pooled.count(o) for o in Outcome},
-        }
+        data[label] = pooled.coverage_entry(confidence)
     return data
 
 

@@ -65,9 +65,6 @@ def _campaign(runner: SuiteRunner, workload: str, config, dmr,
 
 def _scheme_entry(pooled, confidence: float) -> Dict[str, object]:
     """Coverage (+ Wilson interval) and measured overheads of one scheme."""
-    from repro.faults.campaign import Outcome
-
-    low, high = pooled.coverage_interval(confidence)
     snapshot = pooled.metrics()
     base_cycles = snapshot.value("protection_base_cycles")
     extra_cycles = snapshot.value("protection_extra_cycles")
@@ -76,13 +73,7 @@ def _scheme_entry(pooled, confidence: float) -> Dict[str, object]:
     cycle_pct = 100.0 * extra_cycles / base_cycles if base_cycles else 0.0
     storage_pct = 100.0 * extra_bits / base_bits if base_bits else 0.0
     return {
-        "rate": 100.0 * pooled.detection_rate,
-        "low": 100.0 * low,
-        "high": 100.0 * high,
-        "samples": pooled.total,
-        "harmful": pooled.harmful_runs,
-        "detected": pooled.detected_runs,
-        "outcomes": {o.value: pooled.count(o) for o in Outcome},
+        **pooled.coverage_entry(confidence),
         "cycle_overhead_pct": cycle_pct,
         "storage_overhead_pct": storage_pct,
         "overhead_pct": cycle_pct + storage_pct,

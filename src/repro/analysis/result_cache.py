@@ -23,6 +23,12 @@ counted on the cache object and in the harness metrics registry — and
 reported as a miss so the caller transparently recomputes.  Corruption
 is therefore detected, bounded, and visible, never silently re-served
 or silently discarded.
+
+:class:`CachedFanout` is the one loop every cached caller runs on top
+of the store — :class:`~repro.analysis.runner.SuiteRunner`,
+:class:`~repro.faults.campaign.CampaignEngine` and the fig-sched sweep
+each hold one: memory, then disk, then one simulation per distinct
+miss, serial or through the supervised process pool.
 """
 
 from __future__ import annotations
@@ -32,11 +38,13 @@ import os
 import pathlib
 import pickle
 import tempfile
-from typing import Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, MetricSnapshot, MetricsRegistry
+from repro.resilience import Supervisor, declare_harness_metrics
+from repro.service.sharding import fanout_workers, pool_chunks
 from repro.sim.gpu import KernelResult
 
 #: Bump when the cached payload layout or simulator semantics change in
@@ -227,16 +235,18 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> Optional[KernelResult]:
-        """The cached :class:`KernelResult` for *key*, or ``None``."""
+    def get(self, key: str, decode: Callable[[object], object]
+            = KernelResult.from_payload) -> Optional[object]:
+        """The cached entry for *key* decoded (by default into a
+        :class:`KernelResult`), or ``None``."""
         payload = self.get_payload(key)
         if payload is None:
             return None
         try:
-            return KernelResult.from_payload(payload)
+            return decode(payload)
         except (KeyError, TypeError, AttributeError, ValueError):
-            # a readable pickle that is not a KernelResult payload is a
-            # miss, not an error (e.g. a campaign payload under a
+            # a readable pickle that is not the caller's kind of payload
+            # is a miss, not an error (e.g. a campaign payload under a
             # colliding-by-bug key); re-book the optimistic hit
             self.hits -= 1
             self.misses += 1
@@ -270,3 +280,134 @@ class ResultCache:
         return (f"ResultCache({str(self.cache_dir)!r}, hits={self.hits}, "
                 f"misses={self.misses}, stores={self.stores}, "
                 f"corrupt={self.corrupt})")
+
+
+def _run_chunk(args) -> List:
+    """Pool worker: simulate one chunk of misses, return their payloads.
+
+    Module-level so it pickles under any multiprocessing start method;
+    the chunk's shared context (runner settings, campaign golden output
+    and budgets, ...) crosses the process boundary once per chunk, and
+    chunks amortize process/IPC overhead over many short runs.
+    """
+    simulate, context, items = args
+    return [simulate(context, item) for item in items]
+
+
+class CachedFanout:
+    """Memory, then disk, then one simulation per distinct miss.
+
+    ``simulate(context, item)`` is a module-level function returning a
+    plain-data payload — the one form that crosses the worker IPC and
+    lands in the disk cache — and ``decode(payload)`` turns a payload
+    into the value callers get back (a stored payload that does not
+    decode counts as a miss).  ``cache`` selects the persistent layer:
+    ``None``/``False`` in memory only, ``True`` the default directory, a
+    path, or a ready :class:`ResultCache`; a cache built here reports
+    corruption into the harness registry.
+
+    Fan-outs are supervised (:mod:`repro.resilience`): worker deaths,
+    broken pools and flaky exceptions retry with deterministic backoff,
+    all counted in the *harness registry* (:meth:`harness_snapshot`).
+    Pass a ready ``supervisor`` to customize the policy (the chaos
+    harness does); otherwise one is built over a fresh registry.
+    ``label`` prefixes the :meth:`cache_summary` line.
+    """
+
+    def __init__(self, simulate: Callable, decode: Callable, cache=None,
+                 *, supervisor: Optional[Supervisor] = None,
+                 label: str = "cache") -> None:
+        self.simulate = simulate
+        self.decode = decode
+        self.label = label
+        self.supervisor = supervisor or Supervisor(
+            registry=declare_harness_metrics(MetricsRegistry()))
+        self.harness = self.supervisor.registry
+        if isinstance(cache, ResultCache):
+            self.cache: Optional[ResultCache] = cache
+        elif cache:
+            self.cache = ResultCache(None if cache is True else cache,
+                                     registry=self.harness)
+        else:
+            self.cache = None
+        self.memory: Dict[str, object] = {}
+        self.simulations = 0  # runs actually executed (locally or pooled)
+
+    # ------------------------------------------------------------------
+    def _lookup(self, key: str) -> Optional[object]:
+        """The value under *key* from memory, else from disk (promoted
+        into memory), else ``None``."""
+        value = self.memory.get(key)
+        if value is None and self.cache is not None:
+            value = self.cache.get(key, self.decode)
+            if value is not None:
+                self.memory[key] = value
+        return value
+
+    def _land(self, key: str, payload: object) -> object:
+        """Keep one fresh payload: memory, then disk straight away, so an
+        interrupted run resumes from everything that landed."""
+        value = self.memory[key] = self.decode(payload)
+        self.simulations += 1
+        if self.cache is not None:
+            self.cache.put_payload(key, payload)
+        return value
+
+    def run(self, keys: Sequence[str], items: Sequence,
+            context: Callable[[], object], workers: int = 1) -> List:
+        """The values for *keys* (paired with *items*), in order.
+
+        Duplicate keys simulate once.  ``context()`` supplies what every
+        miss shares; it is called only when something misses (a campaign
+        computes its golden run there).  With more than one worker and
+        more than one miss, the misses go through the supervisor in
+        chunks of :func:`~repro.service.sharding.pool_chunks`; otherwise
+        they run here one by one, each persisted as it lands.
+        """
+        missing: Dict[str, object] = {}
+        for key, item in zip(keys, items):
+            if key not in missing and self._lookup(key) is None:
+                missing[key] = item
+        shared = context() if missing else None
+        workers = fanout_workers(workers, len(missing))
+        if workers > 1:
+            chunks = pool_chunks(list(missing.items()), workers)
+            args = [(self.simulate, shared, [item for _, item in chunk])
+                    for chunk in chunks]
+            for chunk, payloads in zip(
+                    chunks, self.supervisor.map(_run_chunk, args, workers)):
+                for (key, _), payload in zip(chunk, payloads):
+                    self._land(key, payload)
+        else:
+            for key, item in missing.items():
+                self._land(key, self.simulate(shared, item))
+        return [self.memory[key] for key in keys]
+
+    # ------------------------------------------------------------------
+    def harness_snapshot(self) -> MetricSnapshot:
+        """Supervision counters (retries, timeouts, pool rebuilds,
+        cache corruption/quarantines) accumulated so far."""
+        return MetricSnapshot.from_registry(self.harness)
+
+    def cache_summary(self) -> str:
+        """One-line accounting, printed to stderr by the CLI."""
+        parts = [f"simulations={self.simulations}",
+                 f"memory-entries={len(self.memory)}"]
+        if self.cache is not None:
+            pc = self.cache
+            parts.append(f"disk-hits={pc.hits}")
+            parts.append(f"disk-stores={pc.stores}")
+            if pc.corrupt:
+                parts.append(f"corrupt={pc.corrupt}")
+                parts.append(f"quarantined={pc.quarantined}")
+            parts.append(f"dir={pc.cache_dir}")
+        retries = self.harness.value("resilience_retries")
+        if retries:
+            parts.append(f"retries={retries}")
+        timeouts = self.harness.value("resilience_timeouts")
+        if timeouts:
+            parts.append(f"timeouts={timeouts}")
+        rebuilds = self.harness.value("resilience_pool_rebuilds")
+        if rebuilds:
+            parts.append(f"pool-rebuilds={rebuilds}")
+        return f"{self.label}: " + " ".join(parts)

@@ -3,7 +3,8 @@
 Every paper figure consumes the same 11-workload suite under a handful
 of DMR configurations, and each (workload, GPUConfig, DMRConfig, scale,
 seed) run is an independent pure computation.  :class:`SuiteRunner`
-exploits both facts:
+exploits both facts through one
+:class:`~repro.analysis.result_cache.CachedFanout`:
 
 * results are cached twice — in memory (object-identity preserved
   within a runner) and optionally in a persistent on-disk
@@ -23,12 +24,10 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.result_cache import ResultCache, result_key
+from repro.analysis.result_cache import CachedFanout, ResultCache, result_key
 from repro.common.config import DMRConfig, GPUConfig
 from repro.obs import MetricSnapshot, aggregate_payloads
-from repro.obs.metrics import MetricsRegistry
-from repro.resilience import Supervisor, declare_harness_metrics
-from repro.service.sharding import fanout_workers
+from repro.resilience import Supervisor
 from repro.sim.gpu import GPU, KernelResult
 from repro.workloads import all_workloads, get_workload
 
@@ -68,26 +67,6 @@ def default_jobs() -> int:
     return max(1, min(4, cpus))
 
 
-def pool_map(fn, args: Sequence, workers: int, *,
-             supervisor: Optional[Supervisor] = None) -> List:
-    """Map *fn* over *args* in a supervised worker pool, preserving order.
-
-    The shared fan-out primitive for everything that scales by adding
-    simulations — suite runs and fault campaigns both route their cache
-    misses through here.  *fn* must be module-level (picklable under
-    any multiprocessing start method) and should return plain data so
-    the IPC never depends on simulator classes unpickling identically.
-    With ``workers <= 1`` (or one task) the map runs in-process.
-
-    Since PR 5 this is a thin front on
-    :class:`repro.resilience.Supervisor`: worker deaths, broken pools
-    and flaky exceptions retry with backoff instead of killing the
-    whole map.  Pass a configured *supervisor* to add deadlines, a
-    custom retry policy, or metrics accounting.
-    """
-    return (supervisor or Supervisor()).map(fn, args, workers)
-
-
 def _simulate_payload(args: Tuple[str, DMRConfig, GPUConfig, float, int,
                                   bool, bool]) -> dict:
     """Worker entry point: simulate one spec, return the result payload.
@@ -109,6 +88,13 @@ def _simulate_payload(args: Tuple[str, DMRConfig, GPUConfig, float, int,
     return result.to_payload()
 
 
+def _simulate_cell(context: Tuple[float, int, bool, bool],
+                   spec: RunSpec) -> dict:
+    """Fan-out entry point: one ``(name, dmr, config)`` spec under the
+    runner's shared ``(scale, seed, check_outputs, obs)``."""
+    return _simulate_payload(spec + context)
+
+
 def aggregate_metrics(results: Iterable[KernelResult]) -> MetricSnapshot:
     """Merge the obs snapshots of *results* into one fleet-wide snapshot.
 
@@ -128,20 +114,15 @@ class SuiteRunner:
     configuration — GPU/DMR config fingerprints, ``scale``, ``seed``
     and ``check_outputs`` — so each distinct run simulates once.
 
-    ``cache`` selects the persistent layer: ``None``/``False`` for
-    in-memory only, ``True`` for the default on-disk location, a path
-    for a specific directory, or a ready :class:`ResultCache`.
+    ``cache`` selects the persistent layer (``None``/``False``, ``True``,
+    a path, or a ready :class:`ResultCache`, as
+    :class:`~repro.analysis.result_cache.CachedFanout` resolves it).
     ``jobs`` sets the default fan-out for :meth:`run_many` /
     :meth:`run_suite` (1 = serial in-process).  The execution engine
     is the run's ``GPUConfig.engine``, so it keys like any config field.
-
-    Fan-outs are supervised (:mod:`repro.resilience`): worker deaths,
-    broken pools and flaky exceptions retry with deterministic backoff,
-    and every such event lands in this runner's *harness registry*
-    (:meth:`harness_snapshot`).  Pass a ready ``supervisor`` to
-    customize the policy (the chaos harness does); otherwise one is
-    built over the harness registry, with ``deadline`` seconds (if
-    given) bounding each supervised task's wall clock.
+    Fan-outs are supervised; pass a ready ``supervisor`` to customize
+    the retry policy (the chaos harness does).  What it absorbed lands
+    in the runner's harness registry (:meth:`harness_snapshot`).
     """
 
     def __init__(self, config: Optional[GPUConfig] = None,
@@ -150,32 +131,22 @@ class SuiteRunner:
                  cache: Union[None, bool, str, os.PathLike,
                               ResultCache] = None,
                  jobs: int = 1, obs: bool = False,
-                 supervisor: Optional[Supervisor] = None,
-                 deadline: Optional[float] = None) -> None:
+                 supervisor: Optional[Supervisor] = None) -> None:
         self.config = config or experiment_config()
         self.scale = scale
         self.seed = seed
         self.check_outputs = check_outputs
         self.obs = bool(obs)
         self.jobs = max(1, jobs)
-        self._cache: Dict[str, KernelResult] = {}
-        if supervisor is not None:
-            self.supervisor = supervisor
-            self.harness = supervisor.registry
-        else:
-            self.harness = declare_harness_metrics(MetricsRegistry())
-            self.supervisor = Supervisor(registry=self.harness,
-                                         deadline=deadline)
-        if isinstance(cache, ResultCache):
-            self.persistent_cache: Optional[ResultCache] = cache
-        elif cache is True:
-            self.persistent_cache = ResultCache(registry=self.harness)
-        elif cache:
-            self.persistent_cache = ResultCache(cache,
-                                                registry=self.harness)
-        else:
-            self.persistent_cache = None
-        self.simulations = 0  # runs actually executed (locally or in a pool)
+        self._fanout = CachedFanout(_simulate_cell, KernelResult.from_payload,
+                                    cache, supervisor=supervisor)
+        self.harness = self._fanout.harness
+        self.persistent_cache = self._fanout.cache
+
+    @property
+    def simulations(self) -> int:
+        """Runs actually executed (locally or in a pool)."""
+        return self._fanout.simulations
 
     # ------------------------------------------------------------------
     def _key(self, name: str, dmr: DMRConfig, config: GPUConfig) -> str:
@@ -193,38 +164,18 @@ class SuiteRunner:
               config: Optional[GPUConfig]) -> RunSpec:
         return (name, dmr or DMRConfig.disabled(), config or self.config)
 
-    def _lookup(self, key: str) -> Optional[KernelResult]:
-        """Memory cache, then persistent cache (promoting on hit)."""
-        if key in self._cache:
-            return self._cache[key]
-        if self.persistent_cache is not None:
-            result = self.persistent_cache.get(key)
-            if result is not None:
-                self._cache[key] = result
-                return result
-        return None
-
-    def _store(self, key: str, result: KernelResult) -> None:
-        self._cache[key] = result
-        if self.persistent_cache is not None:
-            self.persistent_cache.put(key, result)
+    def _context(self) -> Tuple[float, int, bool, bool]:
+        return (self.scale, self.seed, self.check_outputs, self.obs)
 
     # ------------------------------------------------------------------
     def run(self, name: str, dmr: Optional[DMRConfig] = None,
             config: Optional[GPUConfig] = None) -> KernelResult:
         """Run (or fetch the cached run of) one workload."""
-        name, dmr, config = self._spec(name, dmr, config)
-        key = self._key(name, dmr, config)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        payload = _simulate_payload(
-            (name, dmr, config, self.scale, self.seed, self.check_outputs,
-             self.obs)
-        )
-        self.simulations += 1
-        result = KernelResult.from_payload(payload)
-        self._store(key, result)
+        spec = self._spec(name, dmr, config)
+        key = self._key(*spec)
+        result = self._fanout.memory.get(key)
+        if result is None:
+            result = self._fanout.run([key], [spec], self._context)[0]
         return result
 
     def baseline(self, name: str) -> KernelResult:
@@ -240,39 +191,14 @@ class SuiteRunner:
         entries mean the runner defaults, as in :meth:`run`.  Duplicate
         keys simulate once.  Results come back in spec order.  With
         ``parallel`` (or ``self.jobs``) > 1 and more than one miss, the
-        misses run in a :class:`~concurrent.futures.ProcessPoolExecutor`.
+        misses run in the supervised process pool.
         """
-        resolved: List[RunSpec] = []
-        for spec in specs:
-            name = spec[0]
-            dmr = spec[1] if len(spec) > 1 else None
-            config = spec[2] if len(spec) > 2 else None
-            resolved.append(self._spec(name, dmr, config))
-
-        keys = [self._key(*spec) for spec in resolved]
-        missing: Dict[str, RunSpec] = {}
-        for key, spec in zip(keys, resolved):
-            if key not in missing and self._lookup(key) is None:
-                missing[key] = spec
-
-        workers = fanout_workers(
-            self.jobs if parallel is None else max(1, parallel),
-            len(missing),
-        )
-        if workers > 1:
-            order = list(missing.items())
-            args = [(name, dmr, config, self.scale, self.seed,
-                     self.check_outputs, self.obs)
-                    for name, dmr, config in (spec for _, spec in order)]
-            payloads = self.supervisor.map(_simulate_payload, args, workers)
-            for (key, _), payload in zip(order, payloads):
-                self.simulations += 1
-                self._store(key, KernelResult.from_payload(payload))
-        else:
-            for key, (name, dmr, config) in missing.items():
-                self.run(name, dmr, config)
-
-        return [self._cache[key] for key in keys]
+        resolved = [self._spec(spec[0], spec[1] if len(spec) > 1 else None,
+                               spec[2] if len(spec) > 2 else None)
+                    for spec in specs]
+        return self._fanout.run(
+            [self._key(*spec) for spec in resolved], resolved,
+            self._context, self.jobs if parallel is None else parallel)
 
     def prefetch(self, specs: Iterable[Tuple], *,
                  parallel: Optional[int] = None) -> None:
@@ -296,30 +222,9 @@ class SuiteRunner:
 
     # ------------------------------------------------------------------
     def harness_snapshot(self) -> MetricSnapshot:
-        """Supervision counters (retries, timeouts, pool rebuilds,
-        cache corruption/quarantines) accumulated by this runner."""
-        return MetricSnapshot.from_registry(self.harness)
+        """Supervision counters accumulated by this runner."""
+        return self._fanout.harness_snapshot()
 
     def cache_summary(self) -> str:
         """One-line accounting, printed to stderr by the CLI."""
-        memory_entries = len(self._cache)
-        parts = [f"simulations={self.simulations}",
-                 f"memory-entries={memory_entries}"]
-        if self.persistent_cache is not None:
-            pc = self.persistent_cache
-            parts.append(f"disk-hits={pc.hits}")
-            parts.append(f"disk-stores={pc.stores}")
-            if pc.corrupt:
-                parts.append(f"corrupt={pc.corrupt}")
-                parts.append(f"quarantined={pc.quarantined}")
-            parts.append(f"dir={pc.cache_dir}")
-        retries = self.harness.value("resilience_retries")
-        if retries:
-            parts.append(f"retries={retries}")
-        timeouts = self.harness.value("resilience_timeouts")
-        if timeouts:
-            parts.append(f"timeouts={timeouts}")
-        rebuilds = self.harness.value("resilience_pool_rebuilds")
-        if rebuilds:
-            parts.append(f"pool-rebuilds={rebuilds}")
-        return "cache: " + " ".join(parts)
+        return self._fanout.cache_summary()

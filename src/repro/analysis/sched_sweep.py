@@ -15,7 +15,10 @@ commutative ``aggregate_payloads`` fold per schedule produces the
 merged snapshot the coverage report reads, independent of worker
 completion order.  Runs are content-addressed in the result cache
 (kernel digest + full config fingerprint, which includes
-``schedule_seed``) and fan out through the supervised pool.
+``schedule_seed``) and resolve through the same
+:class:`~repro.analysis.result_cache.CachedFanout` as the suite runner
+and the campaign engine: serial misses persist as they land, parallel
+ones go through the supervised pool.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import statistics
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
-from repro.analysis.result_cache import ResultCache, code_version_salt
-from repro.analysis.runner import default_jobs, pool_map
+from repro.analysis.result_cache import (CachedFanout, ResultCache,
+                                         code_version_salt)
+from repro.analysis.runner import default_jobs
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError
 from repro.core.coverage import CoverageReport
@@ -56,23 +60,12 @@ def sched_run_key(kernel_digest: str, config: GPUConfig,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _sched_run_payload(args: Tuple) -> Dict:
-    """Pool worker: simulate one corpus kernel under one schedule."""
-    kernel_payload, config, dmr = args
+def _sched_run_payload(dmr: DMRConfig, item: Tuple) -> Dict:
+    """Fan-out entry point: one corpus kernel under one schedule."""
+    kernel_payload, config = item
     kernel = FuzzKernel.from_payload(kernel_payload)
     result = run_kernel(kernel, config=config, dmr=dmr)
     return result.to_payload()
-
-
-def _resolve_cache(cache: Union[None, bool, str, ResultCache]
-                   ) -> Optional[ResultCache]:
-    if cache is None or cache is False:
-        return None
-    if isinstance(cache, ResultCache):
-        return cache
-    if cache is True:
-        return ResultCache()
-    return ResultCache(cache_dir=cache)
 
 
 def _schedule_row(label: str, payloads: Sequence[Dict]) -> Dict:
@@ -104,8 +97,7 @@ def run_fig_sched(corpus_dir: str, *,
                   num_sms: int = 2,
                   dmr: Optional[DMRConfig] = None,
                   cache: Union[None, bool, str, ResultCache] = True,
-                  jobs: Optional[int] = None,
-                  supervisor: Optional[object] = None) -> Dict:
+                  jobs: Optional[int] = None) -> Dict:
     """Sweep *schedules* seeded interleavings over *kernels* corpus kernels.
 
     Returns plain data: one row per schedule (seeds ``0..N-1`` plus the
@@ -125,43 +117,25 @@ def run_fig_sched(corpus_dir: str, *,
     payloads = {digest: corpus.load(digest).to_payload()
                 for digest in digests}
     dmr = dmr if dmr is not None else DMRConfig.paper_default()
-    resolved_cache = _resolve_cache(cache)
-    jobs = jobs if jobs is not None else default_jobs()
 
     # Schedule None = the deterministic policy baseline, then N seeds.
     seeds: List[Optional[int]] = [None] + list(range(schedules))
-    plan: List[Tuple[Optional[int], str, str, GPUConfig]] = []
+    keys, items = [], []
     for seed in seeds:
         config = fuzz_gpu_config(num_sms=num_sms, schedule_seed=seed)
         for digest in digests:
-            plan.append((seed, digest, sched_run_key(digest, config, dmr),
-                         config))
-
-    results: Dict[str, Dict] = {}
-    misses = []
-    for seed, digest, key, config in plan:
-        cached = resolved_cache.get_payload(key) if resolved_cache else None
-        if cached is not None:
-            results[key] = cached
-        else:
-            misses.append((key, (payloads[digest], config, dmr)))
-    if misses:
-        fresh = pool_map(_sched_run_payload,
-                         [args for _, args in misses],
-                         workers=min(jobs, len(misses)),
-                         supervisor=supervisor)
-        for (key, _), payload in zip(misses, fresh):
-            results[key] = payload
-            if resolved_cache is not None:
-                resolved_cache.put_payload(key, payload)
+            keys.append(sched_run_key(digest, config, dmr))
+            items.append((payloads[digest], config))
+    fanout = CachedFanout(_sched_run_payload, dict, cache)
+    results = fanout.run(keys, items, lambda: dmr,
+                         jobs if jobs is not None else default_jobs())
 
     rows = []
-    for seed in seeds:
+    for index, seed in enumerate(seeds):
         label = POLICY_LABEL if seed is None else str(seed)
-        config = fuzz_gpu_config(num_sms=num_sms, schedule_seed=seed)
-        per_schedule = [results[sched_run_key(digest, config, dmr)]
-                        for digest in digests]
-        rows.append(_schedule_row(label, per_schedule))
+        start = index * len(digests)
+        rows.append(_schedule_row(label,
+                                  results[start:start + len(digests)]))
 
     return {
         "figure": "fig-sched",
@@ -170,8 +144,8 @@ def run_fig_sched(corpus_dir: str, *,
         "schedules": schedules,
         "num_sms": num_sms,
         "dmr": dmr.to_dict(),
-        "cached_runs": len(plan) - len(misses),
-        "simulated_runs": len(misses),
+        "cached_runs": len(keys) - fanout.simulations,
+        "simulated_runs": fanout.simulations,
         "rows": rows,
     }
 

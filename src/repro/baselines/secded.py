@@ -38,13 +38,12 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.common.config import GPUConfig
+from repro.faults.injector import FaultInjector
 from repro.faults.models import (
     TransientFault,
     _float_to_bits,
     _int_to_bits,
 )
-from repro.isa.opcodes import UnitType
-from repro.sim.executor import FaultHook
 
 #: protected word width and code geometry: Hamming(72,64) SECDED.
 DATA_BITS = 64
@@ -184,13 +183,13 @@ def _hw_word(value: object) -> int:
     raise TypeError(f"cannot encode value {value!r}")
 
 
-class SECDEDBackend(FaultHook):
+class SECDEDBackend(FaultInjector):
     """The :class:`~repro.sim.executor.FaultHook` of an ECC-protected chip.
 
-    Mirrors :class:`~repro.faults.injector.FaultInjector`'s fault
-    iteration so campaigns can swap backends per
-    ``CampaignSpec.scheme``, but resolves each fault the way ECC
-    hardware would:
+    A :class:`~repro.faults.injector.FaultInjector` — same fault walk
+    and one-shot transients, so campaigns can swap backends per
+    ``CampaignSpec.scheme`` — whose :meth:`strike` resolves each fired
+    fault the way ECC hardware would:
 
     * A :class:`TransientFault` is a storage-cell upset: the strike
       lands on the *encoded* codeword of the value the unit just
@@ -204,68 +203,37 @@ class SECDEDBackend(FaultHook):
     """
 
     def __init__(self, faults: List) -> None:
-        self.faults = list(faults)
-        self.activations = 0
+        super().__init__(faults)
         self.detections = 0
         self.checks = 0
         self.corrections = 0
         self.uncorrectable = 0
-        self._fired = set()
 
-    def apply(self, sm_id: int, unit: UnitType, hw_lane: int,
-              cycle: int, value: object) -> object:
-        for index, fault in enumerate(self.faults):
-            if not fault.matches_site(sm_id, unit, hw_lane):
-                continue
-            if isinstance(fault, TransientFault):
-                if index in self._fired or not fault.is_armed(cycle):
-                    continue
-                self._fired.add(index)
-                self.activations += 1
-                self.checks += 1
-                word = _hw_word(value)
-                struck = encode(word) ^ (1 << data_bit_position(fault.bit))
-                decoded = decode(struck)
-                if (decoded.status is CodecStatus.CORRECTED
-                        and decoded.data == word):
-                    # corrected in place: the datapath never sees the flip
-                    self.detections += 1
-                    self.corrections += 1
-                else:
-                    # an uncorrectable (multi-bit) upset is still flagged,
-                    # but the corrupted value reaches the datapath
-                    self.detections += 1
-                    self.uncorrectable += 1
-                    value = fault.apply(value, cycle)
-            else:
-                # logic defect: encoded post-fault, codec-blind
-                perturbed = fault.apply(value, cycle)
-                if perturbed is not value:
-                    self.activations += 1
-                value = perturbed
-        return value
-
-    def may_perturb(self, sm_id: int, cycle: int) -> bool:
-        """Same windowing contract as ``FaultInjector.may_perturb``: a
-        corrected transient leaves execution bit-identical to fault-free,
-        so the vectorized fast path resumes once the one shot is spent."""
-        for index, fault in enumerate(self.faults):
-            if fault.sm_id != sm_id:
-                continue
-            if isinstance(fault, TransientFault):
-                if index not in self._fired and fault.is_armed(cycle):
-                    return True
-            else:
-                return True
-        return False
+    def strike(self, fault, value: object, cycle: int) -> object:
+        if not isinstance(fault, TransientFault):
+            # logic defect: encoded post-fault, codec-blind
+            return super().strike(fault, value, cycle)
+        self.activations += 1
+        self.checks += 1
+        self.detections += 1
+        word = _hw_word(value)
+        struck = encode(word) ^ (1 << data_bit_position(fault.bit))
+        decoded = decode(struck)
+        if decoded.status is CodecStatus.CORRECTED and decoded.data == word:
+            # corrected in place: the datapath never sees the flip
+            self.corrections += 1
+            return value
+        # an uncorrectable (multi-bit) upset is still flagged, but the
+        # corrupted value reaches the datapath
+        self.uncorrectable += 1
+        return fault.apply(value, cycle)
 
     def reset(self) -> None:
-        self.activations = 0
+        super().reset()
         self.detections = 0
         self.checks = 0
         self.corrections = 0
         self.uncorrectable = 0
-        self._fired.clear()
 
 
 # ----------------------------------------------------------------------

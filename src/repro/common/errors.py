@@ -101,3 +101,30 @@ class StoreDegraded(HarnessError):
     def __init__(self, message: str, reason: str = "") -> None:
         super().__init__(message)
         self.reason = reason
+
+
+#: attempts one task gets before it is poisoned — the supervisor's
+#: default :class:`~repro.resilience.policy.RetryPolicy` and the job
+#: store's unit parking (``MAX_UNIT_ATTEMPTS``) share this budget
+MAX_ATTEMPTS = 3
+
+
+def failure_kind(error_class: type) -> str:
+    """``"transient"`` (retry) or ``"permanent"`` (fail fast).
+
+    The one failure taxonomy: the supervisor applies it to a raised
+    error's class, the service's poison diagnosis to the class a
+    recorded type name resolves to.  Deterministic failures — simulator
+    invariants (:class:`ReproError`) and failed output checks
+    (``AssertionError``) — reproduce on every attempt, so retrying only
+    burns the budget.  Everything else (dead workers, broken pools,
+    timeouts, OOM, flaky exceptions) is assumed to heal on a fresh
+    attempt.  :class:`TransientWorkerFailure` wins over the
+    :class:`ReproError` check because it *is* a ReproError by
+    inheritance yet names the retryable class of harness failures.
+    """
+    if issubclass(error_class, TransientWorkerFailure):
+        return "transient"
+    if issubclass(error_class, (ReproError, AssertionError)):
+        return "permanent"
+    return "transient"

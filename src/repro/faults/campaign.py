@@ -52,7 +52,6 @@ from repro.resilience.deadline import (  # noqa: F401  (re-exported API)
     cycle_budget,
     wall_budget,
 )
-from repro.service.sharding import fanout_workers, pool_chunks
 from repro.sim.gpu import GPU, KernelResult
 
 
@@ -173,6 +172,20 @@ class CampaignResult:
 
     def summary(self) -> Dict[str, int]:
         return {outcome.value: self.count(outcome) for outcome in Outcome}
+
+    def coverage_entry(self, confidence: float = 0.95) -> Dict[str, object]:
+        """The detection rate and its interval in percent, figure-style,
+        with the counts behind them (fig9a-sampled and fig-pareto)."""
+        low, high = self.coverage_interval(confidence)
+        return {
+            "rate": 100.0 * self.detection_rate,
+            "low": 100.0 * low,
+            "high": 100.0 * high,
+            "samples": self.total,
+            "harmful": self.harmful_runs,
+            "detected": self.detected_runs,
+            "outcomes": self.summary(),
+        }
 
     def metrics(self):
         """Fleet-wide :class:`~repro.obs.MetricSnapshot` over all runs.
@@ -410,17 +423,17 @@ def run_single_fault(spec: CampaignSpec, fault: Fault,
     )
 
 
-def _campaign_worker(args: Tuple[CampaignSpec, List[Fault], Sequence,
-                                 int, int]) -> List[dict]:
-    """Worker entry point: classify a chunk of faults, return payloads.
+def _classify(context: Tuple[CampaignSpec, Sequence, int, int],
+              fault: Fault) -> dict:
+    """Fan-out entry point: classify one fault, return its payload.
 
-    Module-level so it pickles under any multiprocessing start method;
-    chunks amortize process/IPC overhead over many sub-second runs.
+    The context — spec, golden output, watchdog budget and golden
+    cycles — is shared by every fault of a campaign and rides along
+    once per worker chunk, so workers re-derive nothing.
     """
-    spec, faults, golden, budget, golden_cycles = args
-    return [run_single_fault(spec, fault, golden, budget,
-                             golden_cycles).to_payload()
-            for fault in faults]
+    spec, golden, budget, golden_cycles = context
+    return run_single_fault(spec, fault, golden, budget,
+                            golden_cycles).to_payload()
 
 
 class CampaignEngine:
@@ -430,62 +443,46 @@ class CampaignEngine:
     :class:`~repro.analysis.result_cache.ResultCache` the suite runner
     uses (so a figure regeneration and a campaign share baselines), and
     every fault-run classification is cached under
-    :func:`fault_run_key` — rerunning a finished campaign, or resuming
-    an interrupted one, re-simulates only the missing faults.
+    :func:`fault_run_key` through one
+    :class:`~repro.analysis.result_cache.CachedFanout` — rerunning a
+    finished campaign, or resuming an interrupted one, re-simulates
+    only the missing faults.
 
     ``cache`` selects the persistent layer exactly like
-    :class:`~repro.analysis.runner.SuiteRunner`: ``None``/``False``
-    in-memory only, ``True`` the default directory, a path, or a ready
-    :class:`ResultCache`.  ``jobs`` is the default fan-out for
-    :meth:`run`.
-
-    Fan-outs are supervised (:mod:`repro.resilience`): worker deaths
-    retry with backoff, pool collapses rebuild and resubmit only the
-    lost chunks, and corrupt cache entries quarantine and recompute —
-    all counted in the engine's harness registry
-    (:meth:`harness_snapshot`).  ``deadline`` bounds each worker
-    chunk's wall clock: ``"auto"`` (default) calibrates from the
-    measured golden runtime via
-    :func:`repro.resilience.deadline.wall_budget` (no deadline when
-    the golden run came from cache — nothing was timed), a float is
-    taken as seconds *per fault*, ``None`` disables.  A supplied
-    ``supervisor`` wins; if its own deadline is unset the engine's
-    calibration is installed onto it.
+    :class:`~repro.analysis.runner.SuiteRunner`, and ``jobs`` is the
+    default fan-out for :meth:`run`.  Fan-outs are supervised
+    (:mod:`repro.resilience`): worker deaths retry with backoff, pool
+    collapses rebuild and resubmit only the lost chunks, and corrupt
+    cache entries quarantine and recompute — all counted in the
+    engine's harness registry (:meth:`harness_snapshot`).  Each worker
+    chunk's wall clock is bounded by the measured golden runtime via
+    :func:`repro.resilience.deadline.wall_budget` (no deadline when the
+    golden run came from cache — nothing was timed).  A supplied
+    ``supervisor`` wins; if its own deadline is unset that calibration
+    is installed onto it.
     """
 
-    def __init__(self, spec: CampaignSpec,
-                 cache=None, jobs: int = 1,
-                 supervisor=None,
-                 deadline="auto") -> None:
-        from repro.analysis.result_cache import ResultCache
-        from repro.obs.metrics import MetricsRegistry
-        from repro.resilience import Supervisor, declare_harness_metrics
+    def __init__(self, spec: CampaignSpec, cache=None, jobs: int = 1,
+                 supervisor=None) -> None:
+        from repro.analysis.result_cache import CachedFanout
 
         self.spec = spec
         self.jobs = max(1, jobs)
-        self._deadline = deadline
-        if supervisor is not None:
-            self.supervisor = supervisor
-            self.harness = supervisor.registry
-            if supervisor.deadline is None:
-                supervisor.deadline = self._task_deadline
-        else:
-            self.harness = declare_harness_metrics(MetricsRegistry())
-            self.supervisor = Supervisor(registry=self.harness,
-                                         deadline=self._task_deadline)
-        if isinstance(cache, ResultCache):
-            self.persistent_cache: Optional[ResultCache] = cache
-        elif cache is True:
-            self.persistent_cache = ResultCache(registry=self.harness)
-        elif cache:
-            self.persistent_cache = ResultCache(cache,
-                                                registry=self.harness)
-        else:
-            self.persistent_cache = None
-        self._runs: Dict[str, FaultRun] = {}
+        self._fanout = CachedFanout(_classify, FaultRun.from_payload, cache,
+                                    supervisor=supervisor,
+                                    label="campaign-cache")
+        if self._fanout.supervisor.deadline is None:
+            self._fanout.supervisor.deadline = self._task_deadline
+        self.harness = self._fanout.harness
+        self.persistent_cache = self._fanout.cache
         self._golden: Optional[KernelResult] = None
+        self._golden_output: Optional[Sequence] = None
         self._golden_seconds: Optional[float] = None
-        self.simulations = 0  # fault runs actually executed anywhere
+
+    @property
+    def simulations(self) -> int:
+        """Fault runs actually executed anywhere."""
+        return self._fanout.simulations
 
     # ------------------------------------------------------------------
     def _golden_key(self) -> str:
@@ -523,7 +520,11 @@ class CampaignEngine:
         return result
 
     def golden_output(self) -> Sequence:
-        return self.spec.prepare().output_of(self.golden_result().memory)
+        """The golden run's output, extracted once per engine."""
+        if self._golden_output is None:
+            self._golden_output = self.spec.prepare().output_of(
+                self.golden_result().memory)
+        return self._golden_output
 
     def cycle_budget(self) -> int:
         """Per-run watchdog budget derived from the golden runtime."""
@@ -532,14 +533,6 @@ class CampaignEngine:
                             spec.watchdog_factor, spec.watchdog_slack,
                             spec.max_cycles)
 
-    def _per_fault_seconds(self) -> Optional[float]:
-        """Wall seconds one faulty run is expected to take (or None)."""
-        if self._deadline is None:
-            return None
-        if isinstance(self._deadline, (int, float)):
-            return float(self._deadline)
-        return self._golden_seconds  # "auto": measured, else None
-
     def _task_deadline(self, args: Tuple) -> Optional[float]:
         """Supervisor deadline for one worker chunk.
 
@@ -547,45 +540,19 @@ class CampaignEngine:
         the wall-clock analogue of the cycle watchdog, calibrated from
         the same golden run.
         """
-        per_fault = self._per_fault_seconds()
-        if per_fault is None:
+        if self._golden_seconds is None:
             return None
-        faults = args[1]
-        return wall_budget(per_fault * max(1, len(faults)))
+        faults = args[2]
+        return wall_budget(self._golden_seconds * max(1, len(faults)))
 
-    # ------------------------------------------------------------------
-    def _lookup(self, key: str) -> Optional[FaultRun]:
-        if key in self._runs:
-            return self._runs[key]
-        if self.persistent_cache is not None:
-            payload = self.persistent_cache.get_payload(key)
-            if payload is not None:
-                try:
-                    run = FaultRun.from_payload(payload)
-                except (KeyError, TypeError, ValueError):
-                    return None  # foreign/stale payload: treat as miss
-                self._runs[key] = run
-                return run
-        return None
-
-    def _store(self, key: str, run: FaultRun) -> None:
-        self._runs[key] = run
-        self.simulations += 1
-        if self.persistent_cache is not None:
-            self.persistent_cache.put_payload(key, run.to_payload())
+    def _context(self) -> Tuple[CampaignSpec, Sequence, int, int]:
+        return (self.spec, self.golden_output(), self.cycle_budget(),
+                self.golden_result().cycles)
 
     # ------------------------------------------------------------------
     def run_fault(self, fault: Fault) -> FaultRun:
         """Classify one fault (through the cache)."""
-        key = fault_run_key(self.spec, fault)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        run = run_single_fault(self.spec, fault, self.golden_output(),
-                               self.cycle_budget(),
-                               self.golden_result().cycles)
-        self._store(key, run)
-        return run
+        return self.run([fault]).runs[0]
 
     def run(self, faults: Sequence[Fault], *,
             parallel: Optional[int] = None) -> CampaignResult:
@@ -593,68 +560,21 @@ class CampaignEngine:
 
         Duplicate faults simulate once; results come back in fault
         order.  With ``parallel`` (or ``self.jobs``) > 1 the misses are
-        chunked across a supervised process pool — each chunk
-        re-derives nothing (spec, golden output and watchdog budget
-        ride along), so workers are pure classify loops, and the
-        supervisor absorbs worker deaths, hangs and pool collapses.
+        chunked across a supervised process pool — each chunk carries
+        the spec, golden output and watchdog budget, so workers are
+        pure classify loops, and the supervisor absorbs worker deaths,
+        hangs and pool collapses.
         """
         keys = [fault_run_key(self.spec, fault) for fault in faults]
-        missing: Dict[str, Fault] = {}
-        for key, fault in zip(keys, faults):
-            if key not in missing and self._lookup(key) is None:
-                missing[key] = fault
-
-        workers = fanout_workers(
-            self.jobs if parallel is None else max(1, parallel),
-            len(missing),
-        )
-        if missing:
-            golden = self.golden_output()
-            budget = self.cycle_budget()
-            golden_cycles = self.golden_result().cycles
-        if workers > 1:
-            order = list(missing.items())
-            chunks = pool_chunks(order, workers)
-            args = [(self.spec, [fault for _, fault in chunk], golden,
-                     budget, golden_cycles) for chunk in chunks]
-            for chunk, payloads in zip(
-                    chunks,
-                    self.supervisor.map(_campaign_worker, args, workers)):
-                for (key, _), payload in zip(chunk, payloads):
-                    self._store(key, FaultRun.from_payload(payload))
-        else:
-            for key, fault in missing.items():
-                self._store(key, run_single_fault(self.spec, fault, golden,
-                                                  budget, golden_cycles))
-
-        return CampaignResult(runs=[self._runs[key] for key in keys])
+        return CampaignResult(runs=self._fanout.run(
+            keys, faults, self._context,
+            self.jobs if parallel is None else parallel))
 
     # ------------------------------------------------------------------
     def harness_snapshot(self):
-        """Supervision counters (retries, timeouts, pool rebuilds,
-        cache corruption/quarantines) accumulated by this engine."""
-        from repro.obs.metrics import MetricSnapshot
-        return MetricSnapshot.from_registry(self.harness)
+        """Supervision counters accumulated by this engine."""
+        return self._fanout.harness_snapshot()
 
     def cache_summary(self) -> str:
         """One-line accounting, printed to stderr by the CLI."""
-        parts = [f"simulations={self.simulations}",
-                 f"memory-entries={len(self._runs)}"]
-        if self.persistent_cache is not None:
-            pc = self.persistent_cache
-            parts.append(f"disk-hits={pc.hits}")
-            parts.append(f"disk-stores={pc.stores}")
-            if pc.corrupt:
-                parts.append(f"corrupt={pc.corrupt}")
-                parts.append(f"quarantined={pc.quarantined}")
-            parts.append(f"dir={pc.cache_dir}")
-        retries = self.harness.value("resilience_retries")
-        if retries:
-            parts.append(f"retries={retries}")
-        timeouts = self.harness.value("resilience_timeouts")
-        if timeouts:
-            parts.append(f"timeouts={timeouts}")
-        rebuilds = self.harness.value("resilience_pool_rebuilds")
-        if rebuilds:
-            parts.append(f"pool-rebuilds={rebuilds}")
-        return "campaign-cache: " + " ".join(parts)
+        return self._fanout.cache_summary()

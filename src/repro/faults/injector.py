@@ -20,7 +20,13 @@ from repro.sim.executor import FaultHook
 
 
 class FaultInjector(FaultHook):
-    """Applies a set of faults; counts activations for reporting."""
+    """Applies a set of faults; counts activations for reporting.
+
+    :meth:`apply` owns the walk over fault sites and the one-shot
+    bookkeeping of transients; how a fired fault resolves is
+    :meth:`strike`, the one hook a detection backend overrides
+    (:class:`~repro.baselines.secded.SECDEDBackend` does).
+    """
 
     def __init__(self, faults: List[Fault]) -> None:
         self.faults = list(faults)
@@ -36,11 +42,16 @@ class FaultInjector(FaultHook):
                 if index in self._fired or not fault.is_armed(cycle):
                     continue
                 self._fired.add(index)
-            perturbed = fault.apply(value, cycle)
-            if perturbed is not value:
-                self.activations += 1
-            value = perturbed
+            value = self.strike(fault, value, cycle)
         return value
+
+    def strike(self, fault: Fault, value: object, cycle: int) -> object:
+        """The value a computation carries on after *fault* fires on it
+        (unprotected: the perturbed value, counted if it changed)."""
+        perturbed = fault.apply(value, cycle)
+        if perturbed is not value:
+            self.activations += 1
+        return perturbed
 
     def may_perturb(self, sm_id: int, cycle: int) -> bool:
         """Whether any fault could fire on *sm_id* at *cycle*.

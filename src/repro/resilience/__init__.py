@@ -11,8 +11,8 @@ this package applies the same discipline to the harness's own substrate
   classifying livelocked faulty runs ``HUNG``) and its wall-clock
   analogue (:func:`wall_budget`, bounding supervised tasks).
 * :mod:`repro.resilience.supervisor` — :class:`Supervisor`, the
-  resilient ordered map every ``ProcessPoolExecutor`` fan-out (suite
-  runner and campaign engine) routes through: per-task wall-clock
+  resilient ordered map every ``ProcessPoolExecutor`` fan-out (the
+  one ``CachedFanout``) routes through: per-task wall-clock
   timeouts, retry-with-backoff under a structured failure taxonomy
   (:class:`~repro.common.errors.TransientWorkerFailure` /
   :class:`~repro.common.errors.PermanentSimFailure` /

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, List
 
-from repro.common.errors import ConfigError
+from repro.common.errors import MAX_ATTEMPTS, ConfigError
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class RetryPolicy:
     clamped to ``max_delay`` and forced monotone by a running max.
     """
 
-    max_attempts: int = 3
+    max_attempts: int = MAX_ATTEMPTS
     base_delay: float = 0.05
     backoff_factor: float = 2.0
     max_delay: float = 2.0

@@ -1,11 +1,11 @@
 """Supervised process-pool fan-out: timeouts, retries, pool recovery.
 
-``pool_map`` (PR 1) assumed its workers never fail: one hung
-simulation, one OOM-killed worker or one exception wedged or killed an
-entire multi-thousand-run campaign.  :class:`Supervisor` keeps the same
-contract — map a picklable module-level function over plain-data args,
-preserve order — and adds the discipline the paper applies to SIMT
-lanes:
+A plain process-pool map assumes its workers never fail: one hung
+simulation, one OOM-killed worker or one exception wedges or kills an
+entire multi-thousand-run campaign.  :class:`Supervisor` keeps the plain
+map's contract — map a picklable module-level function over plain-data
+args, preserve order — and adds the discipline the paper applies to
+SIMT lanes:
 
 * **Deadlines.**  Each task may carry a wall-clock deadline (a float,
   or a callable of the task arg — campaigns calibrate it from the
@@ -14,9 +14,9 @@ lanes:
   :class:`~repro.common.errors.TaskTimeout`, its wedged worker is
   killed, and the pool is rebuilt — the suite's wall clock stays
   bounded at ~deadline + one backoff per allowed retry.
-* **Retry with backoff.**  Failures are classified
-  (:func:`classify_failure`): transient ones — dead workers, broken
-  pools, timeouts, flaky exceptions — retry under the
+* **Retry with backoff.**  Failures are classified by
+  :func:`repro.common.errors.failure_kind`: transient ones — dead
+  workers, broken pools, timeouts, flaky exceptions — retry under the
   :class:`~repro.resilience.policy.RetryPolicy` with deterministic
   exponential backoff; deterministic ones (:class:`ReproError`,
   ``AssertionError`` from a failed output check) fail fast as
@@ -53,9 +53,8 @@ from repro.common.errors import (
     HarnessError,
     PermanentSimFailure,
     PoisonedTask,
-    ReproError,
     TaskTimeout,
-    TransientWorkerFailure,
+    failure_kind,
 )
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.resilience.policy import RetryPolicy
@@ -88,23 +87,8 @@ def declare_harness_metrics(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 def classify_failure(error: BaseException) -> str:
-    """``"transient"`` (retry) or ``"permanent"`` (fail fast).
-
-    Deterministic failures — simulator invariants (:class:`ReproError`)
-    and failed output checks (``AssertionError``) — reproduce on every
-    attempt, so retrying only burns the budget.  Everything else (dead
-    workers, broken pools, timeouts, OOM, flaky exceptions) is assumed
-    to heal on a fresh attempt.  :class:`TransientWorkerFailure` wins
-    over the :class:`ReproError` check because it *is* a ReproError by
-    inheritance yet names the retryable class of harness failures.
-    """
-    if isinstance(error, TransientWorkerFailure):
-        return "transient"
-    if isinstance(error, BrokenExecutor):
-        return "transient"
-    if isinstance(error, (ReproError, AssertionError)):
-        return "permanent"
-    return "transient"
+    """:func:`~repro.common.errors.failure_kind` of *error*'s class."""
+    return failure_kind(type(error))
 
 
 @dataclass
@@ -156,7 +140,6 @@ class Supervisor:
     def map(self, fn: Callable, args: Sequence, workers: int) -> List:
         """Apply *fn* to every arg, in order, surviving worker failure.
 
-        The drop-in replacement for the old ``pool_map`` contract:
         *fn* must be module-level (picklable under any multiprocessing
         start method) and should return plain data.  With ``workers <=
         1`` (or one task) the map runs in-process — retries still

@@ -39,12 +39,13 @@ merged output with zero recomputation of adopted results.
 
 from __future__ import annotations
 
+import builtins
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common import errors as error_taxonomy
+from repro.service.jobs import replan_unit_payloads, result_shape_ok
 from repro.service.store import (DEFAULT_LEASE_SECONDS,
                                  DEFAULT_STALE_SECONDS, JobStore,
                                  job_id_for, unit_id_for)
@@ -144,21 +145,17 @@ def format_fsck(report: FsckReport) -> str:
 def classify_error_type(type_name: str) -> str:
     """``"permanent"`` or ``"transient"``, from the recorded type name.
 
-    Mirrors :func:`repro.resilience.supervisor.classify_failure` over
-    the durable form (a type *name*, since exceptions do not survive
-    the store): :class:`~repro.common.errors.TransientWorkerFailure`
-    and unknown infrastructure exceptions are transient; other
-    :class:`~repro.common.errors.ReproError` subclasses and failed
-    output checks (``AssertionError``) reproduce deterministically.
+    Exceptions do not survive the store, their type names do: the name
+    resolves against :mod:`repro.common.errors`, then the builtins, and
+    :func:`~repro.common.errors.failure_kind` judges the class it names
+    — the same rule the supervisor applies to a raised error.  A name
+    that resolves to no exception class (a foreign or unrecorded type)
+    is transient, like any other unknown infrastructure failure.
     """
-    cls = getattr(error_taxonomy, type_name, None)
-    if isinstance(cls, type):
-        if issubclass(cls, error_taxonomy.TransientWorkerFailure):
-            return "transient"
-        if issubclass(cls, error_taxonomy.ReproError):
-            return "permanent"
-    if type_name == "AssertionError":
-        return "permanent"
+    cls = getattr(error_taxonomy, type_name, None) \
+        or getattr(builtins, type_name, None)
+    if isinstance(cls, type) and issubclass(cls, BaseException):
+        return error_taxonomy.failure_kind(cls)
     return "transient"
 
 
@@ -295,7 +292,6 @@ def fsck_job(store: JobStore, job_id: str, report: FsckReport,
 
     def planned_unit(unit_id: str) -> Optional[dict]:
         if not planned:
-            from repro.service.jobs import replan_unit_payloads
             try:
                 planned.update({unit["unit"]: unit
                                 for unit in replan_unit_payloads(job)})
@@ -423,7 +419,7 @@ def fsck_job(store: JobStore, job_id: str, report: FsckReport,
                  "quarantined")
             continue
         if payload.get("unit") != unit_id or \
-                not _result_count_ok(job, payload, index[unit_id]):
+                not result_shape_ok(job["kind"], payload, index[unit_id]):
             if repair:
                 store._quarantine(path, job_id, "results")
             _act(report, repair, job_id, "corrupt-result", rel,
@@ -546,16 +542,6 @@ def _parse_probe(path) -> Optional[dict]:
     return payload if isinstance(payload, dict) else None
 
 
-def _result_count_ok(job: dict, payload: dict, count: int) -> bool:
-    """Semantic size check: a parsed result must cover its whole unit."""
-    if job["kind"] == "campaign":
-        runs = payload.get("runs")
-        return isinstance(runs, list) and len(runs) == count
-    if job["kind"] == "figure":
-        return payload.get("cells") == count
-    return True
-
-
 # ----------------------------------------------------------------------
 # Janitor-grade healing (cheap enough for every idle pass)
 # ----------------------------------------------------------------------
@@ -586,7 +572,6 @@ def regenerate_lost_units(store: JobStore, job_id: str,
             store.adopt_result(job_id, unit_id)
             continue
         if not planned:
-            from repro.service.jobs import replan_unit_payloads
             try:
                 planned.update({unit["unit"]: unit
                                 for unit in replan_unit_payloads(job)})

@@ -344,7 +344,7 @@ def merge_job(store: JobStore, job_id: str) -> Optional[dict]:
         payload = store.unit_result(job_id, entry["unit"])
         if payload is None:
             return None
-        if not _result_shape_ok(job["kind"], payload, entry["count"]):
+        if not result_shape_ok(job["kind"], payload, entry["count"]):
             # parses and carries the right unit id, but does not cover
             # its whole item slice (a truncated writer that still left
             # valid JSON) — quarantine rather than merge a short read,
@@ -379,8 +379,9 @@ def merge_job(store: JobStore, job_id: str) -> Optional[dict]:
     raise ConfigError(f"unknown job kind {job['kind']!r}")
 
 
-def _result_shape_ok(kind: str, payload: dict, count: int) -> bool:
-    """A unit result must cover exactly its manifest item count."""
+def result_shape_ok(kind: str, payload: dict, count: int) -> bool:
+    """A unit result must cover exactly its manifest item count (the
+    merge and ``serve fsck`` both judge published results by this)."""
     if kind == "campaign":
         runs = payload.get("runs")
         return isinstance(runs, list) and len(runs) == count

@@ -52,9 +52,9 @@ def balanced_chunks(items: Sequence, chunks: int) -> List[List]:
 def fanout_workers(requested: int, pending: int) -> int:
     """Effective worker count for *pending* outstanding tasks.
 
-    The shared clamp both runners applied inline: at least one worker
-    when asked for any, never more workers than tasks, zero when there
-    is nothing to do (the caller then skips the pool entirely).
+    The clamp every cached fan-out applies (``CachedFanout.run``): one
+    worker at least when asked for any, never more workers than tasks,
+    zero when there is nothing to do (the caller then skips the pool).
     """
     if pending <= 0:
         return 0

@@ -55,15 +55,16 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, StoreDegraded
+from repro.common.errors import MAX_ATTEMPTS, ConfigError, StoreDegraded
 from repro.obs.metrics import MetricsRegistry
 from repro.service.codec import encode_canonical
 
 #: seconds a claim may go without completing before it is stealable
 DEFAULT_LEASE_SECONDS = 300.0
 
-#: attempts a unit gets before it is parked in ``failed/``
-MAX_UNIT_ATTEMPTS = 3
+#: attempts a unit gets before it is parked in ``failed/`` (the same
+#: budget the supervisor's default retry policy grants a task)
+MAX_UNIT_ATTEMPTS = MAX_ATTEMPTS
 
 #: seconds without a heartbeat before a worker is reported stale
 DEFAULT_STALE_SECONDS = 30.0

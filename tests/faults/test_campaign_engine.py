@@ -117,6 +117,24 @@ class TestResumableCache:
             engine.golden_result()
         assert len(engine.persistent_cache) == 0
 
+    def test_golden_output_extracted_once(self, spec, monkeypatch):
+        """Each faulty run prepares its own workload; the golden output
+        it is compared against is prepared once per engine."""
+        faults = sampled_faults(spec, 3)
+        engine = CampaignEngine(spec)
+        engine.golden_result()
+        prepares = []
+        prepare = CampaignSpec.prepare
+
+        def counting_prepare(self):
+            prepares.append(self)
+            return prepare(self)
+
+        monkeypatch.setattr(CampaignSpec, "prepare", counting_prepare)
+        for fault in faults:
+            engine.run_fault(fault)
+        assert len(prepares) == len(faults) + 1
+
     def test_duplicate_faults_simulate_once(self, spec):
         fault = sampled_faults(spec, 1)[0]
         engine = CampaignEngine(spec)

@@ -1,5 +1,6 @@
 """Unit tests for the fault injector hook."""
 
+from repro.baselines.secded import SECDEDBackend
 from repro.faults.injector import FaultInjector
 from repro.faults.models import StuckAtFault, TransientFault
 from repro.isa.opcodes import UnitType
@@ -58,3 +59,43 @@ class TestTransient:
             StuckAtFault(sm_id=0, hw_lane=0, bit=1, stuck_to=1),
         ])
         assert injector.apply(0, UnitType.SP, 0, 0, 0) == 3
+
+
+class TestSECDEDStrike:
+    """The ECC backend shares the injector's fault walk and overrides
+    only how a fired fault resolves; its codec counters stay exact."""
+
+    @staticmethod
+    def _counters(backend):
+        return (backend.activations, backend.checks, backend.detections,
+                backend.corrections, backend.uncorrectable)
+
+    def test_transient_is_corrected_once(self):
+        backend = SECDEDBackend([
+            TransientFault(sm_id=0, hw_lane=0, bit=5, cycle=10),
+        ])
+        assert backend.may_perturb(0, 10)
+        assert backend.apply(0, UnitType.SP, 0, 5, 7) == 7    # not armed
+        assert backend.apply(0, UnitType.SP, 0, 10, 7) == 7   # corrected
+        assert backend.apply(0, UnitType.SP, 0, 11, 7) == 7   # consumed
+        assert not backend.may_perturb(0, 11)
+        assert self._counters(backend) == (1, 1, 1, 1, 0)
+
+    def test_stuck_at_is_codec_blind(self):
+        backend = SECDEDBackend([
+            StuckAtFault(sm_id=0, hw_lane=3, unit=UnitType.SP,
+                         bit=0, stuck_to=1),
+        ])
+        assert backend.apply(0, UnitType.SP, 3, 0, 0) == 1
+        assert backend.apply(0, UnitType.SP, 3, 1, 1) == 1    # masked
+        assert self._counters(backend) == (1, 0, 0, 0, 0)
+
+    def test_reset_rearms_and_clears(self):
+        backend = SECDEDBackend([
+            TransientFault(sm_id=0, hw_lane=0, bit=0, cycle=0),
+        ])
+        backend.apply(0, UnitType.SP, 0, 0, 0)
+        backend.reset()
+        assert self._counters(backend) == (0, 0, 0, 0, 0)
+        backend.apply(0, UnitType.SP, 0, 0, 0)
+        assert self._counters(backend) == (1, 1, 1, 1, 0)
