@@ -32,12 +32,12 @@ Commands
     Run one workload (or the whole suite) with the metrics registry on
     and print the aggregated snapshot: counters, stall-cause
     attribution, occupancy/queue-depth distributions — plus the
-    harness's own resilience counters (retries, timeouts, pool
-    rebuilds, cache quarantines).
+    harness's own fan-out counters (retries, timeouts, worker deaths,
+    cache quarantines).
 ``chaos [WORKLOAD]``
-    Prove the supervision layer: run a fault campaign while injecting
-    harness-level chaos (SIGKILL a worker, oversleep the deadline,
-    raise in workers/initializers, corrupt cache entries) and verify
+    Prove the fan-out's fault tolerance: run a fault campaign while
+    injecting harness-level chaos (SIGKILL a worker, oversleep the unit
+    deadline, raise in workers, corrupt cache entries) and verify
     the result is byte-identical to an unfaulted serial run.  Exits
     nonzero on any lost or divergent classification.  ``chaos
     --fabric`` aims the same adversary at the service fabric instead:
@@ -474,8 +474,8 @@ def cmd_metrics(args) -> int:
         results = runner.run_suite(dmr, parallel=args.jobs)
     snapshot = aggregate_metrics(results.values())
     registry = snapshot.to_registry()
-    # fold in the harness's own supervision counters (retries,
-    # timeouts, pool rebuilds, cache quarantines) so one table shows
+    # fold in the harness's own fan-out counters (retries, timeouts,
+    # worker deaths, cache quarantines) so one table shows
     # both what the simulator did and what the fleet absorbed
     registry.merge(runner.harness)
 
@@ -558,8 +558,8 @@ def cmd_chaos(args) -> int:
     report = run_campaign_chaos(
         workload=args.workload, samples=args.samples,
         parallel=args.parallel, kills=args.kills, sleeps=args.sleeps,
-        raises=args.raises, init_raises=args.init_raises,
-        corrupt=args.corrupt, corrupt_mode=args.corrupt_mode,
+        raises=args.raises, corrupt=args.corrupt,
+        corrupt_mode=args.corrupt_mode,
         scale=args.scale, seed=args.seed, sms=args.sms,
         task_deadline=args.task_deadline,
     )
@@ -571,17 +571,15 @@ def cmd_chaos(args) -> int:
     print(f"chaos scenario    : {args.workload} samples={args.samples} "
           f"parallel={args.parallel} kills={args.kills} "
           f"sleeps={args.sleeps} raises={args.raises} "
-          f"init-raises={args.init_raises} "
           f"corrupt={args.corrupt}({args.corrupt_mode})")
     print(f"events fired      : {report.events_fired} "
           f"(pending {report.events_pending})")
     print("outcomes          : " + "  ".join(
         f"{name}={count}" for name, count in report.outcomes.items()))
-    print(f"resilience        : "
-          f"retries={counters.get('resilience_retries', 0)} "
-          f"timeouts={counters.get('resilience_timeouts', 0)} "
-          f"pool-rebuilds={counters.get('resilience_pool_rebuilds', 0)} "
-          f"worker-failures={counters.get('resilience_worker_failures', 0)}")
+    print(f"fan-out           : "
+          f"retries={counters.get('fanout_retries', 0)} "
+          f"timeouts={counters.get('fanout_timeouts', 0)} "
+          f"worker-deaths={counters.get('fanout_worker_deaths', 0)}")
     print(f"cache integrity   : "
           f"corrupt={counters.get('cache_corrupt_entries', 0)} "
           f"quarantined={counters.get('cache_quarantined', 0)} "
@@ -931,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "TRACE_<workload>.json)")
 
     chaos_parser = sub.add_parser(
-        "chaos", help="chaos-test the supervised campaign harness")
+        "chaos", help="chaos-test the fault-tolerant campaign fan-out")
     chaos_parser.add_argument("workload", nargs="?", default="scan")
     chaos_parser.add_argument("--samples", type=int, default=200,
                               help="faults in the campaign (default 200)")
@@ -939,16 +937,14 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="N",
                               help="worker processes (default 2)")
     chaos_parser.add_argument("--kills", type=int, default=1,
-                              help="workers to SIGKILL mid-task "
+                              help="workers to SIGKILL mid-unit "
                                    "(default 1)")
     chaos_parser.add_argument("--sleeps", type=int, default=0,
-                              help="tasks that oversleep their deadline "
+                              help="units that oversleep their deadline "
                                    "(requires --task-deadline)")
     chaos_parser.add_argument("--raises", type=int, default=0,
-                              help="tasks that raise a transient "
+                              help="units that raise a transient "
                                    "exception once")
-    chaos_parser.add_argument("--init-raises", type=int, default=0,
-                              help="pool initializers that raise once")
     chaos_parser.add_argument("--corrupt", type=int, default=1,
                               help="cache entries to corrupt (default 1)")
     chaos_parser.add_argument("--corrupt-mode",
@@ -956,8 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
                               default="truncate")
     chaos_parser.add_argument("--task-deadline", type=float, default=None,
                               metavar="SECONDS",
-                              help="per-chunk wall-clock deadline "
-                                   "(chaos sleeps are sized to 3x this)")
+                              help="per-unit wall-clock deadline "
+                                   "(chaos sleeps overstay it)")
     chaos_parser.add_argument("--scale", type=float, default=0.5)
     chaos_parser.add_argument("--sms", type=int, default=1)
     chaos_parser.add_argument("--seed", type=int, default=0)
@@ -968,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument(
         "--fabric", action="store_true",
         help="attack the service fabric (job store + real worker "
-             "processes) instead of the in-process pool: store "
+             "processes) instead of a campaign fan-out: store "
              "corruption, lease clock skew, torn temp files, SIGKILLs "
              "— then fsck --repair + a fleet must reconverge")
     chaos_parser.add_argument(
@@ -1061,7 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="server exits after this long regardless")
     serve_parser.add_argument(
         "--chaos-plan", default=None, metavar="DIR",
-        help="fire chaos events (kill/raise markers) from this plan "
+        help="fire chaos events (kill/sleep/raise markers) from this plan "
              "directory between claim and execution (testing)")
 
     serve_sub = serve_parser.add_subparsers(dest="serve_command")

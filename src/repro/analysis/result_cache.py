@@ -28,7 +28,8 @@ or silently discarded.
 of the store — :class:`~repro.analysis.runner.SuiteRunner`,
 :class:`~repro.faults.campaign.CampaignEngine` and the fig-sched sweep
 each hold one: memory, then disk, then one simulation per distinct
-miss, serial or through the supervised process pool.
+miss, serial or as a job of a private :class:`~repro.service.store.JobStore`
+worked by forked service workers.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ import hashlib
 import os
 import pathlib
 import pickle
+import shutil
 import tempfile
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, HarnessError
 from repro.obs.metrics import NULL_REGISTRY, MetricSnapshot, MetricsRegistry
-from repro.resilience import Supervisor, declare_harness_metrics
+from repro.resilience import declare_harness_metrics
 from repro.service.sharding import fanout_workers, pool_chunks
 from repro.sim.gpu import KernelResult
 
@@ -121,8 +123,8 @@ class ResultCache:
     are atomic (temp file + ``os.replace``), so concurrent runners and
     parallel workers can share one directory safely.  ``registry``
     receives the ``cache_corrupt_entries`` / ``cache_quarantined``
-    counters; the supervision layer passes its harness registry here so
-    ``python -m repro metrics`` surfaces cache integrity events.
+    counters; a :class:`CachedFanout` passes its harness registry here
+    so ``python -m repro metrics`` surfaces cache integrity events.
     """
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None,
@@ -282,47 +284,39 @@ class ResultCache:
                 f"corrupt={self.corrupt})")
 
 
-def _run_chunk(args) -> List:
-    """Pool worker: simulate one chunk of misses, return their payloads.
-
-    Module-level so it pickles under any multiprocessing start method;
-    the chunk's shared context (runner settings, campaign golden output
-    and budgets, ...) crosses the process boundary once per chunk, and
-    chunks amortize process/IPC overhead over many short runs.
-    """
-    simulate, context, items = args
-    return [simulate(context, item) for item in items]
-
-
 class CachedFanout:
     """Memory, then disk, then one simulation per distinct miss.
 
     ``simulate(context, item)`` is a module-level function returning a
-    plain-data payload — the one form that crosses the worker IPC and
-    lands in the disk cache — and ``decode(payload)`` turns a payload
-    into the value callers get back (a stored payload that does not
-    decode counts as a miss).  ``cache`` selects the persistent layer:
-    ``None``/``False`` in memory only, ``True`` the default directory, a
-    path, or a ready :class:`ResultCache`; a cache built here reports
-    corruption into the harness registry.
+    plain-data payload — the one form that crosses to worker processes
+    and lands in the disk cache — and ``decode(payload)`` turns a
+    payload into the value callers get back (a stored payload that does
+    not decode counts as a miss).  ``cache`` selects the persistent
+    layer: ``None``/``False`` in memory only, ``True`` the default
+    directory, a path, or a ready :class:`ResultCache`; a cache built
+    here reports corruption into the harness registry.
 
-    Fan-outs are supervised (:mod:`repro.resilience`): worker deaths,
-    broken pools and flaky exceptions retry with deterministic backoff,
+    Parallel misses run as one job of a private
+    :class:`~repro.service.store.JobStore`
+    (:func:`~repro.service.worker.run_fleet`): dead workers, overdue
+    units and flaky exceptions retry under the store's attempt budget,
     all counted in the *harness registry* (:meth:`harness_snapshot`).
-    Pass a ready ``supervisor`` to customize the policy (the chaos
-    harness does); otherwise one is built over a fresh registry.
-    ``label`` prefixes the :meth:`cache_summary` line.
+    Two seams stay settable: ``deadline`` bounds one unit's wall clock
+    (seconds, or a callable of the largest unit's item count; ``None``
+    is unbounded) and ``chaos_plan`` points the workers at a
+    :class:`~repro.resilience.chaos.ChaosPlan` directory.  ``label``
+    prefixes the :meth:`cache_summary` line.
     """
 
     def __init__(self, simulate: Callable, decode: Callable, cache=None,
-                 *, supervisor: Optional[Supervisor] = None,
-                 label: str = "cache") -> None:
+                 *, label: str = "cache") -> None:
         self.simulate = simulate
         self.decode = decode
         self.label = label
-        self.supervisor = supervisor or Supervisor(
-            registry=declare_harness_metrics(MetricsRegistry()))
-        self.harness = self.supervisor.registry
+        self.harness = declare_harness_metrics(MetricsRegistry())
+        self.deadline: Union[None, float,
+                             Callable[[int], Optional[float]]] = None
+        self.chaos_plan: Optional[str] = None
         if isinstance(cache, ResultCache):
             self.cache: Optional[ResultCache] = cache
         elif cache:
@@ -331,7 +325,7 @@ class CachedFanout:
         else:
             self.cache = None
         self.memory: Dict[str, object] = {}
-        self.simulations = 0  # runs actually executed (locally or pooled)
+        self.simulations = 0  # runs actually executed (here or in workers)
 
     # ------------------------------------------------------------------
     def _lookup(self, key: str) -> Optional[object]:
@@ -360,8 +354,10 @@ class CachedFanout:
         Duplicate keys simulate once.  ``context()`` supplies what every
         miss shares; it is called only when something misses (a campaign
         computes its golden run there).  With more than one worker and
-        more than one miss, the misses go through the supervisor in
-        chunks of :func:`~repro.service.sharding.pool_chunks`; otherwise
+        more than one miss, the misses run as a fan-out job of a
+        private, temporary store (units of
+        :func:`~repro.service.sharding.pool_chunks`) and their payloads
+        land in key order, unit by unit as the units finish; otherwise
         they run here one by one, each persisted as it lands.
         """
         missing: Dict[str, object] = {}
@@ -370,23 +366,45 @@ class CachedFanout:
                 missing[key] = item
         shared = context() if missing else None
         workers = fanout_workers(workers, len(missing))
-        if workers > 1:
-            chunks = pool_chunks(list(missing.items()), workers)
-            args = [(self.simulate, shared, [item for _, item in chunk])
-                    for chunk in chunks]
-            for chunk, payloads in zip(
-                    chunks, self.supervisor.map(_run_chunk, args, workers)):
-                for (key, _), payload in zip(chunk, payloads):
-                    self._land(key, payload)
-        else:
+        if workers <= 1:
             for key, item in missing.items():
                 self._land(key, self.simulate(shared, item))
+            return [self.memory[key] for key in keys]
+
+        from repro.service.jobs import submit_fanout_job
+        from repro.service.store import JobStore
+        from repro.service.worker import run_fleet
+
+        deadline = self.deadline
+        if callable(deadline):
+            deadline = deadline(len(pool_chunks(missing, workers)[0]))
+        root = tempfile.mkdtemp(prefix="repro-fanout-")
+        try:
+            store = JobStore(root)
+            fleet_cache = ResultCache(store.cache_dir)
+
+            def land_unit(result: dict) -> None:
+                for key in result["keys"]:
+                    payload = fleet_cache.get_payload(key)
+                    if payload is None:
+                        raise HarnessError(f"fan-out unit {result['unit']} "
+                                           f"left no readable payload for "
+                                           f"{key}")
+                    self._land(key, payload)
+
+            job_id = submit_fanout_job(store, self.simulate, shared,
+                                       list(missing.values()), list(missing),
+                                       workers)
+            run_fleet(store, job_id, workers, land_unit, deadline=deadline,
+                      chaos_plan=self.chaos_plan, registry=self.harness)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
         return [self.memory[key] for key in keys]
 
     # ------------------------------------------------------------------
     def harness_snapshot(self) -> MetricSnapshot:
-        """Supervision counters (retries, timeouts, pool rebuilds,
-        cache corruption/quarantines) accumulated so far."""
+        """Harness counters (retries, timeouts, worker deaths, cache
+        corruption/quarantines) accumulated so far."""
         return MetricSnapshot.from_registry(self.harness)
 
     def cache_summary(self) -> str:
@@ -401,13 +419,10 @@ class CachedFanout:
                 parts.append(f"corrupt={pc.corrupt}")
                 parts.append(f"quarantined={pc.quarantined}")
             parts.append(f"dir={pc.cache_dir}")
-        retries = self.harness.value("resilience_retries")
-        if retries:
-            parts.append(f"retries={retries}")
-        timeouts = self.harness.value("resilience_timeouts")
-        if timeouts:
-            parts.append(f"timeouts={timeouts}")
-        rebuilds = self.harness.value("resilience_pool_rebuilds")
-        if rebuilds:
-            parts.append(f"pool-rebuilds={rebuilds}")
+        for counter, name in (("fanout_retries", "retries"),
+                              ("fanout_timeouts", "timeouts"),
+                              ("fanout_worker_deaths", "worker-deaths")):
+            value = self.harness.value(counter)
+            if value:
+                parts.append(f"{name}={value}")
         return f"{self.label}: " + " ".join(parts)

@@ -15,7 +15,7 @@ exploits both facts through one
   :meth:`run` API is unchanged.
 
 Workers return :meth:`KernelResult.to_payload` plain data, so the same
-serialization path feeds the pool IPC and the disk cache, and the
+serialization path feeds the fan-out and the disk cache, and the
 determinism tests can compare results byte-for-byte.
 """
 
@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.analysis.result_cache import CachedFanout, ResultCache, result_key
 from repro.common.config import DMRConfig, GPUConfig
 from repro.obs import MetricSnapshot, aggregate_payloads
-from repro.resilience import Supervisor
 from repro.sim.gpu import GPU, KernelResult
 from repro.workloads import all_workloads, get_workload
 
@@ -120,9 +119,9 @@ class SuiteRunner:
     ``jobs`` sets the default fan-out for :meth:`run_many` /
     :meth:`run_suite` (1 = serial in-process).  The execution engine
     is the run's ``GPUConfig.engine``, so it keys like any config field.
-    Fan-outs are supervised; pass a ready ``supervisor`` to customize
-    the retry policy (the chaos harness does).  What it absorbed lands
-    in the runner's harness registry (:meth:`harness_snapshot`).
+    What a parallel fan-out absorbed (retries, timeouts, worker deaths)
+    lands in the runner's harness registry (:meth:`harness_snapshot`);
+    ``fanout`` is the runner's :class:`CachedFanout`.
     """
 
     def __init__(self, config: Optional[GPUConfig] = None,
@@ -130,23 +129,22 @@ class SuiteRunner:
                  check_outputs: bool = True,
                  cache: Union[None, bool, str, os.PathLike,
                               ResultCache] = None,
-                 jobs: int = 1, obs: bool = False,
-                 supervisor: Optional[Supervisor] = None) -> None:
+                 jobs: int = 1, obs: bool = False) -> None:
         self.config = config or experiment_config()
         self.scale = scale
         self.seed = seed
         self.check_outputs = check_outputs
         self.obs = bool(obs)
         self.jobs = max(1, jobs)
-        self._fanout = CachedFanout(_simulate_cell, KernelResult.from_payload,
-                                    cache, supervisor=supervisor)
-        self.harness = self._fanout.harness
-        self.persistent_cache = self._fanout.cache
+        self.fanout = CachedFanout(_simulate_cell, KernelResult.from_payload,
+                                   cache)
+        self.harness = self.fanout.harness
+        self.persistent_cache = self.fanout.cache
 
     @property
     def simulations(self) -> int:
-        """Runs actually executed (locally or in a pool)."""
-        return self._fanout.simulations
+        """Runs actually executed (here or in fan-out workers)."""
+        return self.fanout.simulations
 
     # ------------------------------------------------------------------
     def _key(self, name: str, dmr: DMRConfig, config: GPUConfig) -> str:
@@ -173,9 +171,9 @@ class SuiteRunner:
         """Run (or fetch the cached run of) one workload."""
         spec = self._spec(name, dmr, config)
         key = self._key(*spec)
-        result = self._fanout.memory.get(key)
+        result = self.fanout.memory.get(key)
         if result is None:
-            result = self._fanout.run([key], [spec], self._context)[0]
+            result = self.fanout.run([key], [spec], self._context)[0]
         return result
 
     def baseline(self, name: str) -> KernelResult:
@@ -191,12 +189,12 @@ class SuiteRunner:
         entries mean the runner defaults, as in :meth:`run`.  Duplicate
         keys simulate once.  Results come back in spec order.  With
         ``parallel`` (or ``self.jobs``) > 1 and more than one miss, the
-        misses run in the supervised process pool.
+        misses fan out across worker processes.
         """
         resolved = [self._spec(spec[0], spec[1] if len(spec) > 1 else None,
                                spec[2] if len(spec) > 2 else None)
                     for spec in specs]
-        return self._fanout.run(
+        return self.fanout.run(
             [self._key(*spec) for spec in resolved], resolved,
             self._context, self.jobs if parallel is None else parallel)
 
@@ -222,9 +220,9 @@ class SuiteRunner:
 
     # ------------------------------------------------------------------
     def harness_snapshot(self) -> MetricSnapshot:
-        """Supervision counters accumulated by this runner."""
-        return self._fanout.harness_snapshot()
+        """Harness counters accumulated by this runner."""
+        return self.fanout.harness_snapshot()
 
     def cache_summary(self) -> str:
         """One-line accounting, printed to stderr by the CLI."""
-        return self._fanout.cache_summary()
+        return self.fanout.cache_summary()

@@ -18,7 +18,7 @@ completion order.  Runs are content-addressed in the result cache
 ``schedule_seed``) and resolve through the same
 :class:`~repro.analysis.result_cache.CachedFanout` as the suite runner
 and the campaign engine: serial misses persist as they land, parallel
-ones go through the supervised pool.
+ones fan out across worker processes.
 """
 
 from __future__ import annotations

@@ -43,28 +43,28 @@ class CodecError(ReproError):
 class HarnessError(ReproError):
     """The execution harness itself failed (not the simulated kernel).
 
-    The supervision layer (:mod:`repro.resilience`) classifies every
-    fan-out failure into one of the subclasses below, mirroring how the
-    simulator classifies injected faults: transient failures retry,
-    deterministic ones fail fast, and a task that keeps failing is
-    reported as poisoned instead of wedging the fleet.
+    Fan-outs (:func:`repro.service.worker.run_fleet`) report failures
+    as the subclasses below, mirroring how the simulator classifies
+    injected faults: transient failures retry, a deterministic one
+    ends as :class:`PermanentSimFailure`, and a unit that keeps failing
+    is reported as poisoned instead of wedging the fleet.
     """
 
 
 class TransientWorkerFailure(HarnessError):
     """A worker failed in a way that is expected to heal on retry: the
-    process died (OOM kill, crash), the pool broke, or the task raised
-    a non-deterministic exception.  The supervisor retries these with
-    exponential backoff up to the policy's attempt budget."""
+    process died (OOM kill, crash) holding a unit, or the unit raised a
+    non-deterministic exception.  Retried at once, up to
+    :data:`MAX_ATTEMPTS` attempts."""
 
 
 class TaskTimeout(TransientWorkerFailure):
-    """A task exceeded its wall-clock deadline.
+    """A unit exceeded its wall-clock deadline.
 
     Structured — carries ``deadline`` and ``elapsed`` seconds — so a
     hung simulation surfaces as a reportable failure instead of
     wedging the campaign.  Timeouts are transient (the worker may have
-    been descheduled), so they retry before poisoning the task.
+    been descheduled), so they retry before poisoning the unit.
     """
 
     def __init__(self, message: str, deadline: float = 0.0,
@@ -75,14 +75,15 @@ class TaskTimeout(TransientWorkerFailure):
 
 
 class PermanentSimFailure(HarnessError):
-    """A task failed deterministically (a :class:`ReproError` or failed
-    output check escaped the worker).  Retrying cannot help, so the
-    supervisor fails fast instead of burning the attempt budget."""
+    """A unit failed deterministically: a :class:`ReproError` or failed
+    output check escaped the worker on every attempt, and the poison
+    diagnosis names it ``permanent-sim``."""
 
 
 class PoisonedTask(HarnessError):
-    """A task exhausted its retry budget.  The original failure rides
-    along as ``__cause__``; ``attempts`` records how many were made."""
+    """A unit exhausted its attempt budget with transient failures.
+    ``index`` is the unit's position in its job, ``attempts`` how many
+    were made; the message carries the last recorded failure."""
 
     def __init__(self, message: str, index: int = -1,
                  attempts: int = 0) -> None:
@@ -103,25 +104,23 @@ class StoreDegraded(HarnessError):
         self.reason = reason
 
 
-#: attempts one task gets before it is poisoned — the supervisor's
-#: default :class:`~repro.resilience.policy.RetryPolicy` and the job
-#: store's unit parking (``MAX_UNIT_ATTEMPTS``) share this budget
+#: attempts one unit gets before the job store parks it
+#: (``MAX_UNIT_ATTEMPTS``) — served jobs and local fan-outs alike
 MAX_ATTEMPTS = 3
 
 
 def failure_kind(error_class: type) -> str:
-    """``"transient"`` (retry) or ``"permanent"`` (fail fast).
+    """``"transient"`` (may heal) or ``"permanent"`` (cannot).
 
-    The one failure taxonomy: the supervisor applies it to a raised
-    error's class, the service's poison diagnosis to the class a
-    recorded type name resolves to.  Deterministic failures — simulator
-    invariants (:class:`ReproError`) and failed output checks
-    (``AssertionError``) — reproduce on every attempt, so retrying only
-    burns the budget.  Everything else (dead workers, broken pools,
-    timeouts, OOM, flaky exceptions) is assumed to heal on a fresh
-    attempt.  :class:`TransientWorkerFailure` wins over the
-    :class:`ReproError` check because it *is* a ReproError by
-    inheritance yet names the retryable class of harness failures.
+    The one failure taxonomy: the service's poison diagnosis applies
+    it to the class a recorded type name resolves to.  Deterministic
+    failures — simulator invariants (:class:`ReproError`) and failed
+    output checks (``AssertionError``) — reproduce on every attempt.
+    Everything else (dead workers, timeouts, OOM, flaky exceptions) is
+    assumed to heal on a fresh attempt.  :class:`TransientWorkerFailure`
+    wins over the :class:`ReproError` check because it *is* a
+    ReproError by inheritance yet names the retryable class of harness
+    failures.
     """
     if issubclass(error_class, TransientWorkerFailure):
         return "transient"

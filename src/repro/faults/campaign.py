@@ -450,31 +450,26 @@ class CampaignEngine:
 
     ``cache`` selects the persistent layer exactly like
     :class:`~repro.analysis.runner.SuiteRunner`, and ``jobs`` is the
-    default fan-out for :meth:`run`.  Fan-outs are supervised
-    (:mod:`repro.resilience`): worker deaths retry with backoff, pool
-    collapses rebuild and resubmit only the lost chunks, and corrupt
+    default fan-out for :meth:`run`.  Parallel fan-outs recover from
+    dead workers, overdue units and flaky exceptions, and corrupt
     cache entries quarantine and recompute — all counted in the
-    engine's harness registry (:meth:`harness_snapshot`).  Each worker
-    chunk's wall clock is bounded by the measured golden runtime via
+    engine's harness registry (:meth:`harness_snapshot`).  Each unit's
+    wall clock is bounded by the measured golden runtime via
     :func:`repro.resilience.deadline.wall_budget` (no deadline when the
-    golden run came from cache — nothing was timed).  A supplied
-    ``supervisor`` wins; if its own deadline is unset that calibration
-    is installed onto it.
+    golden run came from cache — nothing was timed); ``fanout.deadline``
+    may be overridden, as the chaos harness does.
     """
 
-    def __init__(self, spec: CampaignSpec, cache=None, jobs: int = 1,
-                 supervisor=None) -> None:
+    def __init__(self, spec: CampaignSpec, cache=None, jobs: int = 1) -> None:
         from repro.analysis.result_cache import CachedFanout
 
         self.spec = spec
         self.jobs = max(1, jobs)
-        self._fanout = CachedFanout(_classify, FaultRun.from_payload, cache,
-                                    supervisor=supervisor,
-                                    label="campaign-cache")
-        if self._fanout.supervisor.deadline is None:
-            self._fanout.supervisor.deadline = self._task_deadline
-        self.harness = self._fanout.harness
-        self.persistent_cache = self._fanout.cache
+        self.fanout = CachedFanout(_classify, FaultRun.from_payload, cache,
+                                   label="campaign-cache")
+        self.fanout.deadline = self._task_deadline
+        self.harness = self.fanout.harness
+        self.persistent_cache = self.fanout.cache
         self._golden: Optional[KernelResult] = None
         self._golden_output: Optional[Sequence] = None
         self._golden_seconds: Optional[float] = None
@@ -482,7 +477,7 @@ class CampaignEngine:
     @property
     def simulations(self) -> int:
         """Fault runs actually executed anywhere."""
-        return self._fanout.simulations
+        return self.fanout.simulations
 
     # ------------------------------------------------------------------
     def _golden_key(self) -> str:
@@ -533,17 +528,16 @@ class CampaignEngine:
                             spec.watchdog_factor, spec.watchdog_slack,
                             spec.max_cycles)
 
-    def _task_deadline(self, args: Tuple) -> Optional[float]:
-        """Supervisor deadline for one worker chunk.
+    def _task_deadline(self, faults: int) -> Optional[float]:
+        """Fan-out deadline for a unit of *faults* faults.
 
-        The chunk's budget scales with how many faults it classifies —
+        The unit's budget scales with how many faults it classifies —
         the wall-clock analogue of the cycle watchdog, calibrated from
         the same golden run.
         """
         if self._golden_seconds is None:
             return None
-        faults = args[2]
-        return wall_budget(self._golden_seconds * max(1, len(faults)))
+        return wall_budget(self._golden_seconds * max(1, faults))
 
     def _context(self) -> Tuple[CampaignSpec, Sequence, int, int]:
         return (self.spec, self.golden_output(), self.cycle_budget(),
@@ -559,22 +553,21 @@ class CampaignEngine:
         """Classify every fault, fanning cache misses out to workers.
 
         Duplicate faults simulate once; results come back in fault
-        order.  With ``parallel`` (or ``self.jobs``) > 1 the misses are
-        chunked across a supervised process pool — each chunk carries
-        the spec, golden output and watchdog budget, so workers are
-        pure classify loops, and the supervisor absorbs worker deaths,
-        hangs and pool collapses.
+        order.  With ``parallel`` (or ``self.jobs``) > 1 the misses fan
+        out across worker processes in units that share the spec,
+        golden output and watchdog budget, so workers are pure classify
+        loops; worker deaths and hangs are retried.
         """
         keys = [fault_run_key(self.spec, fault) for fault in faults]
-        return CampaignResult(runs=self._fanout.run(
+        return CampaignResult(runs=self.fanout.run(
             keys, faults, self._context,
             self.jobs if parallel is None else parallel))
 
     # ------------------------------------------------------------------
     def harness_snapshot(self):
-        """Supervision counters accumulated by this engine."""
-        return self._fanout.harness_snapshot()
+        """Harness counters accumulated by this engine."""
+        return self.fanout.harness_snapshot()
 
     def cache_summary(self) -> str:
         """One-line accounting, printed to stderr by the CLI."""
-        return self._fanout.cache_summary()
+        return self.fanout.cache_summary()

@@ -1,34 +1,27 @@
-"""``repro.resilience``: supervision for the simulation fleet.
+"""``repro.resilience``: fault tolerance for the simulation fleet.
 
 Warped-DMR's premise is detecting faults in an unreliable substrate;
 this package applies the same discipline to the harness's own substrate
-— worker processes, the process pool, and the on-disk result cache:
+— worker processes and the on-disk result cache.  Parallel fan-outs
+run as private job-store jobs (:func:`repro.service.worker.run_fleet`),
+so they share the service fabric's claim protocol, attempt budget
+(:data:`~repro.common.errors.MAX_ATTEMPTS`) and poison diagnosis; this
+package holds what sits around them:
 
-* :mod:`repro.resilience.policy` — :class:`RetryPolicy`, deterministic
-  exponential backoff with bounded jitter (no global ``random`` state).
 * :mod:`repro.resilience.deadline` — the single home of deadline
   calibration: the PR 3 cycle-budget watchdog (:func:`cycle_budget`,
   classifying livelocked faulty runs ``HUNG``) and its wall-clock
-  analogue (:func:`wall_budget`, bounding supervised tasks).
-* :mod:`repro.resilience.supervisor` — :class:`Supervisor`, the
-  resilient ordered map every ``ProcessPoolExecutor`` fan-out (the
-  one ``CachedFanout``) routes through: per-task wall-clock
-  timeouts, retry-with-backoff under a structured failure taxonomy
-  (:class:`~repro.common.errors.TransientWorkerFailure` /
-  :class:`~repro.common.errors.PermanentSimFailure` /
-  :class:`~repro.common.errors.PoisonedTask`), and broken-pool
-  recovery that salvages completed results and resubmits only the
-  lost in-flight tasks.
+  analogue (:func:`wall_budget`, bounding fan-out units).
 * :mod:`repro.resilience.chaos` — harness-level fault injection
-  (worker SIGKILL, deadline overruns, raising workers/initializers,
-  cache corruption) and the scenario driver behind ``python -m repro
-  chaos``, which asserts chaotic campaigns converge byte-identically
-  to unfaulted serial runs.  Imported lazily (as a submodule) because
-  it reaches back into the campaign layer.
+  (worker SIGKILL, deadline overruns, raising workers, cache and store
+  corruption) and the scenario drivers behind ``python -m repro
+  chaos``, which assert chaotic campaigns converge byte-identically to
+  unfaulted serial runs.  Imported lazily (as a submodule) because it
+  reaches back into the campaign layer.
 
-Everything the supervisor absorbs is counted through the PR 4
-``repro.obs`` registry under ``resilience_*`` / ``cache_*`` names and
-surfaces in ``python -m repro metrics``.
+What a fan-out absorbs is counted through the PR 4 ``repro.obs``
+registry under the :data:`HARNESS_COUNTERS` names and surfaces in
+``python -m repro metrics``.
 """
 
 from repro.common.errors import (
@@ -38,6 +31,7 @@ from repro.common.errors import (
     TaskTimeout,
     TransientWorkerFailure,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.deadline import (
     DEFAULT_MAX_FAULTY_CYCLES,
     DEFAULT_MAX_TASK_SECONDS,
@@ -48,13 +42,24 @@ from repro.resilience.deadline import (
     cycle_budget,
     wall_budget,
 )
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import (
-    HARNESS_COUNTERS,
-    Supervisor,
-    classify_failure,
-    declare_harness_metrics,
+
+#: counters the fan-out fleet and the result cache maintain, declared
+#: eagerly so the metrics CLI lists them (at zero) on an uneventful run
+HARNESS_COUNTERS = (
+    "fanout_retries",
+    "fanout_timeouts",
+    "fanout_worker_deaths",
+    "cache_corrupt_entries",
+    "cache_quarantined",
 )
+
+
+def declare_harness_metrics(registry: MetricsRegistry) -> MetricsRegistry:
+    """Pre-create every harness counter at zero in *registry*."""
+    for name in HARNESS_COUNTERS:
+        registry.counter(name)
+    return registry
+
 
 __all__ = [
     "DEFAULT_MAX_FAULTY_CYCLES",
@@ -67,11 +72,8 @@ __all__ = [
     "HarnessError",
     "PermanentSimFailure",
     "PoisonedTask",
-    "RetryPolicy",
-    "Supervisor",
     "TaskTimeout",
     "TransientWorkerFailure",
-    "classify_failure",
     "cycle_budget",
     "declare_harness_metrics",
     "wall_budget",

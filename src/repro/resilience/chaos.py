@@ -2,18 +2,18 @@
 
 Warped-DMR injects faults into simulated execution lanes; this module
 injects them into the simulation fleet itself — SIGKILL a worker
-mid-task, sleep past the wall-clock deadline, raise from a worker or a
-pool initializer, truncate or bit-flip persistent-cache entries — and
-asserts the supervised campaign still converges to results
-byte-identical to an unfaulted serial run.
+mid-unit, sleep past the unit deadline, raise from a worker, truncate
+or bit-flip persistent-cache entries — and asserts the campaign still
+converges to results byte-identical to an unfaulted serial run.
 
 Chaos events live as marker files in a plan directory
 (:class:`ChaosPlan`).  A worker claims an event by atomically renaming
 its marker (``os.replace`` — exactly one claimant wins across
 processes and retries), so each event fires exactly once no matter how
-often its task is retried.  :class:`ChaosWrapper` is the picklable
-``task_wrapper`` the supervisor interposes in front of the real worker
-function; :func:`chaos_initializer` is the pool-initializer flavor.
+often its unit is retried.  Workers fire them through
+:meth:`repro.service.worker.ServiceWorker._fire_chaos`, between
+claiming a unit and executing it; a fan-out reaches its workers
+through :attr:`repro.analysis.result_cache.CachedFanout.chaos_plan`.
 
 :func:`run_campaign_chaos` is the scenario driver behind ``python -m
 repro chaos`` and the ``tests/resilience`` acceptance tests.
@@ -25,26 +25,25 @@ import json
 import os
 import pathlib
 import random
-import signal
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import Supervisor, declare_harness_metrics
-
-#: worker-side chaos kinds (``init-raise`` fires in the initializer)
+#: worker-side chaos kinds
 WORKER_KINDS = ("kill", "sleep", "raise")
+
+#: how long a ``sleep`` event stalls its worker — far past any deadline
+#: a chaos scenario sets, so only the deadline kill ends it
+SLEEP_SECONDS = 30.0
 
 
 class ChaosFailure(RuntimeError):
-    """The exception injected by ``raise``/``init-raise`` events.
+    """The exception injected by ``raise`` events.
 
     Deliberately *not* a :class:`~repro.common.errors.ReproError`: the
-    supervisor must classify it transient and retry, exactly like any
-    flaky infrastructure exception.
+    fleet must classify it transient and retry, exactly like any flaky
+    infrastructure exception.
     """
 
 
@@ -57,12 +56,11 @@ class ChaosPlan:
     """
 
     def __init__(self, plan_dir: os.PathLike, kills: int = 0,
-                 sleeps: int = 0, raises: int = 0,
-                 init_raises: int = 0) -> None:
+                 sleeps: int = 0, raises: int = 0) -> None:
         self.plan_dir = str(plan_dir)
         os.makedirs(self.plan_dir, exist_ok=True)
         for kind, count in (("kill", kills), ("sleep", sleeps),
-                            ("raise", raises), ("init-raise", init_raises)):
+                            ("raise", raises)):
             for number in range(count):
                 pathlib.Path(self.plan_dir, f"{kind}-{number}").touch()
 
@@ -103,43 +101,6 @@ def claim_event(plan_dir: str,
             continue  # another claimant won this marker
         return kind
     return None
-
-
-class ChaosWrapper:
-    """Picklable worker wrapper that fires pending chaos events.
-
-    Wraps a module-level worker function; on each call it claims at
-    most one worker-side event and acts it out — SIGKILL its own
-    process, sleep past the deadline, or raise — before (or instead
-    of) running the real task.  With no events pending it is a
-    transparent passthrough, which is exactly the state every retry
-    lands in.
-    """
-
-    def __init__(self, fn, plan_dir: os.PathLike,
-                 sleep_seconds: float = 30.0) -> None:
-        self.fn = fn
-        self.plan_dir = str(plan_dir)
-        self.sleep_seconds = sleep_seconds
-
-    def __call__(self, arg):
-        kind = claim_event(self.plan_dir)
-        if kind == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif kind == "sleep":
-            time.sleep(self.sleep_seconds)
-            raise ChaosFailure(
-                "chaos: slept past the deadline but was never killed"
-            )
-        elif kind == "raise":
-            raise ChaosFailure("chaos: injected worker exception")
-        return self.fn(arg)
-
-
-def chaos_initializer(plan_dir: str) -> None:
-    """Pool initializer that raises once if an init-raise is pending."""
-    if claim_event(plan_dir, kinds=("init-raise",)):
-        raise ChaosFailure("chaos: injected initializer failure")
 
 
 # ----------------------------------------------------------------------
@@ -209,12 +170,10 @@ def _canonical_runs(result) -> str:
 
 def run_campaign_chaos(workload: str = "scan", samples: int = 200,
                        parallel: int = 2, *, kills: int = 1,
-                       sleeps: int = 0, raises: int = 0,
-                       init_raises: int = 0, corrupt: int = 1,
+                       sleeps: int = 0, raises: int = 0, corrupt: int = 1,
                        corrupt_mode: str = "truncate", scale: float = 0.5,
                        seed: int = 0, sms: int = 1,
                        task_deadline: Optional[float] = None,
-                       policy: Optional[RetryPolicy] = None,
                        work_dir: Optional[os.PathLike] = None,
                        ) -> ChaosReport:
     """Run the acceptance scenario and report what the harness absorbed.
@@ -224,14 +183,13 @@ def run_campaign_chaos(workload: str = "scan", samples: int = 200,
     1. a serial, unfaulted, cache-less campaign — the reference bytes;
     2. a cache seeded with a prefix of the classifications, then
        ``corrupt`` entries corrupted on disk;
-    3. the same campaign, parallel, under a supervisor with the
+    3. the same campaign, fanned out over ``parallel`` workers with the
        requested chaos plan and the poisoned cache.
 
     The report's ``matched`` is byte-identity of phase 3 against phase
     1 — zero lost classifications, zero poisoned results.  When
     ``sleeps`` are injected, pass a ``task_deadline`` (seconds per
-    task) well below ``ChaosWrapper.sleep_seconds`` so the timeout path
-    fires; the wrapper's sleep is sized to 3x the deadline.
+    unit) well below :data:`SLEEP_SECONDS` so the timeout path fires.
     """
     from repro.analysis.runner import experiment_config
     from repro.common.config import DMRConfig
@@ -268,20 +226,12 @@ def run_campaign_chaos(workload: str = "scan", samples: int = 200,
 
         # -- phase 3: chaos campaign ------------------------------------
         plan = ChaosPlan(plan_dir, kills=kills, sleeps=sleeps,
-                         raises=raises, init_raises=init_raises)
-        sleep_seconds = 3 * task_deadline if task_deadline else 30.0
-        harness = declare_harness_metrics(MetricsRegistry())
-        supervisor = Supervisor(
-            policy=policy or RetryPolicy(base_delay=0.05, max_delay=1.0),
-            deadline=task_deadline,
-            registry=harness,
-            initializer=chaos_initializer if init_raises else None,
-            initargs=(str(plan_dir),) if init_raises else (),
-            task_wrapper=lambda fn: ChaosWrapper(fn, plan_dir,
-                                                 sleep_seconds),
-        )
-        engine = CampaignEngine(spec, cache=cache_dir, jobs=parallel,
-                                supervisor=supervisor)
+                         raises=raises)
+        engine = CampaignEngine(spec, cache=cache_dir, jobs=parallel)
+        engine.fanout.chaos_plan = str(plan_dir)
+        if task_deadline:
+            engine.fanout.deadline = task_deadline
+        harness = engine.harness
         chaotic = engine.run(faults, parallel=parallel)
 
         matched = _canonical_runs(chaotic) == _canonical_runs(reference)

@@ -1,13 +1,13 @@
-"""Deadline calibration shared by campaign and suite supervision.
+"""Deadline calibration shared by the campaign watchdog and fan-outs.
 
 Both watchdogs in this codebase answer the same question — "how long
 can this run take before we call it hung?" — and both answer it the
 same way: proportional to the measured fault-free runtime, plus a fixed
 slack, capped by an absolute ceiling.  PR 3 introduced the *cycle*
 flavor (the simulator raises once a faulty run exceeds its budget and
-the campaign classifies it ``HUNG``); the supervision layer adds the
-*wall-clock* flavor (the parent cancels a worker task once it exceeds
-its budget and reports a structured :class:`~repro.common.errors.TaskTimeout`).
+the campaign classifies it ``HUNG``); fan-outs add the *wall-clock*
+flavor (the parent kills a worker whose unit exceeds its budget and
+charges the unit a structured :class:`~repro.common.errors.TaskTimeout`).
 
 This module is the single home of that calibration.  The campaign
 module re-exports :func:`cycle_budget` and its defaults for backward
@@ -21,7 +21,7 @@ DEFAULT_WATCHDOG_FACTOR = 8
 DEFAULT_WATCHDOG_SLACK = 5_000
 DEFAULT_MAX_FAULTY_CYCLES = 500_000
 
-#: default wall-clock deadline parameters (the supervision layer)
+#: default wall-clock deadline parameters (fan-out units)
 DEFAULT_WALL_FACTOR = 10.0
 DEFAULT_WALL_SLACK = 5.0
 DEFAULT_MAX_TASK_SECONDS = 600.0
@@ -45,12 +45,12 @@ def wall_budget(golden_seconds: float,
                 factor: float = DEFAULT_WALL_FACTOR,
                 slack: float = DEFAULT_WALL_SLACK,
                 cap: float = DEFAULT_MAX_TASK_SECONDS) -> float:
-    """Wall-clock deadline (in seconds) for one supervised task.
+    """Wall-clock deadline (in seconds) for one fan-out unit.
 
     The same calibration shape as :func:`cycle_budget`, applied to the
     parent's clock: ``factor`` times the measured fault-free runtime of
-    the work the task performs, plus ``slack`` seconds so fork/import
+    the work the unit performs, plus ``slack`` seconds so fork/import
     overhead and scheduler jitter never trip the deadline on tiny
-    tasks, capped at ``cap``.
+    units, capped at ``cap``.
     """
     return max(0.001, min(cap, factor * golden_seconds + slack))

@@ -4,10 +4,9 @@ One scheduling core turns the suite runner, the campaign engine and
 the CLI into thin clients:
 
 * :mod:`repro.service.sharding` — the shared chunk-sizing/fan-out
-  heuristics every fan-out in the repo routes through (the in-process
-  pools of :class:`~repro.analysis.runner.SuiteRunner` and
-  :class:`~repro.faults.campaign.CampaignEngine`, and the job
-  planner's work units alike).
+  heuristics every fan-out in the repo routes through (the local
+  fan-outs of :class:`~repro.analysis.result_cache.CachedFanout` and
+  the job planner's work units alike).
 * :mod:`repro.service.codec` — JSON codecs that make configs and
   specs durable (job files must survive process death and be
   readable by any worker on any host sharing the store).
@@ -15,12 +14,13 @@ the CLI into thin clients:
   specs, sharded content-addressed work units, and the
   claim-by-atomic-rename protocol (exactly one claimant wins a unit;
   expired claims are requeued; orphaned results are completed).
-* :mod:`repro.service.jobs` — job planning (campaign and figure jobs
-  shard into units), unit execution through the existing
-  ``CampaignEngine``/``Supervisor`` path, and the deterministic merge
+* :mod:`repro.service.jobs` — job planning (campaign, figure and
+  fan-out jobs shard into units), unit execution through the existing
+  ``CampaignEngine``/``SuiteRunner`` paths, and the deterministic merge
   whose output is byte-identical to a serial in-process run.
 * :mod:`repro.service.worker` — the work-stealing worker loop behind
-  ``python -m repro serve --worker``.
+  ``python -m repro serve --worker``, and :func:`run_fleet`, which
+  works one job with forked workers (every parallel ``CachedFanout``).
 * :mod:`repro.service.server` — job status/progress/finalization
   behind ``python -m repro serve`` (submit, status, watch, fetch,
   start).
@@ -50,12 +50,14 @@ _EXPORTS = {
     "figure_registry": "repro.service.jobs",
     "submit_campaign_job": "repro.service.jobs",
     "submit_figure_job": "repro.service.jobs",
+    "submit_fanout_job": "repro.service.jobs",
     "execute_unit": "repro.service.jobs",
     "merge_job": "repro.service.jobs",
     "finalize_job": "repro.service.jobs",
     "serial_merged_payload": "repro.service.jobs",
     "replan_unit_payloads": "repro.service.jobs",
     "ServiceWorker": "repro.service.worker",
+    "run_fleet": "repro.service.worker",
     "ServiceServer": "repro.service.server",
     "job_status": "repro.service.server",
     "store_status": "repro.service.server",

@@ -54,12 +54,12 @@ from repro.service.store import (DEFAULT_LEASE_SECONDS,
 POISON_SCHEMA = 1
 
 #: directories every planned job owns (anything else at the job's top
-#: level, ``job.json``/``merged.json``/``poison.json`` aside, is foreign)
+#: level, the files of :data:`_JOB_FILES` aside, is foreign)
 _JOB_DIRS = ("units", "claims", "results", "done", "failed", "attempts",
              "telemetry", "quarantine")
 
 #: top-level job files fsck recognizes
-_JOB_FILES = ("job.json", "merged.json", "poison.json")
+_JOB_FILES = ("job.json", "merged.json", "poison.json", "table.pkl")
 
 
 # ----------------------------------------------------------------------
@@ -147,10 +147,9 @@ def classify_error_type(type_name: str) -> str:
 
     Exceptions do not survive the store, their type names do: the name
     resolves against :mod:`repro.common.errors`, then the builtins, and
-    :func:`~repro.common.errors.failure_kind` judges the class it names
-    — the same rule the supervisor applies to a raised error.  A name
-    that resolves to no exception class (a foreign or unrecorded type)
-    is transient, like any other unknown infrastructure failure.
+    :func:`~repro.common.errors.failure_kind` judges the class it names.
+    A name that resolves to no exception class (a foreign or unrecorded
+    type) is transient, like any other unknown infrastructure failure.
     """
     cls = getattr(error_taxonomy, type_name, None) \
         or getattr(builtins, type_name, None)

@@ -1,12 +1,12 @@
 """Job planning, unit execution and deterministic merging.
 
-A *job* is a campaign or a figure regeneration, sharded into
-content-addressed work units:
+A *job* is a campaign, a figure regeneration or a fan-out, sharded
+into content-addressed work units:
 
 * a **campaign job** samples its fault population exactly the way
   ``python -m repro campaign`` does (golden run → horizon → stratified
   sample), then shards the fault list into units of ~``unit_size``
-  faults.  Each unit executes through the existing supervised
+  faults.  Each unit executes through the existing
   :class:`~repro.faults.campaign.CampaignEngine` path against the
   store's shared classification cache, so a fault classified by *any*
   worker is never simulated again by another.
@@ -15,6 +15,14 @@ content-addressed work units:
   executed through :class:`~repro.analysis.runner.SuiteRunner` against
   the same shared cache; the merge step replays the driver over a
   fully warm cache (zero simulations) to produce the figure data.
+* a **fan-out job** is the parallel branch of
+  :class:`~repro.analysis.result_cache.CachedFanout`, submitted into a
+  private, temporary store: its task table ``(simulate, context,
+  items, keys)`` is one checksummed entry in the job directory, its
+  units are :func:`~repro.service.sharding.pool_chunks` slices of item
+  indices, and each unit stores its payloads in the store's cache and
+  publishes only their keys (payloads never pass through canonical
+  JSON, which rejects NaN).
 
 The merge is deterministic by construction: units partition the item
 list contiguously and are folded back in index order, so the merged
@@ -28,16 +36,25 @@ acceptance tests and the CI smoke.
 
 from __future__ import annotations
 
+import hashlib
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, HarnessError
 from repro.service import codec
-from repro.service.sharding import DEFAULT_UNIT_SIZE, unit_chunks
+from repro.service.sharding import (DEFAULT_UNIT_SIZE, pool_chunks,
+                                    unit_chunks)
 from repro.service.store import JobStore, job_id_for, unit_id_for
 
 #: coverage-interval confidence baked into merged campaign outputs
 MERGED_CONFIDENCE = 0.95
+
+#: cache key of a fan-out job's task table (``<job dir>/table.pkl``)
+FANOUT_TABLE = "table"
+
+#: the task table this process loaded last, by job directory (a
+#: fan-out worker works one job, so one entry is kept)
+_FANOUT_TABLES: Dict[str, Tuple] = {}
 
 
 def _result_cache(store: JobStore):
@@ -133,7 +150,8 @@ def submit_campaign_job(store: JobStore, spec, samples: int,
         "horizon": horizon,
         "submitted_unix": time.time(),
     }
-    return store.create_job(payload, _units(material, items, unit_size))
+    return store.create_job(payload,
+                            _units(material, unit_chunks(items, unit_size)))
 
 
 def submit_figure_job(store: JobStore, figure: str, scale: float = 0.5,
@@ -176,16 +194,46 @@ def submit_figure_job(store: JobStore, figure: str, scale: float = 0.5,
         "epoch": int(epoch),
         "submitted_unix": time.time(),
     }
-    return store.create_job(payload, _units(material, items, unit_size))
+    return store.create_job(payload,
+                            _units(material, unit_chunks(items, unit_size)))
 
 
-def _units(material: dict, items: List[dict],
-           unit_size: int) -> List[dict]:
-    from repro.service.store import job_id_for
+def submit_fanout_job(store: JobStore, simulate: Callable, context,
+                      items: Sequence, keys: Sequence[str],
+                      workers: int) -> str:
+    """Plan a fan-out job: ``simulate(context, items[i])`` for every
+    item, its payload stored under ``keys[i]``; returns the job id.
 
+    The task table is pickled into ``<job dir>/table.pkl`` before the
+    manifest lands, and the units are the
+    :func:`~repro.service.sharding.pool_chunks` slices of the item
+    indices for *workers* workers.
+    """
+    from repro.analysis.result_cache import ResultCache
+
+    material = {
+        "kind": "fanout",
+        "items": len(items),
+        "workers": int(workers),
+        "keys": hashlib.sha256("".join(keys).encode("ascii")).hexdigest(),
+    }
+    job_id = job_id_for(material)
+    ResultCache(store.job_dir(job_id)).put_payload(
+        FANOUT_TABLE, (simulate, context, list(items), list(keys)))
+    job_id, _ = store.create_job({"kind": "fanout", "material": material},
+                                 _fanout_units(material))
+    return job_id
+
+
+def _fanout_units(material: dict) -> List[dict]:
+    return _units(material, pool_chunks(range(material["items"]),
+                                        material["workers"]))
+
+
+def _units(material: dict, chunks: List[List]) -> List[dict]:
     job_id = job_id_for(material)
     units = []
-    for index, chunk in enumerate(unit_chunks(items, unit_size)):
+    for index, chunk in enumerate(chunks):
         units.append({
             "unit": unit_id_for(job_id, index, chunk),
             "index": index,
@@ -225,9 +273,11 @@ def replan_unit_payloads(job: dict) -> List[dict]:
         config = codec.gpu_config_from_payload(job["config"])
         runner = SuiteRunner(config, scale=job["scale"], seed=job["seed"])
         items = codec.resolve_run_specs(specs_fn(runner), None, config)
+    elif job["kind"] == "fanout":
+        return _fanout_units(material)
     else:
         raise ConfigError(f"unknown job kind {job['kind']!r}")
-    return _units(material, items, material["unit_size"])
+    return _units(material, unit_chunks(items, material["unit_size"]))
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +296,8 @@ def execute_unit(store: JobStore, job: dict, unit: dict,
         result, simulations = _execute_campaign_unit(store, job, unit)
     elif job["kind"] == "figure":
         result, simulations = _execute_figure_unit(store, job, unit)
+    elif job["kind"] == "fanout":
+        result, simulations = _execute_fanout_unit(store, job, unit)
     else:
         raise ConfigError(f"unknown job kind {job['kind']!r}")
     telemetry = {
@@ -280,6 +332,27 @@ def _execute_figure_unit(store: JobStore, job: dict,
     specs = [codec.run_spec_from_payload(item) for item in unit["items"]]
     runner.run_many(specs)
     return {"unit": unit["unit"], "cells": len(specs)}, runner.simulations
+
+
+def _execute_fanout_unit(store: JobStore, job: dict,
+                         unit: dict) -> Tuple[dict, int]:
+    from repro.analysis.result_cache import ResultCache
+
+    path = str(store.job_dir(job["job_id"]))
+    if path not in _FANOUT_TABLES:
+        table = ResultCache(path).get_payload(FANOUT_TABLE)
+        if table is None:
+            raise HarnessError(f"fan-out job {job['job_id']} has no "
+                               f"readable task table")
+        _FANOUT_TABLES.clear()
+        _FANOUT_TABLES[path] = table
+    simulate, context, items, keys = _FANOUT_TABLES[path]
+    cache = _result_cache(store)
+    for index in unit["items"]:
+        cache.put_payload(keys[index], simulate(context, items[index]))
+    return ({"unit": unit["unit"],
+             "keys": [keys[index] for index in unit["items"]]},
+            len(unit["items"]))
 
 
 def _figure_runner(store: JobStore, job: dict):
@@ -376,6 +449,10 @@ def merge_job(store: JobStore, job_id: str) -> Optional[dict]:
             "data": data,
             "table": format_fn(data),
         }
+    if job["kind"] == "fanout":
+        return {"kind": "fanout",
+                "keys": [key for payload in results
+                         for key in payload["keys"]]}
     raise ConfigError(f"unknown job kind {job['kind']!r}")
 
 
@@ -387,6 +464,9 @@ def result_shape_ok(kind: str, payload: dict, count: int) -> bool:
         return isinstance(runs, list) and len(runs) == count
     if kind == "figure":
         return payload.get("cells") == count
+    if kind == "fanout":
+        keys = payload.get("keys")
+        return isinstance(keys, list) and len(keys) == count
     return True
 
 

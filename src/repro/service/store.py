@@ -22,6 +22,7 @@ sharing the filesystem) race safely:
             failed/<uid>.json       units that exhausted their attempts
             attempts/<uid>-<n>      per-unit failure bookkeeping
             merged.json             deterministic merged output
+            table.pkl               a fan-out job's task table
 
 **Claim protocol.**  A worker claims ``units/<uid>.json`` by renaming
 it into ``claims/`` with its owner id appended — exactly one claimant
@@ -62,8 +63,8 @@ from repro.service.codec import encode_canonical
 #: seconds a claim may go without completing before it is stealable
 DEFAULT_LEASE_SECONDS = 300.0
 
-#: attempts a unit gets before it is parked in ``failed/`` (the same
-#: budget the supervisor's default retry policy grants a task)
+#: attempts a unit gets before it is parked in ``failed/`` (the one
+#: budget of :data:`repro.common.errors.MAX_ATTEMPTS`)
 MAX_UNIT_ATTEMPTS = MAX_ATTEMPTS
 
 #: seconds without a heartbeat before a worker is reported stale
@@ -420,6 +421,13 @@ class JobStore:
                 out.append((unit.removesuffix(".json"), owner))
         return out
 
+    def claim_path(self, job_id: str, unit_id: str,
+                   owner: str) -> pathlib.Path:
+        """Where *owner*'s claim on *unit_id* lives (the handle
+        :meth:`complete_unit` and :meth:`fail_unit` take; its mtime is
+        the claim's lease clock)."""
+        return self._claims_dir(job_id) / f"{unit_id}.json{_CLAIM_SEP}{owner}"
+
     @staticmethod
     def _unit_names(directory: pathlib.Path, suffix: str) -> List[str]:
         try:
@@ -448,17 +456,18 @@ class JobStore:
             if not name.endswith(".json"):
                 continue
             claim = claims_dir / f"{name}{_CLAIM_SEP}{owner}"
+            # the rename keeps the file's mtime, which is the claim's
+            # lease clock: start it first, so no claim ever shows the
+            # unit file's age (best-effort — a failure just makes the
+            # claim steal-eligible sooner)
+            try:
+                os.utime(units_dir / name)
+            except OSError:
+                pass
             try:
                 os.replace(units_dir / name, claim)
             except OSError:
                 continue  # another claimant won this unit
-            # the rename preserved the unit file's mtime; the lease
-            # clock starts at claim time, so refresh it (best-effort —
-            # a failure just makes the claim steal-eligible sooner)
-            try:
-                os.utime(claim)
-            except OSError:
-                pass
             unit_id = name.removesuffix(".json")
             payload = self._read_validated(claim, job_id, "units")
             if payload is None:

@@ -2,12 +2,12 @@
 
 A worker owns no state beyond its identity: it scans the store's jobs
 in sorted order, claims one pending unit by atomic rename, executes it
-through the existing supervised classification path, publishes the
-result and telemetry, and marks the unit done.  Any number of workers
-(on any host sharing the store) run this loop concurrently; the claim
-protocol guarantees each unit executes under exactly one live claim,
-and the shared classification cache guarantees each *simulation* runs
-exactly once fleet-wide even when a unit is re-executed after a crash.
+(:func:`~repro.service.jobs.execute_unit`), publishes the result and
+telemetry, and marks the unit done.  Any number of workers (on any
+host sharing the store) run this loop concurrently; the claim protocol
+guarantees each unit executes under exactly one live claim, and the
+shared classification cache guarantees each *simulation* runs exactly
+once fleet-wide even when a unit is re-executed after a crash.
 
 When no unit is claimable the worker turns janitor: it steals expired
 claims (requeueing dead workers' units, completing orphaned results),
@@ -22,22 +22,37 @@ most once per ``heartbeat_seconds``) carrying the worker's lifetime
 counters, so ``serve status`` can tell a live fleet from a dead one
 without process visibility.
 
-Chaos events (``kill``/``raise`` markers from
+:func:`run_fleet` is the local flavour: a parent process forks workers
+over one job of a private store and owns their liveness itself, so a
+dead or overdue worker's unit is charged at once instead of waiting
+out a lease.  Every parallel :class:`~repro.analysis.result_cache.CachedFanout`
+runs this way.
+
+Chaos events (``kill``/``sleep``/``raise`` markers from
 :class:`repro.resilience.chaos.ChaosPlan`) can be pointed at a worker
-via ``chaos_plan``; a claimed ``kill`` SIGKILLs the worker *after* it
-claims a unit and *before* it publishes — the exact window the lease
-recovery exists for — which is how the crash-safety tests and the CI
-smoke exercise the protocol.
+via ``chaos_plan``; they fire *after* the worker claims a unit and
+*before* it publishes — a ``kill`` leaves the claim orphaned mid-unit,
+the exact window the lease recovery exists for, and a ``sleep``
+overstays any deadline — which is how the crash-safety tests and the
+CI smoke exercise the protocol.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import multiprocessing
 import os
 import signal
 import time
 import traceback
-from typing import Optional
+from multiprocessing.connection import wait
+from typing import Callable, Dict, Optional
 
+from repro.common.errors import (HarnessError, PermanentSimFailure,
+                                 PoisonedTask, TaskTimeout,
+                                 TransientWorkerFailure)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.service.jobs import execute_unit, finalize_job
 from repro.service.store import (DEFAULT_LEASE_SECONDS, JobStore,
                                  default_owner)
@@ -45,6 +60,9 @@ from repro.service.store import (DEFAULT_LEASE_SECONDS, JobStore,
 #: minimum seconds between heartbeat writes (one atomic file write;
 #: cheap, but not so cheap a 5 ms unit loop should pay it every pass)
 DEFAULT_HEARTBEAT_SECONDS = 1.0
+
+#: longest :func:`run_fleet` sleeps between looks at its job
+FLEET_POLL_SECONDS = 0.5
 
 
 class ServiceWorker:
@@ -91,10 +109,15 @@ class ServiceWorker:
         """
         if self.chaos_plan is None:
             return
-        from repro.resilience.chaos import ChaosFailure, claim_event
-        kind = claim_event(self.chaos_plan, kinds=("kill", "raise"))
+        from repro.resilience.chaos import (SLEEP_SECONDS, ChaosFailure,
+                                            claim_event)
+        kind = claim_event(self.chaos_plan)
         if kind == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
+        elif kind == "sleep":
+            time.sleep(SLEEP_SECONDS)
+            raise ChaosFailure(
+                "chaos: slept past the deadline but was never killed")
         elif kind == "raise":
             raise ChaosFailure("chaos: injected service-worker exception")
 
@@ -214,3 +237,128 @@ def worker_entry(store_root: str, cache_dir: Optional[str] = None,
     worker = ServiceWorker(store, owner=owner, lease_seconds=lease_seconds,
                            chaos_plan=chaos_plan)
     return worker.run(max_idle=max_idle, poll=poll)
+
+
+def run_fleet(store: JobStore, job_id: str, workers: int,
+              on_result: Callable[[dict], None], *,
+              deadline: Optional[float] = None,
+              chaos_plan: Optional[str] = None,
+              registry: Optional[MetricsRegistry] = None) -> None:
+    """Work *job_id* with *workers* forked workers, handing each unit's
+    published result to *on_result* in unit order as soon as it and
+    every unit before it are done (so the caller works while the fleet
+    does).
+
+    Each worker runs :func:`worker_entry` until it finds nothing to
+    claim.  The parent settles every claim a worker cannot:
+
+    * a worker that dies holding a claim has the unit completed if its
+      result was published, else charged one
+      :class:`~repro.common.errors.TransientWorkerFailure` attempt;
+    * a claim older than *deadline* seconds has its worker killed and
+      the unit charged one :class:`~repro.common.errors.TaskTimeout`
+      attempt;
+    * replacement workers start while units are pending;
+    * a unit parked after :data:`~repro.common.errors.MAX_ATTEMPTS`
+      raises :class:`~repro.common.errors.PermanentSimFailure` when its
+      poison verdict is ``permanent-sim``, else
+      :class:`~repro.common.errors.PoisonedTask`; a done unit whose
+      result is unreadable raises
+      :class:`~repro.common.errors.HarnessError`.
+
+    Surviving workers are killed on every exit path.  *registry* counts
+    ``fanout_retries``, ``fanout_timeouts`` and
+    ``fanout_worker_deaths``.
+    """
+    registry = registry if registry is not None else NULL_REGISTRY
+    units = [entry["unit"] for entry in store.load_job(job_id)["units"]]
+    handed = 0
+    live: Dict[str, multiprocessing.Process] = {}
+    numbers = itertools.count()
+    try:
+        while True:
+            for owner in [owner for owner, proc in live.items()
+                          if proc.exitcode is not None]:
+                live.pop(owner).join()
+            now = time.time()
+            wake = FLEET_POLL_SECONDS
+            for unit_id, owner in store.claimed_units(job_id):
+                claim = store.claim_path(job_id, unit_id, owner)
+                if owner in live:
+                    if deadline is None:
+                        continue
+                    try:
+                        age = now - claim.stat().st_mtime
+                    except OSError:
+                        continue  # completed meanwhile
+                    if age < deadline:
+                        wake = min(wake, deadline - age)
+                        continue
+                    _kill(live.pop(owner))
+                    registry.inc("fanout_timeouts")
+                    error = TaskTimeout(
+                        f"unit {unit_id} exceeded its {deadline:.3f}s "
+                        f"deadline", deadline=deadline, elapsed=age)
+                else:
+                    registry.inc("fanout_worker_deaths")
+                    error = TransientWorkerFailure(
+                        f"worker {owner} died holding unit {unit_id}")
+                # the worker is dead now: a claim it no longer holds was
+                # completed or failed by the worker itself
+                if store.unit_result(job_id, unit_id) is not None:
+                    store.complete_unit(job_id, unit_id, claim)
+                elif claim.exists():
+                    store.fail_unit(job_id, unit_id, claim,
+                                    f"{type(error).__name__}: {error}",
+                                    error_type=type(error).__name__,
+                                    owner="fleet")
+            counts = store.counts(job_id)
+            if counts["failed"]:
+                from repro.service.health import diagnose_poison
+                unit_id = store.failed_units(job_id)[0]
+                verdict = diagnose_poison(store, job_id, unit_id)
+                failure = verdict["distinct_failures"][-1]
+                if verdict["classification"] == "permanent-sim":
+                    raise PermanentSimFailure(
+                        f"fan-out unit {unit_id} failed deterministically: "
+                        f"{failure}")
+                raise PoisonedTask(
+                    f"fan-out unit {unit_id} failed {verdict['attempts']} "
+                    f"attempt(s); giving up: {failure}",
+                    index=units.index(unit_id),
+                    attempts=verdict["attempts"])
+            done = set(store.done_units(job_id))
+            while handed < len(units) and units[handed] in done:
+                result = store.unit_result(job_id, units[handed])
+                if result is None:
+                    raise HarnessError(f"fan-out unit {units[handed]} lost "
+                                       f"its published result")
+                on_result(result)
+                handed += 1
+            if handed == len(units):
+                return
+            if sum(counts[state] for state in ("pending", "claimed", "done")) \
+                    < counts["total"]:
+                from repro.service.health import regenerate_lost_units
+                regenerate_lost_units(store, job_id)  # a torn unit file
+            for _ in range(min(counts["pending"], workers - len(live))):
+                owner = f"fleet-{os.getpid()}-{next(numbers)}"
+                proc = multiprocessing.Process(
+                    target=worker_entry, args=(str(store.root),),
+                    kwargs={"cache_dir": str(store.cache_dir),
+                            "owner": owner, "lease_seconds": math.inf,
+                            "chaos_plan": chaos_plan, "max_idle": 0.0})
+                proc.start()
+                live[owner] = proc
+            wait([proc.sentinel for proc in live.values()], timeout=wake)
+    finally:
+        for proc in live.values():
+            _kill(proc)
+        registry.inc("fanout_retries", sum(
+            len(store.unit_attempts(job_id, unit_id)) for unit_id in units)
+            - len(store.failed_units(job_id)))
+
+
+def _kill(proc: multiprocessing.Process) -> None:
+    proc.kill()
+    proc.join()

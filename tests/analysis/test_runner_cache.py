@@ -310,6 +310,20 @@ class TestParallelEquivalence:
         for name in PAPER_ORDER:
             assert_results_equal(expected[name], actual[name])
 
+    def test_multi_cell_units_land_under_their_own_keys(self):
+        """22 misses over 2 workers make 8 fan-out units of 2-3 cells,
+        so a payload paired with a neighbour's key inside a unit shows."""
+        specs = [(name, dmr) for dmr in (DMRConfig.disabled(),
+                                         DMRConfig.paper_default())
+                 for name in PAPER_ORDER]
+        serial = make_runner().run_many(specs)
+        parallel = make_runner()
+        fanned = parallel.run_many(specs, parallel=2)
+        assert parallel.simulations == len(specs) == 22
+        for spec, expected, actual in zip(specs, serial, fanned):
+            assert pickle.dumps(actual.to_payload()) == \
+                pickle.dumps(expected.to_payload()), spec
+
     def test_parallel_baseline_sweep_matches_run(self):
         runner = make_runner(jobs=2)
         names = PAPER_ORDER[:3]

@@ -6,8 +6,6 @@ These drive :func:`run_campaign_chaos` end to end — the same scenario
 
 from repro.resilience.chaos import (
     ChaosPlan,
-    ChaosWrapper,
-    chaos_initializer,
     claim_event,
     run_campaign_chaos,
 )
@@ -21,15 +19,6 @@ class TestChaosPlan:
         assert sorted(k for k in kinds if k) == ["kill", "raise", "raise"]
         assert plan.pending() == 0 and plan.fired() == 3
 
-    def test_wrapper_passthrough_when_plan_empty(self, tmp_path):
-        wrapper = ChaosWrapper(abs, tmp_path)
-        assert wrapper(-3) == 3
-
-    def test_initializer_claims_only_init_events(self, tmp_path):
-        plan = ChaosPlan(tmp_path, raises=1)
-        chaos_initializer(str(tmp_path))  # no init-raise pending: no-op
-        assert plan.pending() == 1
-
 
 class TestAcceptanceScenarios:
     def test_kill_plus_corrupt_campaign_converges(self):
@@ -39,7 +28,7 @@ class TestAcceptanceScenarios:
         assert report.classifications == 40
         assert report.events_pending == 0
         assert report.events_fired == 1
-        assert report.counters["resilience_pool_rebuilds"] >= 1
+        assert report.counters["fanout_worker_deaths"] >= 1
         assert report.counters["cache_corrupt_entries"] == 1
         assert report.counters["cache_quarantined"] == 1
         assert len(report.corrupted_entries) == 1
@@ -49,15 +38,16 @@ class TestAcceptanceScenarios:
             "scan", samples=25, parallel=2, kills=0, raises=1,
             corrupt=1, corrupt_mode="bitflip", seed=2)
         assert report.matched
-        assert report.counters["resilience_retries"] >= 1
+        assert report.counters["fanout_retries"] >= 1
         assert report.counters["cache_corrupt_entries"] == 1
 
-    def test_initializer_failure_survived(self):
+    def test_sleep_past_deadline_campaign_converges(self):
         report = run_campaign_chaos(
             "scan", samples=20, parallel=2, kills=0, corrupt=0,
-            init_raises=1, seed=3)
+            sleeps=1, task_deadline=1.0, seed=3)
         assert report.matched
         assert report.events_pending == 0
+        assert report.counters["fanout_timeouts"] == 1
 
     def test_report_payload_round_trips(self):
         report = run_campaign_chaos(
@@ -66,5 +56,5 @@ class TestAcceptanceScenarios:
         payload = report.to_payload()
         assert payload["matched"] is True
         assert payload["classifications"] == 10
-        assert "resilience_retries" in payload["counters"]
+        assert "fanout_retries" in payload["counters"]
         assert "counters" in payload["snapshot"]

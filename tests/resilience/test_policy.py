@@ -1,103 +1,16 @@
-"""Property tests for the retry policy and deadline calibration.
+"""Property tests for the deadline calibration.
 
-Satellite 6: the backoff schedule must be monotone non-decreasing,
-bounded by the cap, and deterministic given the seed — and jitter must
-come from an injected RNG, never global ``random`` state.
+The cycle watchdog and the fan-out's wall-clock deadline must stay
+positive, bounded by their caps, and monotone in the golden runtime.
 """
 
-import random
+from hypothesis import given, strategies as st
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.common.errors import ConfigError
 from repro.resilience import (
     DEFAULT_MAX_FAULTY_CYCLES,
-    RetryPolicy,
     cycle_budget,
     wall_budget,
 )
-
-policies = st.builds(
-    RetryPolicy,
-    max_attempts=st.integers(1, 8),
-    base_delay=st.floats(0.0, 5.0, allow_nan=False),
-    backoff_factor=st.floats(1.0, 4.0, allow_nan=False),
-    max_delay=st.floats(0.0, 5.0, allow_nan=False),
-    jitter=st.floats(0.0, 1.0, allow_nan=False),
-    seed=st.integers(0, 2**32 - 1),
-)
-
-
-class TestBackoffSchedule:
-    @given(policy=policies, key=st.integers(0, 10_000))
-    @settings(max_examples=200)
-    def test_monotone_nondecreasing(self, policy, key):
-        schedule = policy.backoff_schedule(key, count=10)
-        assert all(later >= earlier for earlier, later
-                   in zip(schedule, schedule[1:]))
-
-    @given(policy=policies, key=st.integers(0, 10_000))
-    @settings(max_examples=200)
-    def test_bounded_by_cap(self, policy, key):
-        schedule = policy.backoff_schedule(key, count=10)
-        assert all(0.0 <= delay <= policy.max_delay for delay in schedule)
-
-    @given(policy=policies, key=st.integers(0, 10_000))
-    def test_deterministic_given_seed_and_key(self, policy, key):
-        twin = RetryPolicy(
-            max_attempts=policy.max_attempts,
-            base_delay=policy.base_delay,
-            backoff_factor=policy.backoff_factor,
-            max_delay=policy.max_delay,
-            jitter=policy.jitter,
-            seed=policy.seed,
-        )
-        assert policy.backoff_schedule(key, 10) == twin.backoff_schedule(
-            key, 10)
-
-    @given(policy=policies, key=st.integers(0, 10_000),
-           count=st.integers(1, 10))
-    def test_prefix_stable(self, policy, key, count):
-        # delay(n) consults a truncated schedule; truncation must not
-        # change the delays it shares with the full schedule
-        full = policy.backoff_schedule(key, 10)
-        assert policy.backoff_schedule(key, count) == full[:count]
-
-    @given(policy=policies, key=st.integers(0, 10_000))
-    def test_independent_of_global_random_state(self, policy, key):
-        random.seed(12345)
-        first = policy.backoff_schedule(key, 6)
-        random.seed(99999)
-        second = policy.backoff_schedule(key, 6)
-        assert first == second
-
-    def test_default_count_is_retry_budget(self):
-        policy = RetryPolicy(max_attempts=4)
-        assert len(policy.backoff_schedule()) == 3
-
-    def test_none_policy_never_sleeps(self):
-        policy = RetryPolicy.none()
-        assert policy.max_attempts == 1
-        assert policy.backoff_schedule() == []
-
-
-class TestValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"base_delay": -0.1},
-        {"max_delay": -1.0},
-        {"backoff_factor": 0.5},
-        {"jitter": 1.5},
-        {"jitter": -0.1},
-    ])
-    def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ConfigError):
-            RetryPolicy(**kwargs)
-
-    def test_delay_is_one_based(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy().delay(0)
 
 
 class TestBudgets:

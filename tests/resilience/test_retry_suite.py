@@ -1,6 +1,6 @@
-"""Satellite 3: a retried parallel suite is byte-identical to serial.
+"""A retried parallel suite is byte-identical to serial.
 
-A worker that raises on its first call and succeeds on retry must leave
+A worker that raises on its first unit and succeeds on retry must leave
 no trace in the results — ``run_suite(parallel=N)`` under chaos
 converges to the exact payload bytes of a clean serial run.
 """
@@ -9,9 +9,7 @@ import pickle
 
 from repro.analysis.runner import SuiteRunner, experiment_config
 from repro.common.config import DMRConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.resilience import RetryPolicy, Supervisor, declare_harness_metrics
-from repro.resilience.chaos import ChaosPlan, ChaosWrapper
+from repro.resilience.chaos import ChaosPlan
 
 SCALE = 0.25
 
@@ -25,19 +23,13 @@ def test_retried_parallel_suite_byte_identical_to_serial(tmp_path):
     serial = _runner().run_suite(DMRConfig.paper_default())
 
     plan = ChaosPlan(tmp_path / "plan", raises=1)
-    harness = declare_harness_metrics(MetricsRegistry())
-    supervisor = Supervisor(
-        policy=RetryPolicy(base_delay=0.01, max_delay=0.1),
-        registry=harness,
-        task_wrapper=lambda fn: ChaosWrapper(fn, tmp_path / "plan"),
-    )
-    chaotic_runner = _runner(supervisor=supervisor)
+    chaotic_runner = _runner()
+    chaotic_runner.fanout.chaos_plan = plan.plan_dir
     chaotic = chaotic_runner.run_suite(DMRConfig.paper_default(),
                                        parallel=2)
 
     assert plan.fired() == 1, "the injected raise must have fired"
-    assert harness.value("resilience_retries") >= 1
-    assert harness.value("resilience_worker_failures") >= 1
+    assert chaotic_runner.harness.value("fanout_retries") == 1
 
     assert set(chaotic) == set(serial)
     for name in serial:
@@ -46,16 +38,11 @@ def test_retried_parallel_suite_byte_identical_to_serial(tmp_path):
 
 
 def test_harness_snapshot_rides_the_runner(tmp_path):
-    ChaosPlan(tmp_path / "plan", raises=1)
-    harness = declare_harness_metrics(MetricsRegistry())
-    supervisor = Supervisor(
-        policy=RetryPolicy(base_delay=0.01, max_delay=0.1),
-        registry=harness,
-        task_wrapper=lambda fn: ChaosWrapper(fn, tmp_path / "plan"),
-    )
-    runner = _runner(supervisor=supervisor)
+    plan = ChaosPlan(tmp_path / "plan", raises=1)
+    runner = _runner()
+    runner.fanout.chaos_plan = plan.plan_dir
     runner.run_many([("scan",), ("radixsort",)], parallel=2)
 
     snapshot = runner.harness_snapshot()
-    assert snapshot.value("resilience_retries") >= 1
+    assert snapshot.value("fanout_retries") >= 1
     assert "retries=" in runner.cache_summary()
