@@ -63,8 +63,8 @@ Commands
     matter how many workers classified the units; ``serve fsck
     [--repair]`` audits (and heals) the store — re-digesting every
     content-addressed artifact, quarantining torn/foreign files,
-    regenerating lost units, adopting orphaned results; bare ``serve``
-    (or ``serve start``) runs the janitor/observer server loop.
+    regenerating lost units; bare ``serve`` (or ``serve start``) runs
+    the janitor/observer server loop.
 """
 
 from __future__ import annotations
@@ -535,9 +535,7 @@ def _chaos_fabric(args) -> int:
     print(f"store integrity   : "
           f"quarantined={report.quarantined} "
           f"corrupt-results={counters.get('store_corrupt_results', 0)} "
-          f"corrupt-units={counters.get('store_corrupt_units', 0)} "
-          f"requeue-adoptions="
-          f"{counters.get('store_requeue_adoptions', 0)}")
+          f"corrupt-units={counters.get('store_corrupt_units', 0)}")
     print(f"fsck after drain  : "
           f"{'clean' if report.fsck_clean else 'NOT CLEAN'}")
     verdict = "PASS" if report.matched and report.fsck_clean else "FAIL"
@@ -769,7 +767,6 @@ def _serve_start(args) -> int:
 
 
 def _serve_worker(args) -> int:
-    from repro.service.store import DEFAULT_LEASE_SECONDS  # noqa: F401
     from repro.service.worker import ServiceWorker
 
     store = _serve_store(args)
@@ -1119,8 +1116,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="audit one job (default: whole store)")
     fsck_parser.add_argument(
         "--repair", action="store_true",
-        help="quarantine corrupt artifacts, requeue their units, "
-             "regenerate lost units, adopt orphaned results")
+        help="quarantine corrupt artifacts, requeue expired claims, "
+             "regenerate lost units")
     fsck_parser.add_argument(
         "--lease", type=float, default=argparse.SUPPRESS,
         help="claim lease used when completing/requeueing expired "

@@ -281,8 +281,9 @@ def corrupt_store_files(store, job_id: str, *, results: int = 1,
     Victims are drawn deterministically (sorted order + injected RNG)
     so scenarios reproduce.  Returns the relative paths attacked.
     Corrupting a *done* unit's result is the nastiest case: the job
-    looks complete, but the merge must now quarantine the file, reopen
-    the unit and have the fleet republish it from the cache.
+    looks complete, but the merge must now quarantine the file, and
+    the next sweep restores the unit for the fleet to republish from
+    the cache.
     """
     if mode not in ("truncate", "bitflip"):
         raise ValueError(f"unknown corruption mode {mode!r}")
@@ -306,7 +307,8 @@ def skew_claim_clocks(store, job_id: str,
     Models a host whose clock jumped (or an NFS server stamping
     mtimes from another era): every in-flight lease instantly looks
     expired, so reclaimers race the still-live claimants — exactly the
-    window the requeue-adoption fix covers.  Returns claims skewed.
+    window claim-time adoption covers (a requeued unit whose result
+    lands is dropped, not re-run).  Returns claims skewed.
     """
     skewed = 0
     claims_dir = store._claims_dir(job_id)
@@ -405,7 +407,12 @@ def run_fabric_chaos(workload: str = "scan", samples: int = 120,
        pending units, abandon a claim and skew every claim's lease
        clock an hour into the past, scatter torn ``.tmp`` files and
        foreign junk (the disk-full writer's debris);
-    3. run ``serve fsck --repair`` over the wreckage;
+    3. run ``serve fsck --repair`` over the wreckage, then let a second
+       in-process worker finish one more unit and corrupt its fresh
+       result — a done unit with no claim and no pending copy, which
+       the fleet must heal without a second fsck (not the opener: its
+       next unit is one it already ran, and a same-owner re-run
+       replaces that unit's telemetry record);
     4. unleash a fleet of real OS worker processes with ``kills``
        SIGKILL events pending, then drain the remainder in-process;
     5. audit again — fsck must now report **clean** — and compare
@@ -459,6 +466,11 @@ def run_fabric_chaos(workload: str = "scan", samples: int = 120,
         # -- phase 3: repair --------------------------------------------
         repair = fsck_store(store, repair=True,
                             lease_seconds=lease_seconds)
+        finished = ServiceWorker(store, owner="chaos-closer").run_once()
+        if finished is not None and "error" not in finished:
+            victim = f"results/{finished['unit']}.json"
+            _mangle_file(store.job_dir(job_id) / victim, corrupt_mode)
+            corrupted.append(victim)
 
         # -- phase 4: chaos fleet, then drain ---------------------------
         plan = ChaosPlan(work / "plan", kills=kills)

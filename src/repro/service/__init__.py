@@ -13,7 +13,7 @@ the CLI into thin clients:
 * :mod:`repro.service.store` — the on-disk job store: durable job
   specs, sharded content-addressed work units, and the
   claim-by-atomic-rename protocol (exactly one claimant wins a unit;
-  expired claims are requeued; orphaned results are completed).
+  a published result completes it; expired claims are requeued).
 * :mod:`repro.service.jobs` — job planning (campaign, figure and
   fan-out jobs shard into units), unit execution through the existing
   ``CampaignEngine``/``SuiteRunner`` paths, and the deterministic merge
@@ -25,8 +25,8 @@ the CLI into thin clients:
   behind ``python -m repro serve`` (submit, status, watch, fetch,
   start).
 * :mod:`repro.service.health` — the self-healing layer: the
-  ``serve fsck [--repair]`` store auditor, crash-loop poison
-  diagnosis, and worker heartbeat health.
+  ``serve fsck [--repair]`` store auditor, the janitor sweep every
+  worker, server and watcher runs, and crash-loop poison diagnosis.
 
 This ``__init__`` resolves its exports lazily: the sharding helpers
 are imported by low-level modules (``repro.faults.campaign``,
@@ -66,9 +66,8 @@ _EXPORTS = {
     "fsck_store": "repro.service.health",
     "format_fsck": "repro.service.health",
     "diagnose_poison": "repro.service.health",
-    "update_poison_verdicts": "repro.service.health",
     "regenerate_lost_units": "repro.service.health",
-    "worker_health": "repro.service.health",
+    "sweep_job": "repro.service.health",
 }
 
 __all__ = sorted(_EXPORTS)

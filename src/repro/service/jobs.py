@@ -405,9 +405,11 @@ def campaign_merged_payload(workload: str, scheme: str, scale: float,
 def merge_job(store: JobStore, job_id: str) -> Optional[dict]:
     """Fold a fully classified job's unit results into merged output.
 
-    Returns ``None`` while any unit result is still missing.  Units
-    are folded in index order (their ids sort by index), which
-    reproduces the serial item order exactly.
+    Returns ``None`` while any unit result is still missing or
+    unreadable (the read quarantines it, which leaves that unit lost
+    until the next sweep restores it).  Units are folded in index
+    order (their ids sort by index), which reproduces the serial item
+    order exactly.
     """
     job = store.load_job(job_id)
     if job is None:
@@ -420,11 +422,10 @@ def merge_job(store: JobStore, job_id: str) -> Optional[dict]:
         if not result_shape_ok(job["kind"], payload, entry["count"]):
             # parses and carries the right unit id, but does not cover
             # its whole item slice (a truncated writer that still left
-            # valid JSON) — quarantine rather than merge a short read,
-            # and reopen the unit so the janitor regenerates and
+            # valid JSON) — quarantine rather than merge a short read;
+            # the unit is then lost, and the next sweep restores and
             # re-executes it (cache replay, not re-simulation)
             store.quarantine_result(job_id, entry["unit"])
-            store.reopen_unit(job_id, entry["unit"])
             return None
         results.append(payload)
     if job["kind"] == "campaign":

@@ -1,12 +1,12 @@
 """Job status, progress streaming and the ``repro serve`` server loop.
 
 The fabric is brokerless — workers coordinate through the store alone —
-so the "server" is deliberately thin: a janitor/observer that sweeps
-expired claims back into the queue, finalizes finished jobs, and
-renders progress.  Everything it does is idempotent and race-free
-against any number of workers (and other servers) doing the same, so
-running one is an operational convenience, never a correctness
-requirement.
+so the "server" is deliberately thin: a janitor/observer that runs the
+workers' own sweep (:func:`repro.service.health.sweep_job`) over every
+unmerged job and renders progress.  Everything it does is idempotent
+and race-free against any number of workers (and other servers) doing
+the same, so running one is an operational convenience, never a
+correctness requirement.
 
 :func:`job_status` is the one status oracle every surface shares — the
 CLI ``serve status``/``serve watch``, the server's progress stream and
@@ -19,7 +19,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro import __version__
-from repro.service.jobs import finalize_job
+from repro.service.health import diagnose_poison, sweep_job
 from repro.service.store import DEFAULT_LEASE_SECONDS, JobStore
 
 #: terminal job states (watchers stop on these)
@@ -36,7 +36,8 @@ def job_status(store: JobStore, job_id: str) -> Dict:
     resubmission).  ``simulations``/``seconds`` aggregate the workers'
     telemetry: the simulation count is the fleet-wide number of faulty
     runs actually executed for this job, which a warm resubmission
-    reports as 0.
+    reports as 0.  ``poisoned`` diagnoses each parked unit from its
+    attempt records.
     """
     job = store.load_job(job_id)
     if job is None:
@@ -53,7 +54,8 @@ def job_status(store: JobStore, job_id: str) -> Dict:
         state = "planned"
     telemetry = store.telemetry(job_id)
     owners = sorted({record["owner"] for record in telemetry})
-    poison = store.read_poison(job_id)
+    verdicts = [diagnose_poison(store, job_id, unit_id)
+                for unit_id in store.failed_units(job_id)]
     return {
         "job": job_id,
         "kind": job.get("kind"),
@@ -68,10 +70,10 @@ def job_status(store: JobStore, job_id: str) -> Dict:
         "figure": job.get("figure"),
         "quarantined": len(store.quarantined_files(job_id)),
         "poisoned": [
-            {"unit": verdict.get("unit"),
-             "classification": verdict.get("classification"),
-             "attempts": verdict.get("attempts")}
-            for verdict in (poison or {}).get("units", [])
+            {"unit": verdict["unit"],
+             "classification": verdict["classification"],
+             "attempts": verdict["attempts"]}
+            for verdict in verdicts
         ],
     }
 
@@ -139,7 +141,7 @@ def watch_job(store: JobStore, job_id: str, timeout: float = 600.0,
               emit: Optional[Callable[[str], None]] = None) -> Dict:
     """Poll *job_id* to a terminal state, streaming progress lines.
 
-    The watcher janitors while it waits (lease recovery + finalize), so
+    The watcher sweeps the job while it waits (:func:`sweep_job`), so
     ``serve watch`` alone is enough to drive a job to ``done`` once
     workers have published every unit — no server process required.
     Returns the final status payload; on timeout, the last one seen.
@@ -147,8 +149,7 @@ def watch_job(store: JobStore, job_id: str, timeout: float = 600.0,
     deadline = time.monotonic() + timeout
     last_line = None
     while True:
-        store.requeue_expired(job_id, lease_seconds)
-        finalize_job(store, job_id)
+        sweep_job(store, job_id, lease_seconds)
         status = job_status(store, job_id)
         line = format_status(status)
         if emit is not None and line != last_line:
@@ -164,11 +165,12 @@ def watch_job(store: JobStore, job_id: str, timeout: float = 600.0,
 class ServiceServer:
     """The janitor/observer loop behind ``python -m repro serve start``.
 
-    Each poll sweeps every job: expired claims are stolen back
-    (requeued, or completed when the dead worker already published),
-    and fully classified jobs are merged.  The server never executes
-    units itself — workers do — so it stays responsive no matter how
-    heavy the jobs are.
+    Each poll runs :func:`sweep_job` over every unmerged job: expired
+    claims are stolen back (requeued, or completed when the dead
+    worker already published), lost units restored, and fully
+    classified jobs merged.  The server never executes units itself —
+    workers do — so it stays responsive no matter how heavy the jobs
+    are.
     """
 
     def __init__(self, store: JobStore,
@@ -183,21 +185,16 @@ class ServiceServer:
 
     def poll_once(self) -> Dict:
         """One janitor sweep; returns what changed plus live counts."""
-        from repro.service.health import (regenerate_lost_units,
-                                          update_poison_verdicts)
         self.polls += 1
         requeued = completed = finalized = active = 0
         for job_id in self.store.list_jobs():
-            if self.store.merged_path(job_id).exists():
+            swept = sweep_job(self.store, job_id, self.lease_seconds)
+            if swept is None:
                 continue
-            moved = self.store.requeue_expired(job_id, self.lease_seconds)
-            requeued += len(moved["requeued"])
-            completed += len(moved["completed"])
-            regenerated = regenerate_lost_units(self.store, job_id)
-            self.regenerated += len(regenerated)
-            if self.store.failed_units(job_id):
-                update_poison_verdicts(self.store, job_id)
-            if finalize_job(self.store, job_id):
+            requeued += len(swept["requeued"])
+            completed += len(swept["completed"])
+            self.regenerated += len(swept["regenerated"])
+            if swept["finalized"]:
                 finalized += 1
             else:
                 active += 1
@@ -238,9 +235,3 @@ class ServiceServer:
             "finalized": self.finalized,
             "regenerated": self.regenerated,
         }
-
-
-def submitted_jobs_report(store: JobStore,
-                          job_ids: List[str]) -> List[Dict]:
-    """Status payloads for a batch of freshly submitted jobs."""
-    return [job_status(store, job_id) for job_id in job_ids]

@@ -17,26 +17,27 @@ sharing the filesystem) race safely:
             job.json                durable job spec + unit index
             units/<uid>.json        pending work units
             claims/<uid>.json@<owner>   claimed (in-flight) units
-            results/<uid>.json      published unit results
-            done/<uid>              completion markers
+            results/<uid>.json      published unit results (a unit is
+                                    done iff its result exists)
             failed/<uid>.json       units that exhausted their attempts
-            attempts/<uid>-<n>      per-unit failure bookkeeping
+            attempts/<uid>-<n>      one JSON record per failed attempt
             merged.json             deterministic merged output
             table.pkl               a fan-out job's task table
 
 **Claim protocol.**  A worker claims ``units/<uid>.json`` by renaming
 it into ``claims/`` with its owner id appended — exactly one claimant
-ever wins a unit, no matter how many race.  On success the worker
-writes ``results/<uid>.json`` (atomic temp-file + replace) and then
-renames its claim to ``done/<uid>``.  A worker that dies mid-unit
-leaves a claim whose lease (claim-file mtime, refreshed at claim time)
-expires; any other worker requeues it — or, if the result was already
-published, completes it — so no unit is ever lost.  A unit can only
-execute twice if its lease expires while the original claimant is
-still alive, and then both executions publish byte-identical results
-(classification is deterministic and content-addressed), so the race
-is harmless: *exactly-once effects* even when execution is at-least-
-once.
+ever wins a unit, no matter how many race.  Publishing
+``results/<uid>.json`` (atomic temp-file + replace) completes the unit;
+the worker then drops its claim.  A worker that dies mid-unit leaves a
+claim whose lease (claim-file mtime, refreshed at claim time) expires;
+any other worker requeues it — or, if the result was already
+published, completes it — so no unit is ever lost.  A pending copy of
+a unit whose result exists is dropped at claim time, never executed.
+A unit can only execute twice if its lease expires while the original
+claimant is still alive, and then both executions publish
+byte-identical results (classification is deterministic and
+content-addressed), so the race is harmless: *exactly-once effects*
+even when execution is at-least-once.
 
 **Exactly-once classification.**  Unit results are published *through
 the cache*: every fault classification inside a unit is also stored
@@ -90,10 +91,8 @@ STORE_COUNTERS = (
     "store_corrupt_results",
     "store_corrupt_manifests",
     "store_corrupt_merged",
-    "store_corrupt_poison",
     "store_corrupt_heartbeats",
     "store_quarantined",
-    "store_requeue_adoptions",
     "store_degraded_rejections",
 )
 
@@ -218,9 +217,6 @@ class JobStore:
     def _results_dir(self, job_id: str) -> pathlib.Path:
         return self.job_dir(job_id) / "results"
 
-    def _done_dir(self, job_id: str) -> pathlib.Path:
-        return self.job_dir(job_id) / "done"
-
     def _failed_dir(self, job_id: str) -> pathlib.Path:
         return self.job_dir(job_id) / "failed"
 
@@ -236,10 +232,6 @@ class JobStore:
     def quarantine_dir(self, job_id: str) -> pathlib.Path:
         """Where a job's corrupt artifacts are moved for post-mortem."""
         return self.job_dir(job_id) / "quarantine"
-
-    def poison_path(self, job_id: str) -> pathlib.Path:
-        """The job's poison verdict file (see :mod:`repro.service.health`)."""
-        return self.job_dir(job_id) / "poison.json"
 
     @property
     def workers_dir(self) -> pathlib.Path:
@@ -300,8 +292,7 @@ class JobStore:
         for job_id in self.list_jobs():
             quarantined += len(self.quarantined_files(job_id))
             for sub in (self._units_dir, self._claims_dir,
-                        self._results_dir, self._done_dir,
-                        self._failed_dir):
+                        self._results_dir, self._failed_dir):
                 artifacts += len(self._unit_names(sub(job_id), ""))
         if not artifacts and not quarantined:
             return 0.0
@@ -352,9 +343,8 @@ class JobStore:
         for unit in units:
             _write_atomic(self._units_dir(job_id) / f"{unit['unit']}.json",
                           canonical_json(unit))
-        for sub in (self._claims_dir, self._results_dir, self._done_dir,
-                    self._failed_dir, self._attempts_dir,
-                    self._telemetry_dir):
+        for sub in (self._claims_dir, self._results_dir, self._failed_dir,
+                    self._attempts_dir, self._telemetry_dir):
             sub(job_id).mkdir(parents=True, exist_ok=True)
         payload = dict(payload)
         payload["job_id"] = job_id
@@ -403,7 +393,8 @@ class JobStore:
         return self._unit_names(self._units_dir(job_id), ".json")
 
     def done_units(self, job_id: str) -> List[str]:
-        return self._unit_names(self._done_dir(job_id), "")
+        """Units with a published result: the one record of "done"."""
+        return self._unit_names(self._results_dir(job_id), ".json")
 
     def failed_units(self, job_id: str) -> List[str]:
         return self._unit_names(self._failed_dir(job_id), ".json")
@@ -444,16 +435,26 @@ class JobStore:
         """Atomically claim one pending unit for *owner*.
 
         Scans in sorted unit order (deterministic up to claim races);
-        the rename guarantees exactly one winner per unit.  Returns the
-        unit payload and the claim path (needed to complete or fail the
+        the rename guarantees exactly one winner per unit.  A pending
+        copy of a unit whose result is already published (say, by a
+        claimant whose expired lease was requeued under it) is dropped
+        instead: the result completes the unit.  Returns the unit
+        payload and the claim path (needed to complete or fail the
         unit), or ``None`` when nothing is pending.
         """
         owner = sanitize_owner(owner)
         units_dir = self._units_dir(job_id)
         claims_dir = self._claims_dir(job_id)
+        results_dir = self._results_dir(job_id)
         claims_dir.mkdir(parents=True, exist_ok=True)
         for name in self._unit_names(units_dir, ""):
             if not name.endswith(".json"):
+                continue
+            if (results_dir / name).exists():
+                try:
+                    os.unlink(units_dir / name)
+                except OSError:
+                    pass
                 continue
             claim = claims_dir / f"{name}{_CLAIM_SEP}{owner}"
             # the rename keeps the file's mtime, which is the claim's
@@ -486,53 +487,13 @@ class JobStore:
     def restore_unit(self, job_id: str, unit: dict) -> None:
         """Re-materialize a pending unit file from its planned payload.
 
-        Used by the repair paths (fsck, the worker janitor) after a
-        torn unit file was quarantined: unit payloads are deterministic
-        functions of the job manifest, so the restored file is
-        byte-identical to the one the planner wrote.
+        Used by the janitor sweep and fsck once a unit is lost (its
+        unit file or result was quarantined): unit payloads are
+        deterministic functions of the job manifest, so the restored
+        file is byte-identical to the one the planner wrote.
         """
         _write_atomic(self._units_dir(job_id) / f"{unit['unit']}.json",
                       canonical_json(unit))
-
-    def adopt_result(self, job_id: str, unit_id: str) -> None:
-        """Mark a unit with a valid published result done, claim or not.
-
-        The repair-path counterpart of :meth:`complete_unit`: removes
-        any pending copy of the unit and drops a done marker, so a
-        published result is *adopted* instead of re-executed.
-        """
-        done = self._done_dir(job_id)
-        done.mkdir(parents=True, exist_ok=True)
-        (done / unit_id).touch()
-        try:
-            os.unlink(self._units_dir(job_id) / f"{unit_id}.json")
-        except OSError:
-            pass
-
-    def reopen_unit(self, job_id: str, unit_id: str) -> None:
-        """Withdraw a unit's done marker after its result was rejected.
-
-        The inverse of :meth:`adopt_result`: once a published result is
-        quarantined, the done marker would wedge the merge (done ==
-        total but nothing to fold), so the marker goes too and the
-        janitor's lost-unit pass re-materializes the unit for
-        re-execution.
-        """
-        try:
-            os.unlink(self._done_dir(job_id) / unit_id)
-        except OSError:
-            pass
-
-    def write_poison(self, job_id: str, payload: dict) -> None:
-        """Publish the job's poison verdict (atomic, deterministic
-        bytes — concurrent diagnosers converge)."""
-        _write_atomic(self.poison_path(job_id), canonical_json(payload))
-
-    def read_poison(self, job_id: str) -> Optional[dict]:
-        """The job's poison verdict, or ``None`` (torn files are
-        quarantined; the verdict is re-derivable from ``attempts/``)."""
-        return self._read_validated(self.poison_path(job_id), job_id,
-                                    "poison")
 
     def publish_result(self, job_id: str, unit_id: str,
                        payload: dict) -> None:
@@ -598,16 +559,14 @@ class JobStore:
 
     def complete_unit(self, job_id: str, unit_id: str,
                       claim: pathlib.Path) -> None:
-        """Mark a published unit done by renaming its claim.
+        """Drop the claim of a unit whose result is published.
 
         If the claim vanished (a reclaimer stole it while we finished),
-        the published result still stands — whoever holds the claim now
-        will publish identical bytes and complete it.
+        the published result still stands — it completes the unit, and
+        the stolen copy is dropped when it is next claimed.
         """
-        done = self._done_dir(job_id)
-        done.mkdir(parents=True, exist_ok=True)
         try:
-            os.replace(claim, done / unit_id)
+            os.unlink(claim)
         except OSError:
             pass
 
@@ -693,7 +652,9 @@ class JobStore:
         complete — it is completed in place (no re-execution).  One
         without a result is renamed back into ``units/`` for any worker
         to re-claim.  Losing either race to the (still live) claimant
-        is fine: renames are atomic and results idempotent.
+        is fine: renames are atomic, results idempotent, and a result
+        published after the requeue makes :meth:`claim_unit` drop the
+        requeued copy.
         """
         now = time.time() if now is None else now
         moved: Dict[str, List[str]] = {"requeued": [], "completed": []}
@@ -713,28 +674,9 @@ class JobStore:
                 self.complete_unit(job_id, unit_id, claim)
                 moved["completed"].append(unit_id)
                 continue
-            unit_path = self._units_dir(job_id) / f"{unit_id}.json"
             try:
-                os.replace(claim, unit_path)
+                os.replace(claim, self._units_dir(job_id) / f"{unit_id}.json")
             except OSError:
-                continue
-            # Re-read after the requeue: the (still live) claimant may
-            # have published its result in the window between the
-            # result check above and the rename.  Adopting it here —
-            # re-claiming the unit we just requeued and completing it —
-            # turns a double-attempt into a completion; losing the
-            # re-claim race to another worker is benign (it republishes
-            # identical bytes), but we must not leave a published unit
-            # sitting in the pending queue.
-            if self.unit_result(job_id, unit_id) is not None:
-                self.registry.inc("store_requeue_adoptions")
-                try:
-                    os.replace(unit_path, claim)
-                except OSError:
-                    moved["completed"].append(unit_id)
-                    continue
-                self.complete_unit(job_id, unit_id, claim)
-                moved["completed"].append(unit_id)
                 continue
             moved["requeued"].append(unit_id)
         return moved
@@ -742,12 +684,12 @@ class JobStore:
     # -- accounting ----------------------------------------------------
     def counts(self, job_id: str) -> Dict[str, int]:
         job = self.load_job(job_id)
-        total = len(job["units"]) if job else 0
+        units = {entry["unit"] for entry in job["units"]} if job else set()
         return {
-            "total": total,
+            "total": len(units),
             "pending": len(self.pending_units(job_id)),
             "claimed": len(self.claimed_units(job_id)),
-            "done": len(self.done_units(job_id)),
+            "done": len(units.intersection(self.done_units(job_id))),
             "failed": len(self.failed_units(job_id)),
         }
 

@@ -1,21 +1,23 @@
 """The work-stealing worker behind ``python -m repro serve --worker``.
 
-A worker owns no state beyond its identity: it scans the store's jobs
-in sorted order, claims one pending unit by atomic rename, executes it
-(:func:`~repro.service.jobs.execute_unit`), publishes the result and
-telemetry, and marks the unit done.  Any number of workers (on any
-host sharing the store) run this loop concurrently; the claim protocol
-guarantees each unit executes under exactly one live claim, and the
-shared classification cache guarantees each *simulation* runs exactly
-once fleet-wide even when a unit is re-executed after a crash.
+A worker owns no state beyond its identity: it scans the store's
+unmerged jobs in sorted order, claims one pending unit by atomic
+rename, executes it (:func:`~repro.service.jobs.execute_unit`),
+publishes the result and telemetry — publishing completes the unit —
+and drops its claim.  Any number of workers (on any host sharing the
+store) run this loop concurrently; the claim protocol guarantees each
+unit executes under exactly one live claim, and the shared
+classification cache guarantees each *simulation* runs exactly once
+fleet-wide even when a unit is re-executed after a crash.
 
-When no unit is claimable the worker turns janitor: it steals expired
-claims (requeueing dead workers' units, completing orphaned results),
-re-materializes units the corruption-tolerant read paths quarantined
-(:func:`repro.service.health.regenerate_lost_units`), refreshes poison
-verdicts for parked units, and finalizes any job whose units are all
-done — so a fleet of plain workers converges with no server process at
-all, even on a store chaos has chewed on.
+When no unit is claimable the worker turns janitor: it runs
+:func:`repro.service.health.sweep_job` over every unmerged job, which
+steals expired claims (requeueing dead workers' units, completing
+orphaned results), re-materializes lost units (those whose unit file
+or result a corruption-tolerant read path quarantined), and finalizes
+a job whose units are all done — so a fleet of plain workers
+converges with no server process at all, even on a store chaos has
+chewed on.
 
 Every pass also publishes a *heartbeat* (``workers/<owner>.json``, at
 most once per ``heartbeat_seconds``) carrying the worker's lifetime
@@ -49,11 +51,10 @@ import traceback
 from multiprocessing.connection import wait
 from typing import Callable, Dict, Optional
 
-from repro.common.errors import (HarnessError, PermanentSimFailure,
-                                 PoisonedTask, TaskTimeout,
-                                 TransientWorkerFailure)
+from repro.common.errors import (PermanentSimFailure, PoisonedTask,
+                                 TaskTimeout, TransientWorkerFailure)
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.service.jobs import execute_unit, finalize_job
+from repro.service.jobs import execute_unit
 from repro.service.store import (DEFAULT_LEASE_SECONDS, JobStore,
                                  default_owner)
 
@@ -125,9 +126,9 @@ class ServiceWorker:
         """Claim and execute one unit from any job; ``None`` when idle.
 
         An idle pass still does the janitor work (lease recovery,
-        lost-unit regeneration, poison diagnosis, finalization), so a
-        worker parked on a drained store finishes the bookkeeping other
-        workers' crashes left behind.
+        lost-unit regeneration, finalization), so a worker parked on a
+        drained store finishes the bookkeeping other workers' crashes
+        left behind.
         """
         self.beat()
         for job_id in self.store.list_jobs():
@@ -173,18 +174,9 @@ class ServiceWorker:
         return None
 
     def _janitor(self) -> None:
-        from repro.service.health import (regenerate_lost_units,
-                                          update_poison_verdicts)
+        from repro.service.health import sweep_job
         for job_id in self.store.list_jobs():
-            job = self.store.load_job(job_id)
-            if job is None:
-                continue
-            self.store.requeue_expired(job_id, self.lease_seconds)
-            if not self.store.merged_path(job_id).exists():
-                regenerate_lost_units(self.store, job_id, job=job)
-            if self.store.failed_units(job_id):
-                update_poison_verdicts(self.store, job_id)
-            finalize_job(self.store, job_id)
+            sweep_job(self.store, job_id, self.lease_seconds)
 
     def run(self, max_idle: Optional[float] = None, once: bool = False,
             poll: float = 0.2) -> dict:
@@ -262,9 +254,9 @@ def run_fleet(store: JobStore, job_id: str, workers: int,
     * a unit parked after :data:`~repro.common.errors.MAX_ATTEMPTS`
       raises :class:`~repro.common.errors.PermanentSimFailure` when its
       poison verdict is ``permanent-sim``, else
-      :class:`~repro.common.errors.PoisonedTask`; a done unit whose
-      result is unreadable raises
-      :class:`~repro.common.errors.HarnessError`.
+      :class:`~repro.common.errors.PoisonedTask`;
+    * a done unit whose result no longer reads (the read quarantines
+      it) is restored and re-run like any lost unit.
 
     Surviving workers are killed on every exit path.  *registry* counts
     ``fanout_retries``, ``fanout_timeouts`` and
@@ -331,8 +323,7 @@ def run_fleet(store: JobStore, job_id: str, workers: int,
             while handed < len(units) and units[handed] in done:
                 result = store.unit_result(job_id, units[handed])
                 if result is None:
-                    raise HarnessError(f"fan-out unit {units[handed]} lost "
-                                       f"its published result")
+                    break  # quarantined: the unit is lost now
                 on_result(result)
                 handed += 1
             if handed == len(units):
@@ -340,7 +331,8 @@ def run_fleet(store: JobStore, job_id: str, workers: int,
             if sum(counts[state] for state in ("pending", "claimed", "done")) \
                     < counts["total"]:
                 from repro.service.health import regenerate_lost_units
-                regenerate_lost_units(store, job_id)  # a torn unit file
+                # a torn unit file or an unreadable result
+                regenerate_lost_units(store, job_id)
             for _ in range(min(counts["pending"], workers - len(live))):
                 owner = f"fleet-{os.getpid()}-{next(numbers)}"
                 proc = multiprocessing.Process(

@@ -124,6 +124,25 @@ class TestFleet:
         assert registry.value("fanout_timeouts") == 1
         assert _attempt_types(store, job_id) == ["TaskTimeout"]
 
+    def test_done_unit_with_torn_result_is_rerun(self, tmp_path):
+        store = JobStore(tmp_path / "store")
+        job_id = submit_fanout_job(store, _square, 3, ITEMS, _keys(ITEMS), 2)
+        unit, claim = store.claim_unit(job_id, "gone")
+        assert unit["index"] == 0
+        torn = store._results_dir(job_id) / f"{unit['unit']}.json"
+        torn.write_text('{"unit": "tor')
+        store.complete_unit(job_id, unit["unit"], claim)
+        handed = []
+        run_fleet(store, job_id, 2,
+                  lambda result: handed.extend(result["keys"]))
+        assert handed == _keys(ITEMS)
+        assert torn.name in store.quarantined_files(job_id)
+
+    def test_finished_job_keeps_only_data_files(self, tmp_path):
+        store, job_id, _, _ = _fleet(tmp_path, _square)
+        names = {path.name for path in store.job_dir(job_id).iterdir()}
+        assert "done" not in names and "poison.json" not in names
+
     def test_declared_counters_all_present(self):
         registry = declare_harness_metrics(MetricsRegistry())
         for name in HARNESS_COUNTERS:

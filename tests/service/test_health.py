@@ -20,7 +20,8 @@ from repro.service.codec import decode_canonical, encode_canonical
 from repro.service.health import (FsckReport, classify_error_type,
                                   diagnose_poison, fsck_job, fsck_store,
                                   format_fsck, regenerate_lost_units,
-                                  update_poison_verdicts, worker_health)
+                                  sweep_job)
+from repro.service.jobs import submit_fanout_job
 from repro.service.store import (JobStore, canonical_json, job_id_for,
                                  unit_id_for)
 
@@ -41,6 +42,22 @@ def make_job(store: JobStore, n_units: int = 4, tag: str = "health") -> str:
 def result_for(unit: dict) -> dict:
     """A shape-valid synthetic campaign result for ``unit``."""
     return {"unit": unit["unit"], "runs": [0] * len(unit["items"])}
+
+
+def _double(context, item):
+    return 2 * item
+
+
+def make_fanout_job(store: JobStore) -> str:
+    """A replannable job that plans without simulating: a fan-out."""
+    items = list(range(4))
+    return submit_fanout_job(store, _double, None, items,
+                             [f"k{item}" for item in items], 2)
+
+
+def expire(claim) -> None:
+    past = time.time() - 1000
+    os.utime(claim, (past, past))
 
 
 def finish_unit(store: JobStore, job_id: str, owner: str = "w") -> str:
@@ -179,40 +196,31 @@ class TestReadPathTolerance:
 
 
 # ----------------------------------------------------------------------
-# Satellite: the requeue-adoption race fix
+# A result published after its claim was requeued
 # ----------------------------------------------------------------------
 class TestRequeueAdoption:
-    def test_result_published_in_race_window_is_adopted(self, tmp_path,
-                                                        monkeypatch):
+    def test_result_published_in_race_window_is_adopted(self, tmp_path):
         store = JobStore(tmp_path)
         job_id = make_job(store, n_units=1)
         unit, claim = store.claim_unit(job_id, "slow-worker")
         unit_id = unit["unit"]
         past = time.time() - 1000
         os.utime(claim, (past, past))  # lease long expired
-
-        # the still-live claimant publishes *between* requeue_expired's
-        # pre-check and its rename — simulated by making the first
-        # result read miss and publishing underneath it
-        real = JobStore.unit_result
-        calls = {"n": 0}
-
-        def racy_unit_result(self, job, uid):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                store.publish_result(job, uid, result_for(unit))
-                return None  # the pre-rename check saw nothing
-            return real(self, job, uid)
-
-        monkeypatch.setattr(JobStore, "unit_result", racy_unit_result)
         moved = store.requeue_expired(job_id, lease_seconds=1.0)
+        assert moved == {"requeued": [unit_id], "completed": []}
 
-        # adopted, not double-attempted: the unit is done, not pending
-        assert moved["completed"] == [unit_id]
-        assert moved["requeued"] == []
+        # the still-live claimant publishes after the requeue; its claim
+        # is gone, but the published result completes the unit
+        store.publish_result(job_id, unit_id, result_for(unit))
+        store.complete_unit(job_id, unit_id, claim)
         assert store.done_units(job_id) == [unit_id]
+        assert store.counts(job_id)["done"] == 1
+
+        # adopted, not double-attempted: the stale copy is never handed
+        # out again, it is dropped at claim time
+        assert store.claim_unit(job_id, "other-worker") is None
         assert store.pending_units(job_id) == []
-        assert store.registry.counters()["store_requeue_adoptions"] == 1
+        assert store.done_units(job_id) == [unit_id]
 
     def test_unpublished_expired_claim_still_requeues(self, tmp_path):
         store = JobStore(tmp_path)
@@ -284,9 +292,9 @@ class TestFsckRepair:
         unit_id = finish_unit(store, job_id)
         (store._results_dir(job_id) / f"{unit_id}.json").write_text("{ t")
         report = fsck_one(store, job_id, repair=True)
-        kinds = report.by_kind()
-        assert kinds.get("torn-result") == 1
-        assert kinds.get("done-without-result") == 1
+        # quarantining the result loses the unit (a synthetic job does
+        # not replan, so the loss is reported rather than regenerated)
+        assert report.by_kind() == {"torn-result": 1, "lost-unit": 1}
         assert unit_id not in store.done_units(job_id)
         assert f"{unit_id}.json" in store.quarantined_files(job_id)
 
@@ -304,25 +312,21 @@ class TestFsckRepair:
             self, tmp_path):
         store = JobStore(tmp_path)
         job_id = make_job(store)
-        # publish a valid result with no claim/done bookkeeping at all
+        # publish a valid result with no claim bookkeeping at all
         unit_id = store.pending_units(job_id)[0]
         payload = {"unit": unit_id, "runs": [0]}
         store.publish_result(job_id, unit_id, payload)
-        report = fsck_one(store, job_id, repair=True)
-        assert "unadopted-result" in report.by_kind()
+        assert fsck_one(store, job_id, repair=False).clean
+        assert fsck_one(store, job_id, repair=True).clean
         assert unit_id in store.done_units(job_id)
-        assert unit_id not in store.pending_units(job_id)
         # the result file itself was never moved
         assert store.unit_result(job_id, unit_id) == payload
-
-    def test_orphan_done_marker_removed(self, tmp_path):
-        store = JobStore(tmp_path)
-        job_id = make_job(store)
-        done = store._done_dir(job_id)
-        done.mkdir(parents=True, exist_ok=True)
-        (done / "u9999-000000000000").touch()
-        fsck_one(store, job_id, repair=True)
-        assert "u9999-000000000000" not in store.done_units(job_id)
+        # and its pending copy is never handed out
+        claimed = []
+        while (got := store.claim_unit(job_id, "w")) is not None:
+            claimed.append(got[0]["unit"])
+        assert len(claimed) == 3 and unit_id not in claimed
+        assert unit_id not in store.pending_units(job_id)
 
     def test_expired_claim_with_result_completed(self, tmp_path):
         store = JobStore(tmp_path)
@@ -401,10 +405,69 @@ class TestFsckRegeneration:
                                                "runs": []})
         assert regenerate_lost_units(store, job_id) == []
         assert unit_id in store.done_units(job_id)
-        # clean up the fabricated result for the other tests
+        # quarantining the fabricated result loses the unit again
         store.quarantine_result(job_id, unit_id)
-        store.reopen_unit(job_id, unit_id)
         assert regenerate_lost_units(store, job_id) == [unit_id]
+
+
+# ----------------------------------------------------------------------
+# The janitor sweep
+# ----------------------------------------------------------------------
+class TestSweepJob:
+    def test_merged_job_is_left_alone(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = make_job(store, n_units=1)
+        unit, claim = store.claim_unit(job_id, "dead")
+        expire(claim)
+        store.write_merged(job_id, {"kind": "campaign"})
+        assert sweep_job(store, job_id, lease_seconds=1.0) is None
+        assert store.claimed_units(job_id) == [(unit["unit"], "dead")]
+
+    def test_expired_claim_is_requeued(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = make_job(store, n_units=1)
+        unit, claim = store.claim_unit(job_id, "dead")
+        expire(claim)
+        swept = sweep_job(store, job_id, lease_seconds=1.0)
+        assert swept["requeued"] == [unit["unit"]]
+        assert swept["completed"] == [] and not swept["finalized"]
+        assert store.pending_units(job_id) == [unit["unit"]]
+
+    def test_expired_claim_with_result_is_completed(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = make_job(store, n_units=2)
+        unit, claim = store.claim_unit(job_id, "dead")
+        store.publish_result(job_id, unit["unit"], result_for(unit))
+        expire(claim)
+        swept = sweep_job(store, job_id, lease_seconds=1.0)
+        assert swept["completed"] == [unit["unit"]]
+        assert store.claimed_units(job_id) == []
+        assert store.done_units(job_id) == [unit["unit"]]
+
+    def test_lost_unit_is_restored(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = make_fanout_job(store)
+        unit_id = store.pending_units(job_id)[-1]
+        path = store._units_dir(job_id) / f"{unit_id}.json"
+        original = path.read_bytes()
+        path.unlink()
+        swept = sweep_job(store, job_id)
+        assert swept["regenerated"] == [unit_id]
+        assert path.read_bytes() == original
+
+    def test_finished_job_is_finalized(self, tmp_path):
+        store = JobStore(tmp_path)
+        job_id = make_fanout_job(store)
+        while (claimed := store.claim_unit(job_id, "w")) is not None:
+            unit, claim = claimed
+            store.publish_result(job_id, unit["unit"], {
+                "unit": unit["unit"],
+                "keys": [f"k{item}" for item in unit["items"]]})
+            store.complete_unit(job_id, unit["unit"], claim)
+        assert sweep_job(store, job_id)["finalized"]
+        assert store.read_merged(job_id) == {
+            "kind": "fanout", "keys": ["k0", "k1", "k2", "k3"]}
+        assert sweep_job(store, job_id) is None
 
 
 # ----------------------------------------------------------------------
@@ -462,29 +525,23 @@ class TestPoisonDiagnosis:
         verdict = diagnose_poison(store, job_id, unit_id)
         assert verdict["classification"] == "permanent-sim"
 
-    def test_update_poison_verdicts_is_deterministic(self, tmp_path):
-        store = JobStore(tmp_path)
-        job_id = make_job(store, n_units=1)
-        park_unit(store, job_id, [("boom", "ValueError", "tb")] * 3)
-        verdicts = update_poison_verdicts(store, job_id)
-        assert len(verdicts) == 1
-        first = store.poison_path(job_id).read_bytes()
-        update_poison_verdicts(store, job_id)
-        assert store.poison_path(job_id).read_bytes() == first
-        assert store.read_poison(job_id)["units"] == verdicts
-
     def test_job_status_surfaces_poison_and_quarantine(self, tmp_path):
         from repro.service.server import format_status, job_status
 
         store = JobStore(tmp_path)
         job_id = make_job(store, n_units=2)
-        park_unit(store, job_id, [("boom", "AssertionError", "tb")] * 3)
-        update_poison_verdicts(store, job_id)
+        unit_id = park_unit(store, job_id,
+                            [("boom", "AssertionError", "tb")] * 3)
         (store._results_dir(job_id) / "junk.json").write_text("{ t")
         store.unit_result(job_id, "junk")  # quarantines it
         status = job_status(store, job_id)
         assert status["quarantined"] == 1
-        assert status["poisoned"][0]["classification"] == "permanent-sim"
+        # computed from the attempt records; no verdict file is written
+        assert status["poisoned"] == [{"unit": unit_id,
+                                       "classification": "permanent-sim",
+                                       "attempts": 3}]
+        assert job_status(store, job_id) == status
+        assert not (store.job_dir(job_id) / "poison.json").exists()
         line = format_status(status)
         assert "poisoned=1(permanent-sim)" in line
         assert "quarantined=1" in line
@@ -497,19 +554,19 @@ class TestWorkerHealthRecords:
     def test_beat_and_alive_stale_annotation(self, tmp_path):
         store = JobStore(tmp_path)
         store.beat("w-1", {"units_done": 3})
-        records = worker_health(store, stale_after=30.0)
+        records = store.worker_records(stale_after=30.0)
         assert [r["owner"] for r in records] == ["w-1"]
         assert records[0]["state"] == "alive"
         assert records[0]["units_done"] == 3
         later = time.time() + 100
-        stale = worker_health(store, stale_after=30.0, now=later)
+        stale = store.worker_records(stale_after=30.0, now=later)
         assert stale[0]["state"] == "stale"
 
     def test_torn_heartbeat_quarantined(self, tmp_path):
         store = JobStore(tmp_path)
         store.workers_dir.mkdir(parents=True, exist_ok=True)
         (store.workers_dir / "broken.json").write_text("{ torn beat")
-        assert worker_health(store) == []
+        assert store.worker_records() == []
         assert store.registry.counters()["store_corrupt_heartbeats"] == 1
         assert (store.workers_dir / "quarantine" / "broken.json").exists()
 
@@ -517,7 +574,7 @@ class TestWorkerHealthRecords:
         store = JobStore(tmp_path)
         store.beat("w-gone", {})
         store.remove_worker_record("w-gone")
-        assert worker_health(store) == []
+        assert store.worker_records() == []
 
     def test_fsck_repair_drops_long_dead_workers(self, tmp_path):
         store = JobStore(tmp_path)
@@ -526,7 +583,7 @@ class TestWorkerHealthRecords:
         report = fsck_store(store, repair=True, lease_seconds=1.0,
                             stale_after=1.0, now=later)
         assert any(f.kind == "dead-worker" for f in report.findings)
-        assert worker_health(store) == []
+        assert store.worker_records() == []
 
     def test_store_status_lists_workers(self, tmp_path):
         from repro.service.server import format_workers, store_status

@@ -115,6 +115,14 @@ class TestDistributedEqualsSerial:
         assert status["simulations"] == SAMPLES
         assert status["state"] == "done"
 
+    def test_finished_job_keeps_only_data_files(self, fabric):
+        # a published result is the only record that a unit is done, and
+        # a poison verdict is computed when asked for: neither is a file
+        names = {path.name for path in
+                 fabric["store"].job_dir(fabric["job_id"]).iterdir()}
+        assert "merged.json" in names
+        assert "done" not in names and "poison.json" not in names
+
     def test_merged_output_excludes_execution_noise(self, fabric):
         merged = fabric["store"].read_merged(fabric["job_id"])
         assert "simulations" not in merged

@@ -13,19 +13,20 @@ import pytest
 from repro.analysis.runner import experiment_config
 from repro.common.config import DMRConfig
 from repro.faults.campaign import CampaignSpec
-from repro.service.jobs import submit_campaign_job
+from repro.service.jobs import serial_merged_payload, submit_campaign_job
 from repro.service.server import job_status
-from repro.service.store import (MAX_UNIT_ATTEMPTS, JobStore, job_id_for,
-                                 unit_id_for)
+from repro.service.store import (MAX_UNIT_ATTEMPTS, JobStore,
+                                 canonical_json, job_id_for, unit_id_for)
 from repro.service.worker import ServiceWorker
 
 SAMPLES = 6
 UNIT_SIZE = 2
 
 
-def make_synthetic_job(store: JobStore, n_units: int = 1) -> str:
+def make_synthetic_job(store: JobStore, n_units: int = 1,
+                       tag: str = "worker-health") -> str:
     """A planned job with no spec: every execution attempt must fail."""
-    material = {"kind": "campaign", "test": "worker-health", "n": n_units}
+    material = {"kind": "campaign", "test": tag, "n": n_units}
     units = [
         {"unit": unit_id_for(job_id_for(material), i, [i]),
          "index": i, "kind": "campaign", "items": [i]}
@@ -37,12 +38,12 @@ def make_synthetic_job(store: JobStore, n_units: int = 1) -> str:
     return job_id
 
 
-def submit_mini_campaign(store: JobStore) -> str:
+def submit_mini_campaign(store: JobStore, samples: int = SAMPLES) -> str:
     spec = CampaignSpec(
         workload="scan", config=experiment_config(num_sms=1),
         dmr=DMRConfig.paper_default(), scale=0.3, seed=0,
     )
-    job_id, created = submit_campaign_job(store, spec, samples=SAMPLES,
+    job_id, created = submit_campaign_job(store, spec, samples=samples,
                                           unit_size=UNIT_SIZE)
     assert created
     return job_id
@@ -83,6 +84,49 @@ class TestIdlePassJanitor:
         worker.run(max_idle=0.5, poll=0.05)
         assert store.worker_records() == []
 
+    def test_corrupt_result_of_done_unit_heals_without_fsck(self, tmp_path):
+        store = JobStore(tmp_path / "store", cache_dir=tmp_path / "cache")
+        job_id = submit_mini_campaign(store, samples=8)
+        worker = ServiceWorker(store, owner="w")
+        for _ in range(4):
+            assert worker.run_once() is not None
+        assert store.counts(job_id)["done"] == store.counts(job_id)["total"]
+        simulations = worker.simulations
+
+        # the result of a done unit goes bad before the merge
+        victim = store._results_dir(job_id) / \
+            f"{store.done_units(job_id)[1]}.json"
+        data = bytearray(victim.read_bytes())
+        data[0] ^= 0x10
+        victim.write_bytes(bytes(data))
+
+        # plain worker passes, no fsck: the merge quarantines the result,
+        # the next sweep restores the unit, a cache replay republishes it
+        for _ in range(5):
+            worker.run_once()
+        merged = store.read_merged(job_id)
+        assert merged is not None
+        assert canonical_json(merged) == canonical_json(
+            serial_merged_payload(store.load_job(job_id)))
+        assert worker.simulations == simulations
+        assert victim.name in store.quarantined_files(job_id)
+
+    def test_idle_pass_loads_no_merged_job(self, tmp_path, monkeypatch):
+        store = JobStore(tmp_path / "store")
+        for tag in range(5):
+            job_id = make_synthetic_job(store, tag=f"merged-{tag}")
+            store.write_merged(job_id, {"kind": "campaign"})
+        loaded = []
+        load_job = JobStore.load_job
+
+        def counted(self, job_id):
+            loaded.append(job_id)
+            return load_job(self, job_id)
+
+        monkeypatch.setattr(JobStore, "load_job", counted)
+        assert ServiceWorker(store, owner="idle").run_once() is None
+        assert loaded == []
+
     def test_worker_skips_torn_manifest_without_burning_attempts(
             self, tmp_path):
         store = JobStore(tmp_path / "store")
@@ -120,12 +164,12 @@ class TestPoisonParking:
 
     def test_janitor_writes_deterministic_poison_verdict(self, parked):
         store, job_id, _ = parked
-        poison = store.read_poison(job_id)
-        assert poison is not None
-        (verdict,) = poison["units"]
+        (verdict,) = job_status(store, job_id)["poisoned"]
         assert verdict["unit"] == store.failed_units(job_id)[0]
         assert verdict["classification"] == "deterministic"
         assert verdict["attempts"] == MAX_UNIT_ATTEMPTS
+        # computed from the attempt records, so every reader agrees
+        assert job_status(store, job_id)["poisoned"] == [verdict]
 
     def test_job_status_reports_failed_with_poison(self, parked):
         store, job_id, _ = parked
