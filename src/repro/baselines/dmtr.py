@@ -48,27 +48,15 @@ class DMTRController:
         self.stats.inc("dmtr_replays")
         self.stats.inc(f"verify_unit_{event.unit.value}")
         if self.functional_verify and executor is not None:
-            for lane in active_lane_list(event.hw_mask, event.warp_width):
-                if lane not in event.lane_inputs:
-                    continue  # bookkeeping issue: nothing to re-execute
-                # Core-affinity replay: DMTR re-executes on the same
-                # lane (the hidden-error weakness Warped-DMR's lane
-                # shuffling avoids).
-                verify_value = executor.reexecute_lane(
-                    event, lane, lane, event.cycle + 1
-                )
-                self.comparator.compare(
-                    cycle=event.cycle + 1,
-                    sm_id=event.sm_id,
-                    warp_id=event.warp_id,
-                    pc=event.pc,
-                    opcode=event.instruction.opcode,
-                    original_lane=lane,
-                    verifier_lane=lane,
-                    original_value=event.lane_results[lane],
-                    verify_value=verify_value,
-                    mode="inter",
-                )
+            # Core-affinity replay: DMTR re-executes on the same lane
+            # (the hidden-error weakness Warped-DMR's lane shuffling
+            # avoids).
+            self.comparator.verify(
+                executor, event,
+                ((lane, lane) for lane in
+                 active_lane_list(event.hw_mask, event.warp_width)),
+                event.cycle + 1, "inter",
+            )
         # The redundant execution consumes the following issue slot.
         return 1
 

@@ -10,9 +10,11 @@ real) execution-unit error, never modeling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.isa.opcodes import Opcode
+from repro.sim.events import IssueEvent
+from repro.sim.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,37 @@ class ResultComparator:
         )
         self.detections.append(event)
         return event
+
+    def verify(self, executor: Executor, event: IssueEvent,
+               pairs: Iterable[Tuple[int, int]], cycle: int,
+               mode: str) -> None:
+        """Redundantly execute *event*'s ``(original, verifier)`` lane
+        *pairs* at *cycle*, in pair order, and compare each result.
+
+        Verification by exception: only pairs whose original result was
+        perturbed (``event.perturbed_mask``) or whose verifier lane the
+        hook may perturb now (``site_lanes``) are recomputed.  Any other
+        recompute equals the recorded original: ``compute_lane`` is
+        pure, off-site ``apply`` is the identity and stateless, and an
+        unperturbed original is exactly ``compute_lane`` of its inputs
+        (the engines' bit-identity contract).  Lanes without recorded
+        inputs (bookkeeping issues) have nothing to re-execute.
+        """
+        site = executor.fault_hook.site_lanes(event.sm_id, event.unit, cycle)
+        perturbed = event.perturbed_mask
+        if not (site or perturbed):
+            return
+        inputs = event.lane_inputs
+        for original, verifier in pairs:
+            if (((perturbed >> original) | (site >> verifier)) & 1
+                    and original in inputs):
+                self.compare(
+                    cycle, event.sm_id, event.warp_id, event.pc,
+                    event.instruction.opcode, original, verifier,
+                    event.lane_results[original],
+                    executor.reexecute_lane(event, original, verifier, cycle),
+                    mode,
+                )
 
     @property
     def detection_count(self) -> int:

@@ -226,33 +226,17 @@ class ReplayChecker:
                                        shuffled=self.config.lane_shuffle)
         if not (self.functional_verify and self._executor is not None):
             return
-        for lane in active_lane_list(event.hw_mask, event.warp_width):
-            if mask is not None and not (mask >> lane) & 1:
-                # partial thread protection: unprotected lane, no replay
-                continue
-            if lane not in event.lane_inputs:
-                # no datapath computation on this lane (EXIT/JMP/BAR
-                # style bookkeeping issues have nothing to re-execute)
-                continue
-            verifier = (
-                shuffled_lane(lane, self.cluster_size)
-                if self.config.lane_shuffle else lane
-            )
-            verify_value = self._executor.reexecute_lane(
-                event, lane, verifier, cycle
-            )
-            self.comparator.compare(
-                cycle=cycle,
-                sm_id=event.sm_id,
-                warp_id=event.warp_id,
-                pc=event.pc,
-                opcode=event.instruction.opcode,
-                original_lane=lane,
-                verifier_lane=verifier,
-                original_value=event.lane_results[lane],
-                verify_value=verify_value,
-                mode="inter",
-            )
+        # partial thread protection: unprotected lanes get no replay
+        lanes = active_lane_list(
+            event.hw_mask if mask is None else event.hw_mask & mask,
+            event.warp_width)
+        shuffle = self.config.lane_shuffle
+        self.comparator.verify(
+            self._executor, event,
+            ((lane, shuffled_lane(lane, self.cluster_size) if shuffle
+              else lane) for lane in lanes),
+            cycle, "inter",
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -69,22 +69,11 @@ class IntraWarpDMR:
                                         len(pairs))
 
         if self.functional_verify and executor is not None:
-            for verifier_lane, original_lane in pairs.items():
-                verify_value = executor.reexecute_lane(
-                    event, original_lane, verifier_lane, event.cycle
-                )
-                self.comparator.compare(
-                    cycle=event.cycle,
-                    sm_id=event.sm_id,
-                    warp_id=event.warp_id,
-                    pc=event.pc,
-                    opcode=event.instruction.opcode,
-                    original_lane=original_lane,
-                    verifier_lane=verifier_lane,
-                    original_value=event.lane_results[original_lane],
-                    verify_value=verify_value,
-                    mode="intra",
-                )
+            self.comparator.verify(
+                executor, event,
+                ((original, verifier) for verifier, original in pairs.items()),
+                event.cycle, "intra",
+            )
         return len(verified_lanes)
 
     def verified_mask(self, event: IssueEvent) -> int:

@@ -7,7 +7,9 @@ or after the strike cycle absorbs the flip (whether that computation is
 an original or a redundant execution — exactly like a real particle
 strike).  Stuck-at faults perturb every computation on their site,
 which is what makes same-lane redundant execution blind to them (the
-paper's hidden-error problem).
+paper's hidden-error problem).  Either kind can only ever touch its own
+(SM, unit, hw lane) site, which :meth:`FaultInjector.site_lanes` reports
+so that faulted runs stay on the vector engine everywhere else.
 """
 
 from __future__ import annotations
@@ -53,26 +55,20 @@ class FaultInjector(FaultHook):
             self.activations += 1
         return perturbed
 
-    def may_perturb(self, sm_id: int, cycle: int) -> bool:
-        """Whether any fault could fire on *sm_id* at *cycle*.
-
-        Drives the executor's windowed engine selection: a stuck-at
-        fault on the SM is live forever, while a transient is live only
-        from its strike cycle until its one shot is consumed.  Outside
-        that window the injector provably leaves every value untouched,
-        so the vectorized fast path (which skips the hook entirely) is
-        semantics-preserving — transient campaigns run vectorized
-        before the strike and again after the flip has been absorbed.
-        """
+    def site_lanes(self, sm_id: int, unit: UnitType, cycle: int) -> int:
+        """Mask of the hw lanes :meth:`apply` may change at *cycle*: the
+        lane of each fault on *sm_id* and *unit* (``unit=None`` matches
+        every unit) — a stuck-at always, a transient while it is armed
+        and unfired."""
+        mask = 0
         for index, fault in enumerate(self.faults):
-            if fault.sm_id != sm_id:
+            if not fault.matches_site(sm_id, unit, fault.hw_lane):
                 continue
-            if isinstance(fault, TransientFault):
-                if index not in self._fired and fault.is_armed(cycle):
-                    return True
-            else:
-                return True
-        return False
+            if isinstance(fault, TransientFault) and (
+                    index in self._fired or not fault.is_armed(cycle)):
+                continue
+            mask |= 1 << fault.hw_lane
+        return mask
 
     def reset(self) -> None:
         """Re-arm transients and clear counters (for campaign reuse)."""

@@ -539,13 +539,17 @@ class JobStore:
         Result files must be byte-idempotent across duplicate
         executions (see the claim protocol), so anything
         execution-specific — owner, wall seconds, simulations actually
-        run — lands here instead, one file per (unit, owner).
+        run — lands here instead, one file per execution:
+        ``<unit>@<owner>.json``, then ``<unit>@<owner>@<n>.json`` for
+        the owner's *n*-th run of the unit (its result was lost).
         """
-        owner = sanitize_owner(owner)
-        _write_atomic(
-            self._telemetry_dir(job_id) / f"{unit_id}{_CLAIM_SEP}{owner}.json",
-            canonical_json(payload),
-        )
+        stem = f"{unit_id}{_CLAIM_SEP}{sanitize_owner(owner)}"
+        path = self._telemetry_dir(job_id) / f"{stem}.json"
+        runs = 1
+        while path.exists():  # one owner runs one unit at a time
+            runs += 1
+            path = path.with_name(f"{stem}{_CLAIM_SEP}{runs}.json")
+        _write_atomic(path, canonical_json(payload))
 
     def telemetry(self, job_id: str) -> List[dict]:
         """Every published telemetry record, in sorted file order."""

@@ -28,7 +28,10 @@ class IssueEvent:
     ``lane_results``
         hw lane -> the value the original execution produced on that
         lane (ALU result, computed address for memory ops, branch
-        taken/not-taken flag, SETP outcome).
+        taken/not-taken flag, SETP outcome), after the fault hook.
+    ``perturbed_mask``
+        hw lanes whose result the fault hook changed; any other result
+        equals a fault-free recompute, so DMR verifies by exception.
     """
 
     cycle: int
@@ -42,6 +45,7 @@ class IssueEvent:
     lane_inputs: Dict[int, Tuple] = field(default_factory=dict)
     lane_results: Dict[int, object] = field(default_factory=dict)
     dest_reg: Optional[int] = None
+    perturbed_mask: ActiveMask = 0
 
     @property
     def unit(self) -> UnitType:

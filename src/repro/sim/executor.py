@@ -11,11 +11,12 @@ Three layers:
   decode cache plus compiled per-opcode NumPy kernels that execute a
   whole warp issue at once.
 * :class:`Executor` — the stateful layer that picks between them.  The
-  vector engine runs whenever no fault hook is armed and the issue is
-  vectorizable; fault-injection campaigns (and anything the vector
-  engine declines via :class:`~repro.sim.vexec.VectorFallback`) run the
-  scalar path, which therefore remains both the fault-injection engine
-  and the differential oracle for the fast path.
+  vector engine runs every vectorizable issue, faulted runs included:
+  only the lanes an armed fault hook may perturb
+  (:meth:`FaultHook.site_lanes`) then pass through the hook.  Loads and
+  stores with such a lane, and anything the vector engine declines via
+  :class:`~repro.sim.vexec.VectorFallback`, run the scalar path, which
+  remains the differential oracle for the fast path.
 
 Integer results wrap to signed 32-bit (like real SPs); shifts and
 bitwise operations act on the unsigned 32-bit pattern.
@@ -212,27 +213,22 @@ class FaultHook:
     """Interface for perturbing execution-unit outputs.
 
     The default implementation is fault free.  The fault-injection
-    package provides real implementations; the executor calls
-    :meth:`apply` once per lane-computation on the *hardware lane* that
-    performed it.
+    package provides real implementations.  The fault-model contract:
+    :meth:`apply` sees a lane-computation on the *hardware lane* that
+    performed it, in slot order within an issue; off :meth:`site_lanes`
+    it is the identity and changes no state, so it is called there only.
     """
 
     def apply(self, sm_id: int, unit: UnitType, hw_lane: int,
               cycle: int, value: object) -> object:
         return value
 
-    def may_perturb(self, sm_id: int, cycle: int) -> bool:
-        """Whether any fault could perturb a computation on *sm_id* now.
-
-        The executor's ``fast`` engine consults this per issue: while a
-        hook reports ``False`` the lane-vectorized fast path (which
-        never calls :meth:`apply`) is safe, because skipping the hook
-        provably cannot change the computation.  The conservative
-        default keeps every issue on the lane-serial scalar path, whose
-        per-lane :meth:`apply` order is part of the fault-model
-        contract.
-        """
-        return True
+    def site_lanes(self, sm_id: int, unit: UnitType, cycle: int) -> int:
+        """Mask of the hw lanes on which :meth:`apply` may change a
+        value computed by *unit* on *sm_id* at *cycle* (0: none).  The
+        conservative default, every bit set (``-1``), keeps any hook
+        exact."""
+        return -1
 
 
 @dataclass
@@ -260,14 +256,13 @@ class Executor:
     ``GPUConfig.engine``): ``"fast"`` (default) runs the vectorized
     engine whenever it can reproduce scalar semantics bit-for-bit, and
     may run fused regions; ``"scalar"`` pins every issue to the
-    per-lane interpreter.  With a fault hook armed, each issue first
-    asks the hook whether any fault could perturb this SM at the
-    current cycle (:meth:`FaultHook.may_perturb`): only those issues —
-    the fault's activation window — run the lane-serial scalar path,
-    whose per-lane hook-application order is part of the fault model's
-    contract.  Outside the window the hook provably cannot fire, so the
-    vector engine (bit-identical by contract) is safe; this is what
-    makes large transient-fault campaigns run near fault-free speed.
+    per-lane interpreter.  With a fault hook armed, an ALU, SETP, SELP
+    or BRA issue runs vectorized, then passes only its active site
+    lanes (:meth:`FaultHook.site_lanes`) through :meth:`FaultHook.apply`,
+    in slot order, and writes back what changed; ``perturbed_mask``
+    records those lanes.  A load or store with a site lane runs scalar:
+    a perturbed address picks the word, and the per-lane order of hook
+    calls and accesses decides which lane faults first.
 
     ``record_lanes`` says whether issue events must carry per-lane
     inputs and results.  The SM clears it where regions may fuse,
@@ -365,11 +360,9 @@ class Executor:
         return vexec.pack_mask(bits & holds)
 
     def _decoded_entry(self, warp: Warp, inst: Instruction,
-                       pc: int, cycle: int) -> Optional[vexec.DecodedInst]:
+                       pc: int) -> Optional[vexec.DecodedInst]:
         """Decode-cache lookup, or ``None`` if the issue must go scalar."""
         if not self._vector_enabled or warp.reg_overflow:
-            return None
-        if self.faulty and self.fault_hook.may_perturb(self.sm_id, cycle):
             return None
         decoded = self._decoded
         if (decoded is not None and pc < len(decoded)
@@ -430,15 +423,24 @@ class Executor:
             control.target = int(inst.target)
             return ExecResult(event, control)
 
-        entry = self._decoded_entry(warp, inst, pc, cycle)
+        entry = self._decoded_entry(warp, inst, pc)
+        site = 0
+        if entry is not None and self.faulty:
+            site = (self.fault_hook.site_lanes(self.sm_id, inst.unit, cycle)
+                    & event.hw_mask)
+            if site and (info.is_load or info.is_store):
+                entry = None  # a perturbed address picks the word: scalar
         if entry is not None:
             try:
                 vexec.execute_vector(self, warp, entry, event, exec_mask,
                                      control)
-                self.vector_issues += 1
-                return ExecResult(event, control)
             except vexec.VectorFallback:
                 pass  # state untouched; re-run the issue below
+            else:
+                self.vector_issues += 1
+                if site:
+                    self._apply_site_lanes(warp, event, control, site)
+                return ExecResult(event, control)
 
         self.scalar_issues += 1
         taken_mask = 0
@@ -459,6 +461,8 @@ class Executor:
             value = self.fault_hook.apply(
                 self.sm_id, inst.unit, hw_lane, cycle, raw
             )
+            if value is not raw:
+                event.perturbed_mask |= 1 << hw_lane
             event.lane_inputs[hw_lane] = inputs
             event.lane_results[hw_lane] = value
 
@@ -491,6 +495,34 @@ class Executor:
             control.target = int(inst.target)
             control.taken_mask = taken_mask
         return ExecResult(event, control)
+
+    def _apply_site_lanes(self, warp: Warp, event: IssueEvent,
+                          control: ControlOutcome, site: int) -> None:
+        """Pass the *site* lanes' vector results through the fault hook,
+        in slot order, and write back each value it changed (register,
+        predicate or taken bit); no such write can raise."""
+        inst = event.instruction
+        op = inst.opcode
+        results = event.lane_results
+        _, slots, hw_lanes = warp.issue_view(event.logical_mask)
+        for slot, hw_lane in zip(slots, hw_lanes):
+            if not (site >> hw_lane) & 1:
+                continue
+            raw = results[hw_lane]
+            value = self.fault_hook.apply(
+                self.sm_id, inst.unit, hw_lane, event.cycle, raw
+            )
+            if value is raw:
+                continue
+            results[hw_lane] = value
+            event.perturbed_mask |= 1 << hw_lane
+            if op is Opcode.BRA:
+                taken = control.taken_mask & ~(1 << slot)
+                control.taken_mask = taken | bool(value) << slot
+            elif op is Opcode.SETP:
+                warp.write_pred(slot, inst.pdst, bool(value))
+            elif inst.info.writes_reg:
+                warp.write_reg(slot, inst.dst.idx, value)
 
     # ------------------------------------------------------------------
     def consume_stash_mask(self, warp: Warp, stash, inst: Instruction,

@@ -74,11 +74,11 @@ class TestSECDEDStrike:
         backend = SECDEDBackend([
             TransientFault(sm_id=0, hw_lane=0, bit=5, cycle=10),
         ])
-        assert backend.may_perturb(0, 10)
+        assert backend.site_lanes(0, UnitType.SP, 10) == 1 << 0
         assert backend.apply(0, UnitType.SP, 0, 5, 7) == 7    # not armed
         assert backend.apply(0, UnitType.SP, 0, 10, 7) == 7   # corrected
         assert backend.apply(0, UnitType.SP, 0, 11, 7) == 7   # consumed
-        assert not backend.may_perturb(0, 11)
+        assert backend.site_lanes(0, UnitType.SP, 11) == 0
         assert self._counters(backend) == (1, 1, 1, 1, 0)
 
     def test_stuck_at_is_codec_blind(self):

@@ -111,6 +111,30 @@ class TestIdlePassJanitor:
         assert worker.simulations == simulations
         assert victim.name in store.quarantined_files(job_id)
 
+    def test_rerun_of_own_unit_keeps_both_telemetry_records(self,
+                                                           tmp_path):
+        """A worker re-runs a unit it already ran (its result was
+        quarantined, the unit restored): both executions keep a record,
+        and the job's simulation count is their sum."""
+        store = JobStore(tmp_path / "store", cache_dir=tmp_path / "cache")
+        job_id = submit_mini_campaign(store, samples=8)
+        worker = ServiceWorker(store, owner="w")
+        for _ in range(4):
+            assert worker.run_once() is not None
+        unit_id = store.done_units(job_id)[1]
+        first = store.telemetry(job_id)
+        assert store.quarantine_result(job_id, unit_id)
+        for _ in range(5):  # sweep restores the unit, the worker re-runs it
+            worker.run_once()
+        assert store.read_merged(job_id) is not None
+        records = store.telemetry(job_id)
+        reruns = [r for r in records if r not in first]
+        assert [r["unit"] for r in reruns] == [unit_id]
+        assert len(records) == len(first) + 1
+        status = job_status(store, job_id)
+        assert status["simulations"] == sum(r["simulations"] for r in records)
+        assert status["simulations"] == worker.simulations == 8
+
     def test_idle_pass_loads_no_merged_job(self, tmp_path, monkeypatch):
         store = JobStore(tmp_path / "store")
         for tag in range(5):
