@@ -6,13 +6,16 @@ CFG for a program and computes, for every conditional branch, the PC at
 which both sides of the divergence are guaranteed to meet again.  The
 simulator's SIMT stack (:mod:`repro.sim.simt_stack`) pops its divergence
 entries at exactly these PCs.
+
+Post-dominators are the iterative dominator algorithm of Cooper, Harvey
+and Kennedy ("A Simple, Fast Dominance Algorithm", 2001) run on the
+reversed CFG from the virtual exit node.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import networkx as nx
+import functools
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.common.errors import KernelError
 from repro.isa.instruction import Instruction
@@ -22,32 +25,59 @@ from repro.isa.opcodes import Opcode
 EXIT_NODE = -1
 
 
+def _postorder(edges: Mapping[int, List[int]], start: int) -> List[int]:
+    """Depth-first postorder of the nodes reachable from *start*
+    (itself included) along *edges*; iterative, so depth is unbounded."""
+    order: List[int] = []
+    seen = {start}
+    stack = [(start, iter(edges[start]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(edges[child])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
 class ControlFlowGraph:
-    """Per-instruction CFG of a resolved instruction sequence."""
+    """Per-instruction CFG of a resolved instruction sequence.
+
+    ``successors[node]`` lists each node's distinct successors; nodes
+    are the PCs plus :data:`EXIT_NODE`.
+    """
 
     def __init__(self, instructions: Sequence[Instruction]) -> None:
         self._instructions = list(instructions)
-        self.graph = nx.DiGraph()
+        self.successors: Dict[int, List[int]] = {EXIT_NODE: []}
         self._build()
 
     def _build(self) -> None:
         instructions = self._instructions
         n = len(instructions)
-        self.graph.add_node(EXIT_NODE)
         for pc, inst in enumerate(instructions):
-            self.graph.add_node(pc)
+            self.successors[pc] = []
             if inst.opcode is Opcode.EXIT:
-                self.graph.add_edge(pc, EXIT_NODE)
+                self._add_edge(pc, EXIT_NODE)
                 continue
             if inst.opcode is Opcode.JMP:
-                self.graph.add_edge(pc, self._checked_target(pc, inst))
+                self._add_edge(pc, self._checked_target(pc, inst))
                 continue
             if inst.opcode is Opcode.BRA:
-                self.graph.add_edge(pc, self._checked_target(pc, inst))
+                self._add_edge(pc, self._checked_target(pc, inst))
                 # fall-through for not-taken lanes
                 self._add_fallthrough(pc, n)
                 continue
             self._add_fallthrough(pc, n)
+
+    def _add_edge(self, pc: int, target: int) -> None:
+        # A branch to pc + 1 is one edge, not two.
+        if target not in self.successors[pc]:
+            self.successors[pc].append(target)
 
     def _add_fallthrough(self, pc: int, n: int) -> None:
         if pc + 1 >= n:
@@ -55,7 +85,7 @@ class ControlFlowGraph:
                 f"instruction at pc={pc} falls through past the end of the "
                 "program; every path must reach an exit"
             )
-        self.graph.add_edge(pc, pc + 1)
+        self._add_edge(pc, pc + 1)
 
     def _checked_target(self, pc: int, inst: Instruction) -> int:
         target = inst.target
@@ -69,6 +99,17 @@ class ControlFlowGraph:
             )
         return target
 
+    def _predecessors(self) -> Dict[int, List[int]]:
+        """The reversed CFG: each node's distinct predecessors."""
+        preds: Dict[int, List[int]] = {node: [] for node in self.successors}
+        for node, succs in self.successors.items():
+            for succ in succs:
+                preds[succ].append(node)
+        return preds
+
+    def _covers_every_pc(self, nodes: Iterable[int]) -> bool:
+        return set(range(len(self._instructions))) <= set(nodes)
+
     # ------------------------------------------------------------------
     def conditional_branch_pcs(self) -> List[int]:
         """PCs of all conditional (potentially divergent) branches."""
@@ -81,25 +122,46 @@ class ControlFlowGraph:
         """Whether every instruction is reachable from pc=0."""
         if not self._instructions:
             return True
-        reachable = nx.descendants(self.graph, 0) | {0}
-        return all(pc in reachable for pc in range(len(self._instructions)))
+        return self._covers_every_pc(_postorder(self.successors, 0))
 
     def all_paths_exit(self) -> bool:
         """Whether every instruction can reach the exit node."""
-        reversed_graph = self.graph.reverse(copy=False)
-        reaches_exit = nx.descendants(reversed_graph, EXIT_NODE)
-        return all(pc in reaches_exit for pc in range(len(self._instructions)))
+        return self._covers_every_pc(
+            _postorder(self._predecessors(), EXIT_NODE))
 
     def immediate_post_dominators(self) -> Dict[int, int]:
-        """Map every node to its immediate post-dominator.
+        """Map every node that reaches exit to its immediate post-dominator.
 
-        Computed as immediate *dominators* on the reversed CFG rooted at
-        the virtual exit node — the standard construction.
+        Immediate *dominators* of the reversed CFG rooted at the virtual
+        exit node, by Cooper-Harvey-Kennedy: visit the nodes in reverse
+        postorder and intersect the candidates' dominator chains by
+        postorder number until nothing changes.
         """
-        reversed_graph = self.graph.reverse(copy=False)
-        idom = nx.immediate_dominators(reversed_graph, EXIT_NODE)
-        idom.pop(EXIT_NODE, None)
-        return idom
+        order = _postorder(self._predecessors(), EXIT_NODE)
+        number = {node: i for i, node in enumerate(order)}
+        ipdom = {EXIT_NODE: EXIT_NODE}
+
+        def intersect(a: int, b: int) -> int:
+            while a != b:
+                while number[a] < number[b]:
+                    a = ipdom[a]
+                while number[b] < number[a]:
+                    b = ipdom[b]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for node in reversed(order[:-1]):
+                # In reverse postorder some successor (the node's DFS
+                # parent in the reversed CFG) is always processed first.
+                new = functools.reduce(intersect, (
+                    succ for succ in self.successors[node] if succ in ipdom))
+                if ipdom.get(node) != new:
+                    ipdom[node] = new
+                    changed = True
+        del ipdom[EXIT_NODE]
+        return ipdom
 
 
 def compute_reconvergence_table(
@@ -115,13 +177,4 @@ def compute_reconvergence_table(
     if not cfg.all_paths_exit():
         raise KernelError("program has instructions from which exit is unreachable")
     ipdom = cfg.immediate_post_dominators()
-    table: Dict[int, int] = {}
-    for pc in cfg.conditional_branch_pcs():
-        node = ipdom.get(pc, EXIT_NODE)
-        # The branch's own IPDOM; walk past itself if the analysis
-        # returned the branch (cannot happen for conditional branches
-        # with two distinct successors, but guard anyway).
-        if node == pc:
-            node = ipdom.get(pc, EXIT_NODE)
-        table[pc] = node
-    return table
+    return {pc: ipdom[pc] for pc in cfg.conditional_branch_pcs()}

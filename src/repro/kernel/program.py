@@ -82,25 +82,12 @@ class Program:
     @property
     def num_registers(self) -> int:
         """Highest general register index used, plus one."""
-        highest = -1
-        for inst in self.instructions:
-            regs = inst.source_registers()
-            dest = inst.dest_register()
-            if regs:
-                highest = max(highest, max(regs))
-            if dest is not None:
-                highest = max(highest, dest)
-        return highest + 1
+        return self.memo("program.num_registers", _num_registers)
 
     @property
     def num_predicates(self) -> int:
         """Highest predicate register index used, plus one."""
-        highest = -1
-        for inst in self.instructions:
-            for p in (inst.pred, inst.pdst, inst.psrc):
-                if p is not None:
-                    highest = max(highest, p)
-        return highest + 1
+        return self.memo("program.num_predicates", _num_predicates)
 
     def unit_mix(self) -> Dict[UnitType, int]:
         """Static instruction count per execution unit type."""
@@ -141,3 +128,24 @@ class Program:
             labels=dict(labels or {}),
             reconvergence=reconv,
         )
+
+
+def _num_registers(program: Program) -> int:
+    highest = -1
+    for inst in program.instructions:
+        regs = inst.source_registers()
+        dest = inst.dest_register()
+        if regs:
+            highest = max(highest, max(regs))
+        if dest is not None:
+            highest = max(highest, dest)
+    return highest + 1
+
+
+def _num_predicates(program: Program) -> int:
+    highest = -1
+    for inst in program.instructions:
+        for p in (inst.pred, inst.pdst, inst.psrc):
+            if p is not None:
+                highest = max(highest, p)
+    return highest + 1

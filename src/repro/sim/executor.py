@@ -431,13 +431,16 @@ class Executor:
             if site and (info.is_load or info.is_store):
                 entry = None  # a perturbed address picks the word: scalar
         if entry is not None:
+            # Counted before it runs, like the scalar path, so an issue
+            # that raises (a bad address) counts on the engine that ran it.
+            self.vector_issues += 1
             try:
                 vexec.execute_vector(self, warp, entry, event, exec_mask,
                                      control)
             except vexec.VectorFallback:
-                pass  # state untouched; re-run the issue below
+                # state untouched; only the scalar re-run below counts
+                self.vector_issues -= 1
             else:
-                self.vector_issues += 1
                 if site:
                     self._apply_site_lanes(warp, event, control, site)
                 return ExecResult(event, control)

@@ -47,6 +47,12 @@ class GlobalMemory:
                 f"[0, {self.size_words})"
             )
 
+    def copy(self) -> "GlobalMemory":
+        """An independent image: a dict copy, the words being immutable."""
+        clone = GlobalMemory(self.size_words)
+        clone._words = dict(self._words)
+        return clone
+
     # -- bulk helpers --------------------------------------------------
     def write_block(self, base: int, values: Sequence[Number]) -> None:
         """Copy *values* into memory starting at word *base*."""

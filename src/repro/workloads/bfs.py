@@ -124,7 +124,7 @@ class BFSWorkload(Workload):
         b.exit()
         return b.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         num_nodes = self._scaled(self.NUM_NODES, scale, minimum=8)
         num_blocks = self._scaled(self.NUM_BLOCKS, scale, minimum=1)
         rng = random.Random(seed)

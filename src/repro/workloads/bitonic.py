@@ -78,7 +78,7 @@ class BitonicSortWorkload(Workload):
         bld.exit()
         return bld.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         block_dim = self._scaled(self.BLOCK_DIM, scale, minimum=8)
         block_dim = 1 << (block_dim - 1).bit_length()
         num_blocks = self._scaled(self.NUM_BLOCKS, scale, minimum=1)

@@ -136,7 +136,7 @@ class CUFFTWorkload(Workload):
         bld.exit()
         return bld.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         n = self._scaled(self.POINTS, scale, minimum=8)
         n = 1 << (n - 1).bit_length()
         bits = n.bit_length() - 1

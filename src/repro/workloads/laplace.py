@@ -117,7 +117,7 @@ class LaplaceWorkload(Workload):
             current = nxt
         return current
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         width = self._scaled(self.WIDTH, scale, minimum=4)
         height = self._scaled(self.HEIGHT, scale, minimum=4)
         iterations = self._scaled(self.ITERATIONS, scale, minimum=2)

@@ -95,7 +95,7 @@ class LiborWorkload(Workload):
         bld.exit()
         return bld.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         steps = self._scaled(self.STEPS, scale, minimum=4)
         block_dim = self._scaled(self.BLOCK_DIM, scale, minimum=8)
         num_blocks = self._scaled(self.NUM_BLOCKS, scale, minimum=1)

@@ -102,7 +102,7 @@ class MatrixMulWorkload(Workload):
         builder.exit()
         return builder.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         n = self._scaled(self.N, scale, minimum=8)
         tile = self.TILE
         while n % tile:

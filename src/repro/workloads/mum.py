@@ -82,7 +82,7 @@ class MUMWorkload(Workload):
         bld.exit()
         return bld.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         ref_len = self._scaled(self.REF_LEN, scale, minimum=64)
         query_len = self._scaled(self.QUERY_LEN, scale, minimum=4)
         block_dim = self._scaled(self.BLOCK_DIM, scale, minimum=8)

@@ -173,7 +173,7 @@ class NQueenWorkload(Workload):
         bld.exit()
         return bld.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         n = self.N if scale >= 0.75 else max(4, self.N - 1)
         num_blocks = self._scaled(self.NUM_BLOCKS, scale, minimum=1)
         block_dim = n * n

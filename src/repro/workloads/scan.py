@@ -62,7 +62,7 @@ class ScanWorkload(Workload):
         b.exit()
         return b.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         block_dim = self._scaled(self.BLOCK_DIM, scale, minimum=8)
         # shared-memory scan requires a power-of-two block
         block_dim = 1 << (block_dim - 1).bit_length()

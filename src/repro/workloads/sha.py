@@ -127,7 +127,7 @@ class SHAWorkload(Workload):
         bld.exit()
         return bld.build()
 
-    def prepare(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
+    def build(self, scale: float = 1.0, seed: int = 0) -> WorkloadRun:
         rounds = max(17, self._scaled(self.ROUNDS, scale))
         block_dim = self._scaled(self.BLOCK_DIM, scale, minimum=8)
         num_blocks = self._scaled(self.NUM_BLOCKS, scale, minimum=1)

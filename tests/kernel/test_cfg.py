@@ -95,6 +95,15 @@ class TestValidation:
         with pytest.raises(KernelError):
             b.build()
 
+    def test_exit_unreachable_rejected(self):
+        b = KernelBuilder("spin")
+        r = b.reg()
+        b.mov(r, 1)
+        b.label("spin")
+        b.jmp("spin")  # ends the program; nothing reaches an exit
+        with pytest.raises(KernelError, match="exit is unreachable"):
+            b.build()
+
     def test_unresolved_label_rejected(self):
         b = KernelBuilder("bad")
         b.jmp("nowhere")
@@ -116,6 +125,19 @@ class TestCFGStructure:
     def test_all_paths_exit(self):
         cfg = ControlFlowGraph(build_loop().instructions)
         assert cfg.all_paths_exit()
+
+    def test_branch_to_next_pc_is_one_edge(self):
+        b = KernelBuilder("skip")
+        r = b.reg()
+        p = b.pred()
+        b.setp(p, r, CmpOp.LT, 1)      # pc 0
+        b.bra("next", pred=p)           # pc 1
+        b.label("next")
+        b.exit()                        # pc 2
+        program = b.build()
+        cfg = ControlFlowGraph(program.instructions)
+        assert cfg.successors[1] == [2]
+        assert program.reconvergence == {1: 2}
 
     def test_conditional_branch_pcs(self):
         cfg = ControlFlowGraph(build_if_else().instructions)

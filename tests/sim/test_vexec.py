@@ -70,6 +70,20 @@ def test_scalar_engine_pins_interpreter():
     assert (ex.vector_issues, ex.scalar_issues) == (0, 1)
 
 
+@pytest.mark.parametrize("engine,counts", [("fast", (1, 0)),
+                                           ("scalar", (0, 1))])
+def test_issue_that_raises_counts_on_its_engine(engine, counts):
+    """An out-of-range load raises mid-issue (a HUNG run's end), and
+    still counts once, on the engine that ran it."""
+    ex, warp = _executor(engine=engine), _warp()
+    for slot in range(WARP):
+        warp.write_reg(slot, 0, 4096 + slot)  # memory holds 1024 words
+    ld = Instruction(opcode=Opcode.LD_GLOBAL, dst=Reg(2), srcs=(Reg(0),))
+    with pytest.raises(SimulationError, match="out of range"):
+        ex.execute(warp, ld, 0, cycle=0)
+    assert (ex.vector_issues, ex.scalar_issues) == counts
+
+
 def test_bare_fault_hook_applies_every_lane():
     """A hook that does not narrow ``site_lanes`` (the conservative
     default) sees every active lane once, in slot order, on the vector

@@ -1,7 +1,10 @@
 """Public-API surface tests: everything advertised must exist and work."""
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,36 @@ class TestSubpackageExports:
                                                      "import repro.obs"))):
                     offenders.append(f"{path.name}:{line_number}")
         assert not offenders, offenders
+
+
+_NO_NETWORKX_SCRIPT = """
+import sys
+sys.modules["networkx"] = None  # any later `import networkx` raises
+import repro, repro.analysis.runner, repro.service.worker, repro.fuzz
+from repro.workloads import get_workload
+print(sorted(get_workload("bfs").prepare(0.25).program.reconvergence.items()))
+"""
+
+
+class TestNoNetworkx:
+    """networkx is not a dependency, and nothing imports it again."""
+
+    def test_package_runs_with_networkx_blocked(self):
+        from repro.workloads import get_workload
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", _NO_NETWORKX_SCRIPT],
+                             env=env, check=True, timeout=120,
+                             capture_output=True, text=True).stdout
+        table = get_workload("bfs").prepare(0.25).program.reconvergence
+        assert table
+        assert out.strip() == str(sorted(table.items()))
+
+    def test_not_installed_by_packaging_or_ci(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        for path in (root / "pyproject.toml",
+                     root / ".github" / "workflows" / "ci.yml"):
+            assert "networkx" not in path.read_text(), path
 
 
 class TestDocstrings:
