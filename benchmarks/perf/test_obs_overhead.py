@@ -33,6 +33,7 @@ import pytest
 
 from repro.analysis.bench import _MICROBENCHES
 from repro.common.config import LaunchConfig
+from repro.sim import replay
 from repro.sim.gpu import GPU
 
 #: disabled-path tolerance (the acceptance criterion)
@@ -62,12 +63,17 @@ CONFIGS = {
 
 
 def _interleaved_min_times(program, launch, repeats: int = REPEATS):
-    """Min-of-N wall time per config, trials interleaved round-robin."""
+    """Min-of-N wall time per config, trials interleaved round-robin.
+
+    Each trial drops the program's replay record first, so every timed
+    launch executes instead of replaying the previous trial's.
+    """
     best = {key: float("inf") for key in CONFIGS}
     insts = 0
     for _ in range(repeats):
         for key, kwargs in CONFIGS.items():
             gpu = GPU(**kwargs)
+            replay.forget(program)
             start = time.perf_counter()
             result = gpu.launch(program, launch)
             best[key] = min(best[key], time.perf_counter() - start)

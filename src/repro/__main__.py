@@ -125,6 +125,9 @@ def cmd_run(args) -> int:
           f"block {run.launch.block_dim}")
     print(f"kernel cycles     : {result.cycles}")
     print(f"instructions      : {result.instructions_issued}")
+    print("engine issues     : " + " ".join(
+        f"{engine}={count}" for engine, count
+        in result.engine_issues.items()))
     print(f"output check      : {check}")
     if dmr.enabled:
         print(f"coverage          : {result.coverage}")

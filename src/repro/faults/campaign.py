@@ -456,8 +456,9 @@ class CampaignEngine:
     engine's harness registry (:meth:`harness_snapshot`).  Each unit's
     wall clock is bounded by the measured golden runtime via
     :func:`repro.resilience.deadline.wall_budget` (no deadline when the
-    golden run came from cache — nothing was timed); ``fanout.deadline``
-    may be overridden, as the chaos harness does.
+    golden run came from cache or replayed a recorded one — no
+    execution was timed); ``fanout.deadline`` may be overridden, as the
+    chaos harness does.
     """
 
     def __init__(self, spec: CampaignSpec, cache=None, jobs: int = 1) -> None:
@@ -504,9 +505,12 @@ class CampaignEngine:
         gpu = GPU(spec.config, dmr=DMRConfig.disabled())
         started = time.perf_counter()
         result = gpu.launch(run.program, run.launch, memory=run.memory)
-        # the measured fault-free wall time calibrates worker deadlines
-        # (a cache-served golden run leaves this None: nothing was timed)
-        self._golden_seconds = time.perf_counter() - started
+        # the measured fault-free wall time calibrates worker deadlines.
+        # A cache-served golden run leaves this None, and so does a
+        # replayed one (repro.sim.replay): it executed nothing, so its
+        # time would shrink every deadline far below a faulted run's.
+        if not result.engine_issues["replayed"]:
+            self._golden_seconds = time.perf_counter() - started
         # every classification compares against this output
         run.check(run.memory)
         if self.persistent_cache is not None:

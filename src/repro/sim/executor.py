@@ -297,10 +297,13 @@ class Executor:
         self._decoded: Optional[list] = None
         self._adhoc: Dict[Instruction, vexec.DecodedInst] = {}
         #: issue counts per engine (diagnostics; not part of the stats registry so
-        #: result payloads stay byte-identical across engines)
+        #: result payloads stay byte-identical across engines).
+        #: ``replayed_issues`` counts issues a replaying SM took from a
+        #: recorded trace (:mod:`repro.sim.replay`) without executing
         self.vector_issues = 0
         self.scalar_issues = 0
         self.fused_issues = 0
+        self.replayed_issues = 0
 
     def bind_program(self, program) -> None:
         """Attach *program*'s decode cache for O(1) per-pc lookups."""

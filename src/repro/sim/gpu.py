@@ -11,16 +11,21 @@ only consumes per-SM issue streams and total kernel cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig, MappingPolicy
+from repro.common.errors import SimulationError
 from repro.obs import ObsSession, resolve_obs
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import replay
 from repro.sim.events import IssueEvent
 from repro.sim.executor import FaultHook
 from repro.sim.memory import GlobalMemory
 from repro.sim.megakernel import WarpBatcher
 from repro.sim.sm import DEFAULT_MAX_CYCLES, SM
+
+#: the executor counters :attr:`KernelResult.engine_issues` sums
+ENGINE_COUNTERS = ("vector", "scalar", "fused", "replayed")
 
 
 @dataclass
@@ -38,6 +43,10 @@ class KernelResult:
     #: Rides the cache/IPC payload so warm hits replay metrics without
     #: re-simulating.
     obs: Optional[dict] = None
+    #: issues per engine (:data:`ENGINE_COUNTERS`), summed over the SMs:
+    #: a diagnostic of how the launch ran, never part of the payload
+    #: (empty on a result rebuilt from one)
+    engine_issues: Dict[str, int] = field(default_factory=dict)
 
     @property
     def coverage(self):
@@ -137,6 +146,11 @@ class GPU:
         ``controller_factory(stats) -> controller`` overrides the
         per-SM DMR controller (the DMTR baseline uses this); when given
         it is attached regardless of the DMRConfig.
+
+        A timing-only launch on the ``fast`` engine records its control
+        flow the first time its key is seen and replays it afterwards
+        (:mod:`repro.sim.replay`); ``KernelResult.engine_issues`` says
+        how each issue ran.
         """
         # Late imports: the sim substrate must stay importable without
         # the core (Warped-DMR) layer, which itself builds on sim.
@@ -151,40 +165,58 @@ class GPU:
             mapping, cfg.warp_size, cfg.cluster_size
         )
 
-        # Static round-robin block dispatch.
+        # Static round-robin block dispatch: the block at dispatch
+        # position p runs on SM p mod num_sms.
         dispatch = list(block_ids) if block_ids is not None else list(
             range(launch.grid_dim)
         )
-        blocks_of_sm: List[List[int]] = [[] for _ in range(cfg.num_sms)]
-        for position, block_id in enumerate(dispatch):
-            blocks_of_sm[position % cfg.num_sms].append(block_id)
+        positions_of_sm: List[List[int]] = [[] for _ in range(cfg.num_sms)]
+        for position in range(len(dispatch)):
+            positions_of_sm[position % cfg.num_sms].append(position)
 
         merged = MetricsRegistry()
         per_sm_cycles: List[int] = []
         detections: List = []
+        engine_issues = dict.fromkeys(ENGINE_COUNTERS, 0)
         functional_verify = self.fault_hook is not None
         session = self.obs
+
+        # Control-flow replay (repro.sim.replay), decided once per
+        # launch: a fast launch with no fault hook, issue listener,
+        # tracing or custom controller records its first run of a key
+        # and replays the later ones.  Blocks are admitted when an SM is
+        # built, so the mode is picked from the launch's inputs before
+        # that; SM.lane_values_unread() stays the rule, checked on every
+        # SM once attached.
+        flow = None
+        if (cfg.engine == "fast" and self.fault_hook is None
+                and issue_listener is None and controller_factory is None
+                and not (session is not None and session.tracing)):
+            flow = replay.plan(program, launch, memory, dispatch, cfg,
+                               lane_of_slot)
+        sm_class = SM if flow is None else flow.sm_class
 
         # Construct and fully attach every SM before any of them runs:
         # the megakernel batcher needs all peers' initially-resident
         # warps, and fusion eligibility (nothing reads lane values) is
         # only decidable after attachment.
         sms: List[SM] = []
-        for sm_id, block_ids in enumerate(blocks_of_sm):
-            if not block_ids:
+        for sm_id, positions in enumerate(positions_of_sm):
+            if not positions:
                 continue
             probe = session.probe(sm_id) if session is not None else None
-            sm = SM(
+            sm = sm_class(
                 sm_id=sm_id,
                 config=cfg,
                 program=program,
                 launch=launch,
-                block_ids=block_ids,
+                block_ids=[dispatch[position] for position in positions],
                 global_memory=memory,
                 lane_of_slot=lane_of_slot,
                 fault_hook=self.fault_hook,
                 max_cycles=self.max_cycles,
                 probe=probe,
+                flow=None if flow is None else flow.share(positions),
             )
             if controller_factory is not None:
                 sm.dmr = controller_factory(sm.stats)
@@ -201,6 +233,12 @@ class GPU:
             if probe is not None and session.tracing:
                 sm.add_issue_listener(probe.on_issue)
             sms.append(sm)
+        if flow is not None:
+            readers = [sm.sm_id for sm in sms if not sm.lane_values_unread()]
+            if readers:
+                raise SimulationError(
+                    f"SMs {readers} read lane values in a launch that "
+                    "records or replays control flow")
 
         # Cross-SM warp batching: one batcher spanning every SM that
         # may fuse, so warps at the same pc on different SMs execute a
@@ -216,9 +254,16 @@ class GPU:
                 merged.merge(sm.stats)
                 if sm.dmr is not None:
                     detections.extend(sm.dmr.detections)
+                executor = sm.executor
+                engine_issues["vector"] += executor.vector_issues
+                engine_issues["scalar"] += executor.scalar_issues
+                engine_issues["fused"] += executor.fused_issues
+                engine_issues["replayed"] += executor.replayed_issues
         finally:
             if batcher is not None:
                 batcher.detach()
+        if flow is not None:
+            flow.finish(memory)
 
         return KernelResult(
             program_name=program.name,
@@ -230,4 +275,5 @@ class GPU:
             clock_period_ns=cfg.clock_period_ns,
             obs=(session.snapshot().to_payload()
                  if session is not None else None),
+            engine_issues=engine_issues,
         )

@@ -9,6 +9,8 @@ model, and no fault injection on stored data.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.common.errors import SimulationError
@@ -52,6 +54,30 @@ class GlobalMemory:
         clone = GlobalMemory(self.size_words)
         clone._words = dict(self._words)
         return clone
+
+    def assign(self, image: "GlobalMemory") -> None:
+        """Make this memory hold a copy of *image*'s words (same size):
+        how a replayed launch delivers its recorded final image."""
+        if image.size_words != self.size_words:
+            raise SimulationError(
+                f"cannot assign a {image.size_words}-word image to a "
+                f"{self.size_words}-word memory"
+            )
+        self._words = dict(image._words)
+
+    def digest(self) -> bytes:
+        """Type-exact digest of the size and every written word.
+
+        Pickle spells each value with its type, floats by their bit
+        pattern, so ``1``, ``1.0`` and ``True`` differ.  Words are
+        hashed in insertion order: two images that differ only in
+        order may get different digests, but two different images
+        never share one (short of a hash collision).
+        """
+        return hashlib.blake2b(
+            pickle.dumps((self.size_words, self._words), protocol=4),
+            digest_size=20,
+        ).digest()
 
     # -- bulk helpers --------------------------------------------------
     def write_block(self, base: int, values: Sequence[Number]) -> None:

@@ -12,8 +12,8 @@ Warped-DMR attaches through the ``dmr`` hook object (duck-typed; see
 stall cycles, which the SM consumes as non-issue cycles — exactly how
 the paper's ReplayQ full/RAW stalls behave.
 
-Two throughput features are layered on top without touching the cycle
-accounting (both asserted cycle/byte-identical by the invariance
+Three throughput features are layered on top without touching the
+cycle accounting (each asserted cycle/byte-identical by the invariance
 tests):
 
 * **Region fusion** (:mod:`repro.sim.megakernel`): when the engine is
@@ -22,6 +22,11 @@ tests):
   :class:`~repro.sim.megakernel.WarpBatcher` hoists the functional work
   of straight-line regions; the SM still issues every instruction
   through the scheduler/scoreboard, and DMR still sees every issue.
+* **Control-flow replay** (:mod:`repro.sim.replay`): in the same
+  timing-only launches, a :class:`~repro.sim.replay.ReplaySM` takes each
+  warp's masks and branch and exit outcomes from a certified recording
+  of the launch and executes nothing; scheduler, scoreboard, stats,
+  probes and DMR run as ever.
 * **Event-driven cycle skipping** (``GPUConfig.cycle_skip``): pending
   stall cycles with one cause burn as a single booked span, and when
   every resident warp is stalled the cycle counter jumps to the next
@@ -74,7 +79,16 @@ def _hazard_plans(program: Program) -> List[Tuple]:
 
 
 class SM:
-    """One streaming multiprocessor executing a queue of thread blocks."""
+    """One streaming multiprocessor executing a queue of thread blocks.
+
+    ``flow`` is this SM's share of a recording or replaying launch
+    (:mod:`repro.sim.replay`, which also subclasses the SM for those
+    two modes): it hands each admitted warp its per-instance log or
+    trace.  ``None``, the default, is plain execution.
+    """
+
+    #: the executor class this SM runs issues on
+    executor_class = Executor
 
     def __init__(
         self,
@@ -89,6 +103,7 @@ class SM:
         fault_hook: Optional[FaultHook] = None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
         probe: Optional[object] = None,
+        flow: Optional[object] = None,
     ) -> None:
         self.sm_id = sm_id
         self.config = config
@@ -98,8 +113,9 @@ class SM:
         self.lane_of_slot = lane_of_slot
         self.dmr = dmr
         self.max_cycles = max_cycles
-        self.executor = Executor(sm_id, global_memory, fault_hook,
-                                 engine=config.engine)
+        self._flow = flow
+        self.executor = self.executor_class(sm_id, global_memory, fault_hook,
+                                            engine=config.engine)
         self.executor.bind_program(program)
         self._schedulers = [
             WarpScheduler(
@@ -186,7 +202,9 @@ class SM:
         controller that does not declare the flag counts as a reader.
         Gates region fusion and, through :meth:`fusion_allowed`, lane
         recording; evaluated after attachment (GPU.launch attaches
-        controllers and listeners post-construction).
+        controllers and listeners post-construction).  GPU.launch
+        records or replays control flow (:mod:`repro.sim.replay`) only
+        in launches where it holds on every SM.
         """
         dmr = self.dmr
         return (not self.executor.faulty and not self._issue_listeners
@@ -235,6 +253,8 @@ class SM:
                 )
                 self._next_warp_id += 1
                 warps.append(warp)
+            if self._flow is not None:
+                self._flow.attach(warps)
             block.attach_warps(warps)
             self._resident_blocks.append(block)
             self._resident_warps.extend(warps)
@@ -526,11 +546,7 @@ class SM:
         self._charge_latency(warp, inst, pc, cycle)
         self._record_stats(warp, inst, pc, active, cycle, event)
         if self.config.model_bank_conflicts:
-            from repro.sim.regbank import conflict_extra_cycles
-            extra = conflict_extra_cycles(inst)
-            if extra:
-                self._defer_stall("bank", extra)
-                self.stats.inc("bank_conflict_cycles", extra)
+            self._charge_bank_conflicts(inst)
         dmr = self.dmr
         if dmr is not None:
             if event is None:
@@ -542,6 +558,15 @@ class SM:
             stall = dmr.on_issue(event, self.executor)
             if stall:
                 self._defer_stall("replay", stall)
+
+    def _charge_bank_conflicts(self, inst) -> None:
+        """Defer the register-bank conflict cycles of *inst*
+        (``GPUConfig.model_bank_conflicts``)."""
+        from repro.sim.regbank import conflict_extra_cycles
+        extra = conflict_extra_cycles(inst)
+        if extra:
+            self._defer_stall("bank", extra)
+            self.stats.inc("bank_conflict_cycles", extra)
 
     # ------------------------------------------------------------------
     # Issue mechanics

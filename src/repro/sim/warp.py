@@ -139,6 +139,10 @@ class Warp:
         #: megakernel engine: pending fused-region bookkeeping
         #: (:class:`repro.sim.megakernel.RegionStash`), or None
         self.mega_stash = None
+        #: control-flow replay (:mod:`repro.sim.replay`): this warp
+        #: instance's log while its launch records, its recorded trace
+        #: while its launch replays, else None
+        self.flow = None
         #: SM-maintained scoreboard-readiness memo: the pc the cached
         #: ready cycle was computed for (-1 = invalid) and that cycle
         self.sb_pc = -1

@@ -11,6 +11,7 @@ from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
 from repro.faults.campaign import CampaignSpec
 from repro.isa.opcodes import CmpOp
 from repro.kernel.builder import KernelBuilder
+from repro.sim import replay
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 from repro.sim.sm import SM
@@ -105,6 +106,29 @@ def fusion_disabled():
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SM, "fusion_allowed", lambda self: False)
+        yield
+
+
+@contextlib.contextmanager
+def replay_disabled():
+    """Run every launch on the executing path: none records or replays
+    its control flow (:mod:`repro.sim.replay`).
+
+    A test toggle only, like :func:`fusion_disabled`: the program offers
+    no replay option, so this patches :func:`repro.sim.replay.plan`.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay, "plan", lambda *args, **kwargs: None)
+        yield
+
+
+@pytest.fixture(scope="module")
+def executing():
+    """:func:`replay_disabled` for a whole module: an engine
+    differential must compare launches that execute, or a replay would
+    compare the recorded run with itself.  Module scope keeps it legal
+    under Hypothesis, which rejects function-scoped fixtures."""
+    with replay_disabled():
         yield
 
 

@@ -28,6 +28,7 @@ from repro.service import codec
 from repro.service.jobs import submit_campaign_job
 from repro.service.store import JobStore
 from repro.service.worker import ServiceWorker
+from repro.sim import replay
 from repro.sim.gpu import GPU
 
 from tests.conftest import CountingSpec, counting_spec
@@ -188,6 +189,22 @@ class TestEngineIsAConfigField:
             fault = fault_from_payload(run["fault"])
             assert cache.get_payload(fault_run_key(spec, fault)) == run
             assert cache.get_payload(fault_run_key(fast_spec, fault)) is None
+
+
+class TestGoldenCalibration:
+    def test_only_an_executing_golden_run_calibrates_deadlines(self, spec):
+        """The first engine's golden launch executes (and records); the
+        second's replays it and times no execution, so, like a golden
+        run served from the cache, it sets no fan-out deadline."""
+        spec = replace(spec, config=replace(spec.config, engine="fast"))
+        replay.forget(spec.prepare().program)
+        first = CampaignEngine(spec)
+        assert first.golden_result().engine_issues["replayed"] == 0
+        assert first._task_deadline(4) is not None
+        second = CampaignEngine(spec)
+        golden = second.golden_result()
+        assert golden.engine_issues["replayed"] == golden.instructions_issued
+        assert second._task_deadline(4) is None
 
 
 class TestParallelFanOut:

@@ -42,6 +42,10 @@ from repro.sim.sm import SM
 from tests.conftest import build_counting_kernel
 from tests.faults import golden_corpus
 
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
+
 DMR_CONFIGS = [
     DMRConfig.disabled(),
     DMRConfig.paper_default(),

@@ -36,6 +36,10 @@ from repro.fuzz.differential import fuzz_gpu_config, result_digest
 
 from tests.conftest import fusion_disabled
 
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
+
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_PATH = CORPUS_DIR / "GOLDEN.json"
 

@@ -23,6 +23,11 @@ from repro.common.config import DMRConfig
 from repro.fuzz import Corpus, run_kernel
 from repro.fuzz.differential import result_digest
 
+#: every seed's launch executes: the seeds share one kernel, so a
+#: replayed launch (repro.sim.replay) would check the schedule
+#: invariance that licenses replay against its own recording
+pytestmark = pytest.mark.usefixtures("executing")
+
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 _corpus = Corpus(CORPUS_DIR)

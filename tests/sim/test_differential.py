@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
@@ -19,6 +20,10 @@ from repro.kernel.builder import KernelBuilder
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 from repro.sim.scalar_ref import run_scalar_block
+
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
 
 NUM_REGS = 6  # r0..r5 scratch; program stores them all at the end
 

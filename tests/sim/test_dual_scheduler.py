@@ -12,6 +12,10 @@ from repro.sim.memory import GlobalMemory
 
 from tests.conftest import build_counting_kernel, run_program
 
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
+
 
 def dual_config(**kw) -> GPUConfig:
     return replace(GPUConfig.small(1), num_schedulers=2, **kw)

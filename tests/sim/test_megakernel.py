@@ -41,7 +41,7 @@ from repro.sim.vexec import VectorFallback
 from repro.workloads import get_workload
 
 from tests.conftest import (build_counting_kernel, build_divergent_kernel,
-                           fusion_disabled)
+                           fusion_disabled, replay_disabled)
 
 
 def launch(program, engine, *, grid=1, block=32, num_sms=1, dmr=None,
@@ -309,7 +309,11 @@ class TestFusionGating:
 
 def _launch_counting_issues(monkeypatch, engine, *, dmr=None,
                             fault_hook=None, controller_factory=None):
-    """matrixmul (scale 0.25, 2 SMs) plus the summed engine counters."""
+    """matrixmul (scale 0.25, 2 SMs) plus the summed engine counters.
+
+    The launch executes even if an earlier one recorded matrixmul:
+    replayed issues would count on no executing engine.
+    """
     counts = {"vector": 0, "scalar": 0, "fused": 0}
     original = SM.run
 
@@ -325,8 +329,9 @@ def _launch_counting_issues(monkeypatch, engine, *, dmr=None,
     run = get_workload("matrixmul").prepare(0.25, 0)
     gpu = GPU(experiment_config(num_sms=2, engine=engine),
               dmr=dmr or DMRConfig.disabled(), fault_hook=fault_hook)
-    result = gpu.launch(run.program, run.launch, memory=run.memory,
-                        controller_factory=controller_factory)
+    with replay_disabled():
+        result = gpu.launch(run.program, run.launch, memory=run.memory,
+                            controller_factory=controller_factory)
     run.check(run.memory)
     return pickle.dumps(result.to_payload()), counts
 

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.common.config import GPUConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -10,6 +12,10 @@ from repro.kernel.builder import KernelBuilder
 from repro.sim.regbank import bank_of, conflict_extra_cycles, serialized_accesses
 
 from tests.conftest import run_program
+
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
 
 
 class TestBankMath:

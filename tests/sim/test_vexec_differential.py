@@ -52,6 +52,10 @@ from repro.workloads import all_workloads, get_workload
 
 from tests.conftest import fusion_disabled
 
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
+
 WARP_SIZE = 32
 NUM_REGS = 4
 NUM_PREDS = 2

@@ -23,6 +23,10 @@ from tests.conftest import build_counting_kernel
 
 from repro.analysis.runner import experiment_config
 
+#: engine differentials compare launches that execute: a replayed
+#: launch (repro.sim.replay) would only repeat its own recording
+pytestmark = pytest.mark.usefixtures("executing")
+
 SCALE = 0.25
 SEED = 0
 

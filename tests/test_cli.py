@@ -34,6 +34,17 @@ class TestRun:
         ]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_run_prints_the_engine_mix(self, capsys):
+        """Two identical runs in one process: the second replays the
+        first's recorded control flow, and says so."""
+        for _ in range(2):
+            assert main(["run", "nqueen", "--scale", "0.25"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("engine issues")]
+        assert len(lines) == 2
+        assert "replayed=0" not in lines[1]
+        assert "vector=0 scalar=0 fused=0" in lines[1]
+
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             main(["run", "doom"])
