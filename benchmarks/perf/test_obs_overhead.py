@@ -10,10 +10,12 @@ free: no probe objects exist, the hot loops check one attribute against
 ``None``, and the default ``GPU()`` resolves to obs-off.  The gates
 here defend that promise:
 
-* explicit ``obs=False`` and the default ``GPU()`` (which consults
-  ``$REPRO_OBS``) must time within 2% of each other — this is the
-  regression class the subsystem introduces (an env leak or a default
-  flip silently turning metrics on for every user);
+* the default ``GPU()`` is ``obs=False``: it creates no session even
+  with ``$REPRO_OBS`` asking for metrics — this is the regression class
+  the subsystem introduces (an env leak or a default flip silently
+  turning metrics on for every user).  The two are one configuration,
+  so their timing gap (``default_vs_off`` in ``BENCH_obs.json``) is
+  host noise and is reported, not gated;
 * the disabled path must stay within 2% of the ``BENCH_exec.json``
   baseline throughput when that baseline was measured on this machine
   (skipped with an explanation when it clearly was not);
@@ -33,6 +35,7 @@ import pytest
 
 from repro.analysis.bench import _MICROBENCHES
 from repro.common.config import LaunchConfig
+from repro.obs import OBS_ENV
 from repro.sim import replay
 from repro.sim.gpu import GPU
 
@@ -57,7 +60,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "results"
 #: machine drift (thermal, noisy neighbors) hits every config equally
 CONFIGS = {
     "off": {"obs": False},
-    "default": {},            # GPU() -> $REPRO_OBS -> off
+    "default": {},            # GPU(): obs=False, $REPRO_OBS unread
     "metrics": {"obs": "metrics"},
 }
 
@@ -100,22 +103,18 @@ def measurements():
     return report
 
 
-def test_default_gpu_matches_explicit_obs_off(measurements):
-    """Acceptance: the metrics-disabled path is within 2% of baseline.
-
-    ``GPU()`` (the path every benchmark and figure takes) must resolve
-    to the same no-probe fast path as an explicit ``obs=False`` — if an
-    environment default ever flips metrics on, the registry and probe
-    cost lands here and blows the band.
-    """
-    slow = {name: f"{entry['default_vs_off']:+.1%}"
-            for name, entry in measurements.items()
-            if entry["default_vs_off"] > DISABLED_TOLERANCE}
-    assert not slow, (
-        f"default GPU() slower than obs=False beyond "
-        f"{DISABLED_TOLERANCE:.0%}: {slow} — is observability "
-        "accidentally enabled by default?"
-    )
+def test_default_gpu_matches_explicit_obs_off(monkeypatch):
+    """``GPU()`` (the path every benchmark and figure takes) resolves to
+    the same no-probe path as an explicit ``obs=False``, whatever
+    ``$REPRO_OBS`` says; only ``obs=None`` defers to it."""
+    monkeypatch.setenv(OBS_ENV, "metrics")
+    assert GPU(obs=None).obs is not None, "the environment must be live"
+    gpu = GPU()
+    assert gpu.obs is None, (
+        "default GPU() reads $REPRO_OBS: is observability accidentally "
+        "enabled by default?")
+    result = gpu.launch(_MICROBENCHES["int_alu"](1), LaunchConfig(1, 32))
+    assert result.obs is None
 
 
 def test_disabled_path_tracks_exec_baseline(measurements):

@@ -1,8 +1,7 @@
 """Execution-engine benchmarks (``python -m repro bench``).
 
-Measures the ``fast`` execution engine (per-issue vectorization plus
-region fusion) against the ``scalar`` per-lane interpreter on three
-levels:
+Measures the ``fast`` execution engine (per-issue vectorization)
+against the ``scalar`` per-lane interpreter on three levels:
 
 * **instruction throughput** — synthetic full-warp kernels that stream
   int-ALU, float-ALU and SFU instructions with no divergence, isolating

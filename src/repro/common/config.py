@@ -83,10 +83,8 @@ class SchedulerPolicy(enum.Enum):
 
 
 #: how the host executes a simulation.  ``fast`` vectorizes each issue
-#: (:mod:`repro.sim.vexec`), fuses straight-line regions across SMs
-#: wherever :meth:`repro.sim.sm.SM.fusion_allowed` permits
-#: (:mod:`repro.sim.megakernel`), and replays the recorded control flow
-#: of certified race-free launches in timing-only runs
+#: (:mod:`repro.sim.vexec`) and replays the recorded control flow of
+#: certified race-free launches in timing-only runs
 #: (:mod:`repro.sim.replay`); ``scalar`` is the per-lane interpreter,
 #: the differential oracle.  A speed choice only: both produce
 #: byte-identical results.

@@ -12,8 +12,8 @@ The SM calls four hooks (see :mod:`repro.sim.sm`):
 Two optional declarations let the SM take its fast paths while a
 controller is attached (DESIGN.md §10): ``functional_verify`` — when
 ``False`` the controller reads only an issue's pc, opcode, unit and
-masks, never its lane values, so the SM may fuse regions and skip lane
-recording; and ``quiescent()`` — ``True`` when an idle cycle would be a
+masks, never its lane values, so the SM may skip lane recording;
+and ``quiescent()`` — ``True`` when an idle cycle would be a
 no-op, so the SM may jump over a span of idle cycles.  A controller
 that declares neither gets per-issue lane values and per-cycle idle
 calls.

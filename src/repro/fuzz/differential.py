@@ -8,8 +8,7 @@ corpus:
    semantic ground truth, with no pipeline model at all;
 2. the full simulator with the scalar execution engine;
 3. the full simulator with the ``fast`` engine (per-issue
-   vectorization, :mod:`repro.sim.vexec`, plus region fusion,
-   :mod:`repro.sim.megakernel`).
+   vectorization, :mod:`repro.sim.vexec`).
 
 All final global-memory images must be *bit-identical* (equal
 canonical digests, exact float bit patterns included).  Any mismatch is

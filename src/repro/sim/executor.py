@@ -254,24 +254,20 @@ class Executor:
 
     ``engine`` selects the execution strategy (the SM passes its
     ``GPUConfig.engine``): ``"fast"`` (default) runs the vectorized
-    engine whenever it can reproduce scalar semantics bit-for-bit, and
-    may run fused regions; ``"scalar"`` pins every issue to the
-    per-lane interpreter.  With a fault hook armed, an ALU, SETP, SELP
-    or BRA issue runs vectorized, then passes only its active site
-    lanes (:meth:`FaultHook.site_lanes`) through :meth:`FaultHook.apply`,
-    in slot order, and writes back what changed; ``perturbed_mask``
+    engine whenever it can reproduce scalar semantics bit-for-bit;
+    ``"scalar"`` pins every issue to the per-lane interpreter.  With a
+    fault hook armed, an ALU, SETP, SELP or BRA issue runs vectorized,
+    then passes only its active site lanes
+    (:meth:`FaultHook.site_lanes`) through :meth:`FaultHook.apply`, in
+    slot order, and writes back what changed; ``perturbed_mask``
     records those lanes.  A load or store with a site lane runs scalar:
     a perturbed address picks the word, and the per-lane order of hook
     calls and accesses decides which lane faults first.
 
     ``record_lanes`` says whether issue events must carry per-lane
-    inputs and results.  The SM clears it where regions may fuse,
-    i.e. when nothing attached reads lane values
-    (:meth:`repro.sim.sm.SM.fusion_allowed`); the vector engine then
-    skips building them.  A region fused by the
-    SM's :class:`~repro.sim.megakernel.WarpBatcher` is consumed one
-    issue at a time from its stash (counted in ``fused_issues``), with
-    value-free events from :meth:`issue_event`.
+    inputs and results.  The SM clears it when nothing attached reads
+    lane values (:meth:`repro.sim.sm.SM.lane_values_unread`); the
+    vector engine then skips building them.
     """
 
     def __init__(self, sm_id: int, global_memory: GlobalMemory,
@@ -291,9 +287,6 @@ class Executor:
         self._vector_enabled = engine == "fast"
         #: whether issue events carry per-lane inputs/results
         self.record_lanes = True
-        #: region-fusion context (a WarpBatcher); attached by the SM/GPU
-        #: only when nothing reads lane values
-        self._mega: Optional[object] = None
         self._decoded: Optional[list] = None
         self._adhoc: Dict[Instruction, vexec.DecodedInst] = {}
         #: issue counts per engine (diagnostics; not part of the stats registry so
@@ -302,7 +295,6 @@ class Executor:
         #: recorded trace (:mod:`repro.sim.replay`) without executing
         self.vector_issues = 0
         self.scalar_issues = 0
-        self.fused_issues = 0
         self.replayed_issues = 0
 
     def bind_program(self, program) -> None:
@@ -389,15 +381,6 @@ class Executor:
         immediately; timing is the SM's job.  The returned event captures
         per-lane inputs and results for DMR re-execution.
         """
-        stash = warp.mega_stash
-        if stash is not None:
-            return self._consume_stash(warp, stash, inst, pc, cycle)
-        mega = self._mega
-        if mega is not None and not warp.reg_overflow:
-            stash = mega.try_fuse(warp, pc, inst)
-            if stash is not None:
-                return self._consume_stash(warp, stash, inst, pc, cycle)
-
         simt_mask = warp.stack.current_mask
         # BRA's predicate is the branch *condition*, not an execution
         # guard: every SIMT-active lane evaluates the branch.
@@ -529,44 +512,6 @@ class Executor:
                 warp.write_pred(slot, inst.pdst, bool(value))
             elif inst.info.writes_reg:
                 warp.write_reg(slot, inst.dst.idx, value)
-
-    # ------------------------------------------------------------------
-    def consume_stash_mask(self, warp: Warp, stash, inst: Instruction,
-                           pc: int) -> int:
-        """Advance a region stash by one instruction; return its mask.
-
-        The functional results were committed when the region fused;
-        the caller only needs the execution mask for bookkeeping.  The
-        SM's issue loop uses this directly and builds a value-free
-        :meth:`issue_event` only for a timing-only DMR controller —
-        fusion is gated on nothing reading lane values.
-        """
-        region = stash.region
-        index = stash.index
-        entries = region.entries
-        entry = entries[index] if index < len(entries) else None
-        if region.start + index != pc or entry is None \
-                or entry.inst is not inst:
-            warp.mega_stash = None
-            raise SimulationError(
-                f"megakernel stash desync on SM {self.sm_id} warp "
-                f"{warp.warp_id}: expected pc {region.start + index} of "
-                f"region {region!r}, got pc {pc}"
-            )
-        stash.index = index + 1
-        if stash.index >= len(entries):
-            warp.mega_stash = None
-        self.fused_issues += 1
-        return stash.masks[index]
-
-    def _consume_stash(self, warp: Warp, stash, inst: Instruction,
-                       pc: int, cycle: int) -> ExecResult:
-        """Event-carrying variant of :meth:`consume_stash_mask` for
-        callers that go through :meth:`execute` (first instruction of a
-        freshly fused region, direct executor use in tests)."""
-        exec_mask = self.consume_stash_mask(warp, stash, inst, pc)
-        # regions are straight-line: control is always "advance"
-        return ExecResult(self.issue_event(warp, inst, pc, cycle, exec_mask))
 
     # ------------------------------------------------------------------
     def reexecute_lane(self, event: IssueEvent, original_lane: int,

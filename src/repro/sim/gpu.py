@@ -21,11 +21,10 @@ from repro.sim import replay
 from repro.sim.events import IssueEvent
 from repro.sim.executor import FaultHook
 from repro.sim.memory import GlobalMemory
-from repro.sim.megakernel import WarpBatcher
 from repro.sim.sm import DEFAULT_MAX_CYCLES, SM
 
 #: the executor counters :attr:`KernelResult.engine_issues` sums
-ENGINE_COUNTERS = ("vector", "scalar", "fused", "replayed")
+ENGINE_COUNTERS = ("vector", "scalar", "replayed")
 
 
 @dataclass
@@ -184,10 +183,10 @@ class GPU:
         # Control-flow replay (repro.sim.replay), decided once per
         # launch: a fast launch with no fault hook, issue listener,
         # tracing or custom controller records its first run of a key
-        # and replays the later ones.  Blocks are admitted when an SM is
-        # built, so the mode is picked from the launch's inputs before
-        # that; SM.lane_values_unread() stays the rule, checked on every
-        # SM once attached.
+        # and replays the later ones.  The mode picks the SM class, so
+        # it is decided from the launch's inputs before any SM is built;
+        # SM.lane_values_unread() stays the rule, checked on every SM
+        # once attached and before any SM runs.
         flow = None
         if (cfg.engine == "fast" and self.fault_hook is None
                 and issue_listener is None and controller_factory is None
@@ -196,10 +195,6 @@ class GPU:
                                lane_of_slot)
         sm_class = SM if flow is None else flow.sm_class
 
-        # Construct and fully attach every SM before any of them runs:
-        # the megakernel batcher needs all peers' initially-resident
-        # warps, and fusion eligibility (nothing reads lane values) is
-        # only decidable after attachment.
         sms: List[SM] = []
         for sm_id, positions in enumerate(positions_of_sm):
             if not positions:
@@ -240,28 +235,16 @@ class GPU:
                     f"SMs {readers} read lane values in a launch that "
                     "records or replays control flow")
 
-        # Cross-SM warp batching: one batcher spanning every SM that
-        # may fuse, so warps at the same pc on different SMs execute a
-        # region as one wide array op.  SMs still run sequentially and
-        # remain timing-independent; only functional work is shared.
-        fusable = [sm for sm in sms if sm.fusion_allowed()]
-        batcher = WarpBatcher(fusable).attach() if fusable else None
-
-        try:
-            for sm in sms:
-                sm.run()
-                per_sm_cycles.append(sm.cycle)
-                merged.merge(sm.stats)
-                if sm.dmr is not None:
-                    detections.extend(sm.dmr.detections)
-                executor = sm.executor
-                engine_issues["vector"] += executor.vector_issues
-                engine_issues["scalar"] += executor.scalar_issues
-                engine_issues["fused"] += executor.fused_issues
-                engine_issues["replayed"] += executor.replayed_issues
-        finally:
-            if batcher is not None:
-                batcher.detach()
+        for sm in sms:
+            sm.run()
+            per_sm_cycles.append(sm.cycle)
+            merged.merge(sm.stats)
+            if sm.dmr is not None:
+                detections.extend(sm.dmr.detections)
+            executor = sm.executor
+            engine_issues["vector"] += executor.vector_issues
+            engine_issues["scalar"] += executor.scalar_issues
+            engine_issues["replayed"] += executor.replayed_issues
         if flow is not None:
             flow.finish(memory)
 

@@ -16,9 +16,9 @@ never per issue:
   hook, an issue listener, Chrome tracing, a ``controller_factory``, or
   a key whose stored verdict is "not certified";
 * **record** — an eligible launch whose key has no verdict yet: it
-  executes as ever (region fusion included) on :class:`RecordingSM`,
-  whose executor logs each warp instance's guarded outcomes, BARs and
-  memory accesses in a :class:`WarpLog`;
+  executes as ever on :class:`RecordingSM`, whose executor logs each
+  warp instance's guarded outcomes, BARs and memory accesses in a
+  :class:`WarpLog`;
 * **replay** — an eligible launch whose key holds a certified record:
   :class:`ReplaySM` runs the issue loop, scheduler, scoreboard, stats,
   probes and DMR controller as ever, but takes masks and branch and
@@ -199,12 +199,10 @@ class RecordingExecutor(Executor):
 
     A load's or store's event holds every active lane's word address in
     ``lane_results`` once ``record_lanes`` asks for lane values, so a
-    memory issue is executed with it set; no region holds a memory
-    instruction, so no fused issue accesses memory.
+    memory issue is executed with it set.
     """
 
     def execute(self, warp, inst, pc: int, cycle: int) -> ExecResult:
-        fused = self.fused_issues
         info = inst.info
         if info.is_memory:
             record_lanes = self.record_lanes
@@ -217,26 +215,19 @@ class RecordingExecutor(Executor):
                             result.event.lane_results.values())
         else:
             result = Executor.execute(self, warp, inst, pc, cycle)
-        if self.fused_issues == fused:  # consume_stash_mask logs fused ones
-            log = warp.flow
-            if inst.pred is not None:
-                log.outcomes.append((pc, result.control.taken_mask
-                                     if inst.opcode is Opcode.BRA
-                                     else result.event.logical_mask))
-            if inst.opcode is Opcode.BAR:
-                log.barrier(pc, result.event.logical_mask,
-                            warp.stack.live_mask)
-        return result
-
-    def consume_stash_mask(self, warp, stash, inst, pc: int) -> int:
-        mask = Executor.consume_stash_mask(self, warp, stash, inst, pc)
+        log = warp.flow
         if inst.pred is not None:
-            warp.flow.outcomes.append((pc, mask))
-        return mask
+            log.outcomes.append((pc, result.control.taken_mask
+                                 if inst.opcode is Opcode.BRA
+                                 else result.event.logical_mask))
+        if inst.opcode is Opcode.BAR:
+            log.barrier(pc, result.event.logical_mask,
+                        warp.stack.live_mask)
+        return result
 
 
 class RecordingSM(SM):
-    """An :class:`SM` that executes, fusion included, and records."""
+    """An :class:`SM` that executes and records."""
 
     executor_class = RecordingExecutor
 
@@ -381,9 +372,6 @@ class WarpTrace:
 
 class ReplaySM(SM):
     """An :class:`SM` whose issues replay recorded control flow."""
-
-    def fusion_allowed(self) -> bool:
-        return False  # nothing executes
 
     def _issue(self, warp, inst, pc: int, cycle: int) -> None:
         trace = warp.flow

@@ -16,17 +16,16 @@ Three throughput features are layered on top without touching the
 cycle accounting (each asserted cycle/byte-identical by the invariance
 tests):
 
-* **Region fusion** (:mod:`repro.sim.megakernel`): when the engine is
-  ``fast`` and nothing reads per-lane values (:meth:`SM.lane_values_unread`
-  — a timing-only DMR controller reads none), a
-  :class:`~repro.sim.megakernel.WarpBatcher` hoists the functional work
-  of straight-line regions; the SM still issues every instruction
-  through the scheduler/scoreboard, and DMR still sees every issue.
-* **Control-flow replay** (:mod:`repro.sim.replay`): in the same
-  timing-only launches, a :class:`~repro.sim.replay.ReplaySM` takes each
-  warp's masks and branch and exit outcomes from a certified recording
-  of the launch and executes nothing; scheduler, scoreboard, stats,
-  probes and DMR run as ever.
+* **Lane-value gating**: when nothing reads per-lane values
+  (:meth:`SM.lane_values_unread` — a timing-only DMR controller reads
+  none), issue events carry no per-lane inputs or results, and the
+  vector engine skips building them.
+* **Control-flow replay** (:mod:`repro.sim.replay`): in timing-only
+  launches on the ``fast`` engine, a
+  :class:`~repro.sim.replay.ReplaySM` takes each warp's masks and
+  branch and exit outcomes from a certified recording of the launch
+  and executes nothing; scheduler, scoreboard, stats, probes and DMR
+  run as ever.
 * **Event-driven cycle skipping** (``GPUConfig.cycle_skip``): pending
   stall cycles with one cause burn as a single booked span, and when
   every resident warp is stalled the cycle counter jumps to the next
@@ -149,9 +148,6 @@ class SM:
         self._issue_listeners: List[Callable[[IssueEvent], None]] = []
         self._num_regs = max(1, program.num_registers)
         self._num_preds = max(1, program.num_predicates)
-        #: region-fusion batcher (attached by GPU.launch, or a solo one
-        #: created at run() time when fusion is allowed)
-        self._batcher: Optional[object] = None
         #: the DMR controller's ``quiescent`` check while idle skipping
         #: is on (bound by run(), after attachment)
         self._dmr_idle_skip: Optional[Callable[[], bool]] = None
@@ -181,10 +177,6 @@ class SM:
             probe is None
             or (type(probe) is PipelineProbe and probe.tracer is None)
         )
-        # Blocks are admitted at construction (not first run()) so a
-        # cross-SM batcher sees every initially-resident warp before
-        # any SM starts executing.
-        self._admit_blocks()
 
     # ------------------------------------------------------------------
     # Setup
@@ -200,21 +192,16 @@ class SM:
         controller or one declaring ``functional_verify=False`` (a
         timing-only checker reads pcs, units and masks only).  A
         controller that does not declare the flag counts as a reader.
-        Gates region fusion and, through :meth:`fusion_allowed`, lane
-        recording; evaluated after attachment (GPU.launch attaches
-        controllers and listeners post-construction).  GPU.launch
-        records or replays control flow (:mod:`repro.sim.replay`) only
-        in launches where it holds on every SM.
+        Gates lane recording (``Executor.record_lanes``); evaluated
+        when :meth:`run` starts, after GPU.launch has attached
+        controllers and listeners.  GPU.launch records or replays
+        control flow (:mod:`repro.sim.replay`) only in launches where
+        it holds on every SM.
         """
         dmr = self.dmr
         return (not self.executor.faulty and not self._issue_listeners
                 and (dmr is None
                      or not getattr(dmr, "functional_verify", True)))
-
-    def fusion_allowed(self) -> bool:
-        """Whether this SM may run fused regions: the ``fast`` engine
-        and :meth:`lane_values_unread`."""
-        return self.config.engine == "fast" and self.lane_values_unread()
 
     def _admit_blocks(self) -> None:
         """Launch pending blocks while thread capacity allows."""
@@ -274,28 +261,18 @@ class SM:
     # ------------------------------------------------------------------
     def run(self) -> MetricsRegistry:
         """Execute every assigned block to completion; returns the stats."""
-        fuse = self.fusion_allowed()
-        # lane values go unrecorded exactly where regions may fuse: the
-        # fast engine with nothing reading them
-        self.executor.record_lanes = not fuse
+        self.executor.record_lanes = not self.lane_values_unread()
         quiescent = getattr(self.dmr, "quiescent", None)
         self._dmr_idle_skip = quiescent if self._skip_enabled else None
-        solo = None
-        if self._batcher is None and fuse:
-            from repro.sim.megakernel import WarpBatcher
-            solo = WarpBatcher([self]).attach()
-        try:
-            while self._has_work():
-                self._tick()
-                if self.cycle > self.max_cycles:
-                    raise SimulationError(
-                        f"SM {self.sm_id} exceeded {self.max_cycles} "
-                        "cycles; likely a livelocked kernel (barrier "
-                        "divergence or non-terminating loop)"
-                    )
-        finally:
-            if solo is not None:
-                solo.detach()
+        self._admit_blocks()
+        while self._has_work():
+            self._tick()
+            if self.cycle > self.max_cycles:
+                raise SimulationError(
+                    f"SM {self.sm_id} exceeded {self.max_cycles} "
+                    "cycles; likely a livelocked kernel (barrier "
+                    "divergence or non-terminating loop)"
+                )
         if self.dmr is not None:
             flush = self.dmr.on_kernel_end(self.cycle)
             if flush:
@@ -524,37 +501,17 @@ class SM:
                     probe.on_schedule(len(warps), False, extra)
 
     def _issue(self, warp: Warp, inst, pc: int, cycle: int) -> None:
-        stash = warp.mega_stash
-        if stash is not None:
-            # Fused fast path: the region's results were committed when
-            # it fused.  Regions are straight-line (control is always
-            # "advance") and contain no EXIT, so the warp cannot finish
-            # here.  popcount is mapping-invariant: |hw_mask(m)| == |m|.
-            exec_mask = self.executor.consume_stash_mask(
-                warp, stash, inst, pc
-            )
-            warp.stack.advance()
-            event = None
-            active = exec_mask.bit_count()
-        else:
-            result = self.executor.execute(warp, inst, pc, cycle)
-            self._apply_control(warp, inst, result)
-            if warp.done:
-                self._retire_pending = True
-            event = result.event
-            active = event.active_count
+        result = self.executor.execute(warp, inst, pc, cycle)
+        self._apply_control(warp, inst, result)
+        if warp.done:
+            self._retire_pending = True
+        event = result.event
         self._charge_latency(warp, inst, pc, cycle)
-        self._record_stats(warp, inst, pc, active, cycle, event)
+        self._record_stats(warp, inst, pc, event.active_count, cycle, event)
         if self.config.model_bank_conflicts:
             self._charge_bank_conflicts(inst)
         dmr = self.dmr
         if dmr is not None:
-            if event is None:
-                # fusion implies a timing-only controller: it reads no
-                # lane values, so a value-free event is all it needs
-                event = self.executor.issue_event(
-                    warp, inst, pc, cycle, exec_mask
-                )
             stall = dmr.on_issue(event, self.executor)
             if stall:
                 self._defer_stall("replay", stall)

@@ -128,16 +128,11 @@ def _floats(val: Val, n: int):
     return np.where(isf, val.f, val.i.astype(np.float64))
 
 
-def _to_lanes(x, n) -> np.ndarray:
-    """Broadcast scalars/0-d results to an ``n``-lane array.
-
-    *n* may also be a full shape tuple — the megakernel engine runs the
-    same handlers over stacked ``(warps, lanes)`` register columns.
-    """
+def _to_lanes(x, n: int) -> np.ndarray:
+    """Broadcast scalars/0-d results to an ``n``-lane array."""
     x = np.asarray(x)
-    shape = n if isinstance(n, tuple) else (n,)
-    if x.shape != shape:
-        x = np.broadcast_to(x, shape)
+    if x.shape != (n,):
+        x = np.broadcast_to(x, (n,))
     return x
 
 
@@ -345,8 +340,8 @@ def _sfu_log(x: float) -> float:
     return math.log(x) if x > 0.0 else float("-inf")
 
 
-#: scalar transcendental per SFU opcode — shared with the megakernel
-#: region executor, which list-maps them over raveled 2-D batches.
+#: scalar transcendental per SFU opcode, list-mapped over the lanes by
+#: :func:`_make_sfu`
 SFU_SCALAR_FNS: Dict[Opcode, Callable[[float], float]] = {
     Opcode.SIN: math.sin, Opcode.COS: math.cos,
     Opcode.SQRT: _sfu_sqrt, Opcode.RSQRT: _sfu_rsqrt,
@@ -357,9 +352,6 @@ SFU_SCALAR_FNS: Dict[Opcode, Callable[[float], float]] = {
 def _make_sfu(scalar_fn: Callable[[float], float]):
     def handler(v, n):
         x = _to_lanes(_floats(v[0], n), n)
-        if x.ndim > 1:
-            flat = [scalar_fn(value) for value in x.ravel().tolist()]
-            return _vf(np.asarray(flat, dtype=np.float64).reshape(x.shape))
         return _vf(np.asarray([scalar_fn(value) for value in x.tolist()],
                               dtype=np.float64))
     return handler

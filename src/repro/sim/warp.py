@@ -136,9 +136,6 @@ class Warp:
         self.scoreboard = Scoreboard()
         self.barrier_blocked = False
         self.stalled_until = 0  # cycle before which the warp cannot issue
-        #: megakernel engine: pending fused-region bookkeeping
-        #: (:class:`repro.sim.megakernel.RegionStash`), or None
-        self.mega_stash = None
         #: control-flow replay (:mod:`repro.sim.replay`): this warp
         #: instance's log while its launch records, its recorded trace
         #: while its launch replays, else None

@@ -10,7 +10,7 @@ instance.
 A subclass implements ``build``; callers use ``prepare``, which builds
 each ``(workload, scale, seed)`` instance once per process and hands out
 copies of that template.  Every copy shares the template's immutable
-``Program`` (so its decode, region and hazard memos outlive a launch),
+``Program`` (so its decode and hazard memos outlive a launch),
 launch geometry, transfer spec and host-side closures, and gets its own
 copy of the initial memory image to run on.
 """

@@ -14,7 +14,6 @@ from repro.kernel.builder import KernelBuilder
 from repro.sim import replay
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
-from repro.sim.sm import SM
 from repro.workloads.base import TransferSpec, WorkloadRun
 
 
@@ -96,26 +95,12 @@ def counting_spec(threads: int = 32, iterations: int = 4,
 
 
 @contextlib.contextmanager
-def fusion_disabled():
-    """Run the ``fast`` engine per issue, with region fusion gated off
-    (and so, as before fusion reached timing-only DMR, with every
-    issue's lane values recorded).
-
-    A test toggle only: the program offers no fusion option, so this
-    patches :meth:`SM.fusion_allowed` for the duration.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SM, "fusion_allowed", lambda self: False)
-        yield
-
-
-@contextlib.contextmanager
 def replay_disabled():
     """Run every launch on the executing path: none records or replays
     its control flow (:mod:`repro.sim.replay`).
 
-    A test toggle only, like :func:`fusion_disabled`: the program offers
-    no replay option, so this patches :func:`repro.sim.replay.plan`.
+    A test toggle only: the program offers no replay option, so this
+    patches :func:`repro.sim.replay.plan`.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay, "plan", lambda *args, **kwargs: None)

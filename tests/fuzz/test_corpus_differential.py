@@ -11,17 +11,12 @@ Running the full {off, intra, inter} x {ReplayQ 2, unbounded} x
 simulations, so each kernel is assigned one (mode, size) cell
 round-robin by corpus index — every cell is exercised by >= 10 kernels
 and both engines run for every kernel, at 1/6 the cost.  The DMR-off
-cell doubles as the plain engine-equivalence check.
-
-A fault-free DMR controller only times and counts, so the fast engine
-fuses regions under DMR too; each DMR cell therefore adds a third leg,
-the fast engine with region fusion patched off, and all three legs
-must reproduce the golden digest and agree on the full result payload.
+cell doubles as the plain engine-equivalence check.  Both engines must
+reproduce the golden digest and agree on the full result payload.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import pickle
 from dataclasses import replace
@@ -33,8 +28,6 @@ from repro.analysis.overhead_sweep import UNBOUNDED_REPLAYQ
 from repro.common.config import ENGINE_NAMES, DMRConfig, MappingPolicy
 from repro.fuzz import Corpus, memory_digest, reference_memory, run_kernel
 from repro.fuzz.differential import fuzz_gpu_config, result_digest
-
-from tests.conftest import fusion_disabled
 
 #: engine differentials compare launches that execute: a replayed
 #: launch (repro.sim.replay) would only repeat its own recording
@@ -90,18 +83,13 @@ def test_reference_reproduces_every_golden_digest():
 def test_engines_bit_identical_under_dmr(index, digest):
     kernel = _corpus.load(digest)
     dmr, label = _cell(index)
-    legs = [(engine, engine, contextlib.nullcontext)
-            for engine in ENGINE_NAMES]
-    if dmr.enabled:
-        legs.append(("fast/unfused", "fast", fusion_disabled))
     payloads = set()
-    for leg, engine, context in legs:
+    for engine in ENGINE_NAMES:
         config = replace(fuzz_gpu_config(), engine=engine)
-        with context():
-            result = run_kernel(kernel, config=config, dmr=dmr)
+        result = run_kernel(kernel, config=config, dmr=dmr)
         assert result_digest(result) == GOLDEN[digest]["result"], (
-            f"{digest[:12]} under {label} engine={leg}")
+            f"{digest[:12]} under {label} engine={engine}")
         # A fault-free run must never report a detection.
-        assert not result.detections, (digest, label, leg)
+        assert not result.detections, (digest, label, engine)
         payloads.add(pickle.dumps(result.to_payload()))
-    assert len(payloads) == 1, f"{digest[:12]} under {label}: legs differ"
+    assert len(payloads) == 1, f"{digest[:12]} under {label}: engines differ"

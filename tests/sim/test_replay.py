@@ -478,8 +478,7 @@ def test_second_timing_only_launch_replays_every_issue():
     assert first.engine_issues["replayed"] == 0
     assert first.engine_issues["vector"] > 0
     assert second.engine_issues == {
-        "vector": 0, "scalar": 0, "fused": 0,
-        "replayed": second.instructions_issued}
+        "vector": 0, "scalar": 0, "replayed": second.instructions_issued}
     assert payload(second) == payload(first)
 
 
@@ -492,7 +491,8 @@ def test_faulted_launch_replays_nothing():
 
 
 def test_replaying_launch_frees_its_sms_without_cyclic_gc(monkeypatch):
-    """Like ``TestLaunchLifetime``, for a launch that replays."""
+    """Like ``test_lane_values.TestLaunchLifetime``, for a launch that
+    replays."""
     program = build_counting_kernel(iterations=3)
     dmr = DMRConfig.paper_default()
     launch(program, grid=4, block=64, config=fast_config(2), dmr=dmr)

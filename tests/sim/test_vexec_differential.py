@@ -14,10 +14,10 @@ contract two ways:
   predicates;
 * **full-workload payload equality** — all 11 Table 4 workloads under
   every Figure 9(b) configuration (plus an in-order mapping), on the
-  scalar engine, the fast engine and the fast engine with region
-  fusion off, comparing the complete ``KernelResult.to_payload()``
-  pickles — obs snapshot included — byte for byte, plus an
-  unobserved fast run that takes the SM's inlined issue scan.
+  scalar engine and the fast engine, comparing the complete
+  ``KernelResult.to_payload()`` pickles — obs snapshot included —
+  byte for byte, plus an unobserved fast run that takes the SM's
+  inlined issue scan.
 
 When an example makes *both* engines raise (``f2i`` of ``inf``, ``sin``
 of ``inf``), only the exception type is compared: the scalar path may
@@ -27,7 +27,6 @@ before mutating state, and the simulation aborts either way.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import pickle
 
@@ -46,11 +45,8 @@ from repro.kernel.builder import KernelBuilder
 from repro.sim.executor import Executor
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
-from repro.sim.megakernel import WarpBatcher
 from repro.sim.warp import ThreadBlock, Warp
 from repro.workloads import all_workloads, get_workload
-
-from tests.conftest import fusion_disabled
 
 #: engine differentials compare launches that execute: a replayed
 #: launch (repro.sim.replay) would only repeat its own recording
@@ -292,39 +288,34 @@ ENGINE_DMR_VARIANTS = [
                            replayq_entries=0), id="inorder_q0"),
 ]
 
-#: (engine, fusion toggle, obs) per leg: the fast engine as it runs and
-#: with region fusion patched off, all recording obs metrics (a probe
+#: (engine, obs) per leg: both engines recording obs metrics (a probe
 #: runs the SM's general issue stage); the last leg records none, so
 #: the SM runs its inlined issue scan instead
 ENGINE_LEGS = {
-    "scalar": ("scalar", contextlib.nullcontext, "metrics"),
-    "fast": ("fast", contextlib.nullcontext, "metrics"),
-    "fast_unfused": ("fast", fusion_disabled, "metrics"),
-    "fast_unobserved": ("fast", contextlib.nullcontext, False),
+    "scalar": ("scalar", "metrics"),
+    "fast": ("fast", "metrics"),
+    "fast_unobserved": ("fast", False),
 }
 
 
 @pytest.mark.parametrize("dmr", ENGINE_DMR_VARIANTS)
 @pytest.mark.parametrize("name", list(all_workloads()))
 def test_workload_payloads_identical_across_engines(name, dmr):
-    """Scalar, fused and unfused runs must produce byte-identical
-    payloads, obs metric snapshots (ReplayQ depth, stall partition)
-    included; the unobserved run must match them but for its obs."""
+    """Scalar and fast runs must produce byte-identical payloads, obs
+    metric snapshots (ReplayQ depth, stall partition) included; the
+    unobserved run must match them but for its obs."""
     payloads = {}
-    for leg, (engine, context, obs) in ENGINE_LEGS.items():
+    for leg, (engine, obs) in ENGINE_LEGS.items():
         run = get_workload(name).prepare(SCALE, SEED)
         gpu = GPU(experiment_config(num_sms=2, engine=engine),
                   dmr=dmr or DMRConfig.disabled(), obs=obs)
-        with context():
-            result = gpu.launch(run.program, run.launch, memory=run.memory)
+        result = gpu.launch(run.program, run.launch, memory=run.memory)
         run.check(run.memory)
         assert (result.obs is not None) == bool(obs)
         payloads[leg] = result.to_payload()
-    golden = pickle.dumps(payloads["scalar"])
-    for leg in ("fast", "fast_unfused"):
-        assert pickle.dumps(payloads[leg]) == golden, (
-            f"{name} diverged between scalar and {leg} under {dmr!r}"
-        )
+    assert pickle.dumps(payloads["fast"]) == \
+        pickle.dumps(payloads["scalar"]), (
+            f"{name} diverged between scalar and fast under {dmr!r}")
     assert pickle.dumps(payloads["fast_unobserved"]) == \
         pickle.dumps({**payloads["scalar"], "obs": None}), (
             f"{name}: the inlined issue scan diverged under {dmr!r}")
@@ -379,7 +370,7 @@ FFMA_RESULTS = 4
 
 
 def _ffma_corner_kernel(lanes):
-    """Four operand loads, one fusable region of four FFMAs (operands
+    """Four operand loads, a straight-line run of four FFMAs (operands
     in three orders, one guarded, one with a float immediate), then a
     store of every FFMA's result."""
     b = KernelBuilder("ffma_corner")
@@ -404,61 +395,32 @@ def _ffma_corner_kernel(lanes):
     return b.build()
 
 
-def _ffma_corner_outputs(triples, first, *, engine, grid, block,
-                         num_sms=2):
-    """Launch the corner kernel over *triples* (the guard keys on each
-    triple's index, counted from *first*); per-lane FFMA results."""
+def _ffma_corner_outputs(triples, engine):
+    """Launch the corner kernel over *triples* on 2 SMs (the guard keys
+    on each triple's index); per-lane FFMA results."""
     lanes = len(triples)
     memory = GlobalMemory()
     for lane, operands in enumerate(triples):
-        for index, value in enumerate(operands + (first + lane,)):
+        for index, value in enumerate(operands + (lane,)):
             memory.store(index * lanes + lane, value)
-    GPU(GPUConfig(num_sms=num_sms, engine=engine)).launch(
-        _ffma_corner_kernel(lanes), LaunchConfig(grid, block), memory=memory)
+    GPU(GPUConfig(num_sms=2, engine=engine)).launch(
+        _ffma_corner_kernel(lanes),
+        LaunchConfig(FFMA_WARPS // 4, 4 * WARP_SIZE), memory=memory)
     return [tuple(memory.load((4 + index) * lanes + lane)
                   for index in range(FFMA_RESULTS))
             for lane in range(lanes)]
 
 
-def test_ffma_corner_operands_identical_on_every_path(monkeypatch):
+def test_ffma_corner_operands_identical_on_every_path():
     """FFMA over the corner operands, mixed per lane, is bit-identical
-    on the scalar engine, the per-issue vector engine, and fused
-    regions in both the solo ``(lanes,)`` and the batched
-    ``(warps, lanes)`` shape (pickles compare float bit patterns)."""
-    batchers = []
-    attach = WarpBatcher.attach
-
-    def recording_attach(batcher):
-        batchers.append(batcher)
-        return attach(batcher)
-
-    monkeypatch.setattr(WarpBatcher, "attach", recording_attach)
+    on the scalar engine and the vector engine (pickles compare float
+    bit patterns)."""
     triples = _ffma_corner_triples()
-    whole = dict(grid=FFMA_WARPS // 4, block=4 * WARP_SIZE)
-    paths = {"scalar": _ffma_corner_outputs(triples, 0, engine="scalar",
-                                            **whole)}
-    with fusion_disabled():
-        paths["vector"] = _ffma_corner_outputs(triples, 0, engine="fast",
-                                               **whole)
-    assert not batchers
-    paths["fused_batched"] = _ffma_corner_outputs(triples, 0,
-                                                  engine="fast", **whole)
-    assert batchers[-1].fused_warps > batchers[-1].fused_regions > 0
-    solo = []
-    for warp in range(FFMA_WARPS):
-        first = warp * WARP_SIZE
-        solo += _ffma_corner_outputs(triples[first:first + WARP_SIZE],
-                                     first, engine="fast", grid=1,
-                                     block=WARP_SIZE, num_sms=1)
-        assert batchers[-1].fused_warps == batchers[-1].fused_regions > 0
-    paths["fused_solo"] = solo
-
-    scalar = paths["scalar"]
-    for name, outputs in paths.items():
-        if pickle.dumps(outputs) == pickle.dumps(scalar):
-            continue
-        lane = next(lane for lane, pair in enumerate(outputs)
+    scalar = _ffma_corner_outputs(triples, "scalar")
+    fast = _ffma_corner_outputs(triples, "fast")
+    if pickle.dumps(fast) != pickle.dumps(scalar):
+        lane = next(lane for lane, pair in enumerate(fast)
                     if pickle.dumps(pair) != pickle.dumps(scalar[lane]))
-        pytest.fail(f"{name} diverged from scalar at lane {lane}: operands "
-                    f"{triples[lane]!r} -> {outputs[lane]!r}, scalar "
+        pytest.fail(f"fast diverged from scalar at lane {lane}: operands "
+                    f"{triples[lane]!r} -> {fast[lane]!r}, scalar "
                     f"{scalar[lane]!r}")

@@ -43,7 +43,7 @@ class TestRun:
                  if line.startswith("engine issues")]
         assert len(lines) == 2
         assert "replayed=0" not in lines[1]
-        assert "vector=0 scalar=0 fused=0" in lines[1]
+        assert "vector=0 scalar=0" in lines[1]
 
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
