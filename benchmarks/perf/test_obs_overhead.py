@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from repro.analysis.bench import _MICROBENCHES
+from repro.analysis.bench import _MICROBENCHES, THROUGHPUT_REPEATS
 from repro.common.config import LaunchConfig
 from repro.obs import OBS_ENV
 from repro.sim import replay
@@ -48,7 +48,9 @@ MAX_METRICS_OVERHEAD = 0.60
 #: baseline files measured on a different machine are skipped, not failed
 FOREIGN_MACHINE_BAND = 0.30
 
-REPEATS = 7
+#: min-of-N as ``bench_throughput`` times BENCH_exec.json's rates, so
+#: the baseline comparison sets one statistic against the same one
+REPEATS = THROUGHPUT_REPEATS
 ITERS = 120
 
 #: baselines older than this were not written by this perf session

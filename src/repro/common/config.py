@@ -12,11 +12,60 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import operator
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import ConfigError
+
+#: field getters of the config classes whose canonical text is
+#: memoized (filled in below the class definitions)
+_CONFIG_FIELDS: Dict[type, Callable[[Any], tuple]] = {}
+
+#: canonical JSON text of each config value this process fingerprinted
+_CONFIG_TEXTS: Dict[tuple, "_Text"] = {}
+
+#: memo entries kept before it starts over (a process meets tens of
+#: distinct configs; the bound only caps a pathological sweep)
+_CONFIG_TEXTS_MAX = 4096
+
+#: types whose values are their own canonical form
+_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Text(str):
+    """Canonical JSON text, spliced into a fingerprint verbatim."""
+
+
+def _config_text(value: Any) -> _Text:
+    """The canonical JSON text of a :class:`GPUConfig` or
+    :class:`DMRConfig`, built once per distinct value per process.
+
+    The memo is keyed by the class and by each field's type and
+    ``repr``, never by the config itself: configs that compare equal
+    can still fingerprint apart (``1 == 1.0 == True`` and
+    ``0.0 == -0.0``), and a key that conflated them would serve one's
+    fingerprint for the other.
+    """
+    values = _CONFIG_FIELDS[type(value)](value)
+    key = (type(value), tuple(map(type, values)), tuple(map(repr, values)))
+    text = _CONFIG_TEXTS.get(key)
+    if text is None:
+        if len(_CONFIG_TEXTS) >= _CONFIG_TEXTS_MAX:
+            _CONFIG_TEXTS.clear()
+        text = _CONFIG_TEXTS[key] = _Text(
+            _encode(_canonical_dataclass(value)))
+    return text
+
+
+def _canonical_dataclass(value: Any) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"__type__": type(value).__name__}
+    for field in dataclasses.fields(value):
+        out[field.name] = _canonicalize(getattr(value, field.name))
+    return out
 
 
 def _canonicalize(value: Any) -> Any:
@@ -27,13 +76,15 @@ def _canonicalize(value: Any) -> Any:
     bit pattern (``float.hex`` — ``repr`` rounding could conflate two
     near-equal latencies), and dataclasses their type name plus every
     field, so adding a field to a config automatically changes its
-    fingerprint.
+    fingerprint.  A :class:`GPUConfig` or :class:`DMRConfig` reduces
+    to its memoized text (:func:`_config_text`).
     """
+    if type(value) in _PLAIN_TYPES:
+        return value
+    if type(value) in _CONFIG_FIELDS:
+        return _config_text(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: Dict[str, Any] = {"__type__": type(value).__name__}
-        for field in dataclasses.fields(value):
-            out[field.name] = _canonicalize(getattr(value, field.name))
-        return out
+        return _canonical_dataclass(value)
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -47,15 +98,37 @@ def _canonicalize(value: Any) -> Any:
     raise ConfigError(f"cannot fingerprint value of type {type(value).__name__}")
 
 
+def _encode(canonical: Any) -> str:
+    """``json.dumps(canonical, sort_keys=True, separators=(",", ":"))``
+    for a canonical form (which holds no floats), splicing
+    :class:`_Text` verbatim."""
+    if type(canonical) is _Text:
+        return canonical
+    if isinstance(canonical, str):
+        return _encode_str(canonical)
+    if canonical is None:
+        return "null"
+    if canonical is True:
+        return "true"
+    if canonical is False:
+        return "false"
+    if isinstance(canonical, int):
+        return int.__repr__(canonical)
+    if isinstance(canonical, list):
+        return "[" + ",".join(map(_encode, canonical)) + "]"
+    return "{" + ",".join(_encode_str(key) + ":" + _encode(canonical[key])
+                          for key in sorted(canonical)) + "}"
+
+
 def config_fingerprint(value: Any) -> str:
     """Canonical string form of a configuration value.
 
     Two configurations produce the same fingerprint iff they are equal;
     the persistent result cache builds its keys from these strings (see
-    :mod:`repro.analysis.result_cache`).
+    :mod:`repro.analysis.result_cache`).  The text is the compact,
+    key-sorted JSON of :func:`_canonicalize`'s form.
     """
-    return json.dumps(_canonicalize(value), sort_keys=True,
-                      separators=(",", ":"))
+    return str(_encode(_canonicalize(value)))
 
 
 class MappingPolicy(enum.Enum):
@@ -363,6 +436,12 @@ class DMRConfig:
     def fingerprint(self) -> str:
         """Canonical cache-key form covering every field."""
         return config_fingerprint(self)
+
+
+_CONFIG_FIELDS.update(
+    (cls, operator.attrgetter(*(field.name
+                                for field in dataclasses.fields(cls))))
+    for cls in (GPUConfig, DMRConfig))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,15 @@ tree back to a state a plain worker fleet can finish:
   (unit payloads are deterministic functions of the durable spec — the
   same property that makes job ids content-addressed); re-executing
   one draws every classification from the shared cache, so repair
-  costs file writes, never simulations.
+  costs file writes, never simulations;
+* **the job index** (``index/``, derived state the per-op paths read)
+  is audited against the job directories both ways: an unmerged job
+  with no ``active/`` marker (``missing-index-entry``), a marker of a
+  merged or absent job (``stale-index-entry``), a ``quarantined``
+  flag with nothing quarantined (``stale-quarantine-flag``) or missing
+  while something is (``missing-quarantine-flag``), and a missing
+  ``index/`` (``missing-index``); repair mends each entry, or
+  rebuilds the whole index from a scan.
 
 :func:`sweep_job` is the live counterpart, cheap enough for every idle
 pass: the one janitor pass the idle worker, ``serve start`` and
@@ -213,9 +221,17 @@ def fsck_store(store: JobStore, repair: bool = False,
     acceptance test).
     """
     report = FsckReport(repair=repair)
-    for job_id in store.list_jobs():
+    jobs = store.list_jobs()
+    if jobs and not store.index_dir.is_dir():
+        # rebuilt from a scan on first use anyway; repair does it now
+        if repair:
+            store.rebuild_index()
+        _act(report, repair, "-", "missing-index", "index/", "rebuilt")
+    for job_id in jobs:
         fsck_job(store, job_id, report, repair=repair,
                  lease_seconds=lease_seconds, now=now)
+    if store.index_dir.is_dir():
+        _fsck_index(store, jobs, report, repair)
     report.workers = store.worker_records(stale_after=stale_after, now=now)
     if repair:
         for record in report.workers:
@@ -235,6 +251,42 @@ def _act(report: FsckReport, repair: bool, job_id: str, kind: str,
          path: str, action: str) -> None:
     report.findings.append(
         Finding(job_id, kind, path, action if repair else "reported"))
+
+
+def _fsck_index(store: JobStore, jobs: List[str], report: FsckReport,
+                repair: bool) -> None:
+    """Audit the store-wide index entries: markers of jobs that are
+    not planned, and the ``quarantined`` flag (run after every job's
+    audit, whose repairs may quarantine)."""
+    planned = set(jobs)
+    try:
+        markers = sorted(os.listdir(store.index_dir / "active"))
+    except OSError:
+        markers = []
+    for job_id in markers:
+        if job_id not in planned:
+            if repair:
+                try:
+                    os.unlink(store.active_marker(job_id))
+                except OSError:
+                    pass
+            _act(report, repair, job_id, "stale-index-entry",
+                 f"index/active/{job_id}", "removed")
+    quarantined = any(store.quarantined_files(job_id) for job_id in jobs)
+    flagged = store.quarantine_flag.exists()
+    if flagged and not quarantined:
+        if repair:
+            try:
+                os.unlink(store.quarantine_flag)
+            except OSError:
+                pass
+        _act(report, repair, "-", "stale-quarantine-flag",
+             "index/quarantined", "removed")
+    elif quarantined and not flagged:
+        if repair:
+            store._index_touch(store.quarantine_flag)
+        _act(report, repair, "-", "missing-quarantine-flag",
+             "index/quarantined", "restored")
 
 
 def fsck_job(store: JobStore, job_id: str, report: FsckReport,
@@ -381,6 +433,22 @@ def fsck_job(store: JobStore, job_id: str, report: FsckReport,
         if repair:
             store._quarantine(job_dir / name, job_id, "units")
         _act(report, repair, job_id, "foreign-file", name, "quarantined")
+
+    # -- the index lists the job iff it is unmerged --------------------
+    if store.index_dir.is_dir():
+        merged = merged_path.exists()
+        marked = store.active_marker(job_id).exists()
+        rel = f"index/active/{job_id}"
+        if not merged and not marked:
+            if repair:
+                store.mark_active(job_id)
+            _act(report, repair, job_id, "missing-index-entry", rel,
+                 "restored")
+        elif merged and marked:
+            if repair:
+                store.unmark_active(job_id)
+            _act(report, repair, job_id, "stale-index-entry", rel,
+                 "removed")
 
     # -- telemetry/ (advisory; torn records just go) -------------------
     telemetry_dir = store._telemetry_dir(job_id)

@@ -14,7 +14,9 @@ into content-addressed work units:
   ``(workload, dmr, gpu)`` specs its driver prefetches — into units
   executed through :class:`~repro.analysis.runner.SuiteRunner` against
   the same shared cache; the merge step replays the driver over a
-  fully warm cache (zero simulations) to produce the figure data.
+  fully warm cache (zero simulations) to produce the figure data,
+  through the same runner as the units this process executed, so the
+  cells they decoded are not read back.
 * a **fan-out job** is the parallel branch of
   :class:`~repro.analysis.result_cache.CachedFanout`, submitted into a
   private, temporary store: its task table ``(simulate, context,
@@ -55,6 +57,12 @@ FANOUT_TABLE = "table"
 #: the task table this process loaded last, by job directory (a
 #: fan-out worker works one job, so one entry is kept)
 _FANOUT_TABLES: Dict[str, Tuple] = {}
+
+#: the figure job's runner this process built last, by job directory
+#: and cache: the job's units and its merge share it, so the merge's
+#: driver replay hits the cells the units already decoded (one entry
+#: is kept, as for :data:`_FANOUT_TABLES`)
+_FIGURE_RUNNERS: Dict[Tuple[str, str], object] = {}
 
 
 def _result_cache(store: JobStore):
@@ -330,8 +338,10 @@ def _execute_figure_unit(store: JobStore, job: dict,
                          unit: dict) -> Tuple[dict, int]:
     runner = _figure_runner(store, job)
     specs = [codec.run_spec_from_payload(item) for item in unit["items"]]
+    before = runner.simulations
     runner.run_many(specs)
-    return {"unit": unit["unit"], "cells": len(specs)}, runner.simulations
+    return ({"unit": unit["unit"], "cells": len(specs)},
+            runner.simulations - before)
 
 
 def _execute_fanout_unit(store: JobStore, job: dict,
@@ -356,13 +366,21 @@ def _execute_fanout_unit(store: JobStore, job: dict,
 
 
 def _figure_runner(store: JobStore, job: dict):
+    """The figure job's :class:`~repro.analysis.runner.SuiteRunner`,
+    shared by its units and its merge in this process."""
     from repro.analysis.runner import SuiteRunner
 
-    return SuiteRunner(
-        codec.gpu_config_from_payload(job["config"]),
-        scale=job["scale"], seed=job["seed"],
-        cache=_result_cache(store),
-    )
+    key = (str(store.job_dir(job["job_id"])), str(store.cache_dir))
+    runner = _FIGURE_RUNNERS.get(key)
+    if runner is None:
+        runner = SuiteRunner(
+            codec.gpu_config_from_payload(job["config"]),
+            scale=job["scale"], seed=job["seed"],
+            cache=_result_cache(store),
+        )
+        _FIGURE_RUNNERS.clear()
+        _FIGURE_RUNNERS[key] = runner
+    return runner
 
 
 # ----------------------------------------------------------------------

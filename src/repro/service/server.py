@@ -165,7 +165,8 @@ def watch_job(store: JobStore, job_id: str, timeout: float = 600.0,
 class ServiceServer:
     """The janitor/observer loop behind ``python -m repro serve start``.
 
-    Each poll runs :func:`sweep_job` over every unmerged job: expired
+    Each poll runs :func:`sweep_job` over every unmerged job (the
+    index's active list, :meth:`JobStore.active_jobs`): expired
     claims are stolen back (requeued, or completed when the dead
     worker already published), lost units restored, and fully
     classified jobs merged.  The server never executes units itself —
@@ -187,7 +188,7 @@ class ServiceServer:
         """One janitor sweep; returns what changed plus live counts."""
         self.polls += 1
         requeued = completed = finalized = active = 0
-        for job_id in self.store.list_jobs():
+        for job_id in self.store.active_jobs():
             swept = sweep_job(self.store, job_id, self.lease_seconds)
             if swept is None:
                 continue

@@ -23,6 +23,11 @@ sharing the filesystem) race safely:
             attempts/<uid>-<n>      one JSON record per failed attempt
             merged.json             deterministic merged output
             table.pkl               a fan-out job's task table
+        index/                      derived state, rebuilt from one scan
+                                    of jobs/ whenever it is missing
+            active/<job_id>         empty marker of each unmerged job
+            quarantined             empty flag: something was quarantined
+        workers/<owner>.json        worker heartbeats
 
 **Claim protocol.**  A worker claims ``units/<uid>.json`` by renaming
 it into ``claims/`` with its owner id appended — exactly one claimant
@@ -39,6 +44,28 @@ byte-identical results (classification is deterministic and
 content-addressed), so the race is harmless: *exactly-once effects*
 even when execution is at-least-once.
 
+**The index.**  Workers, the janitor and the server walk
+``index/active/`` instead of listing every job ever stored, and
+admission reads the ``quarantined`` flag instead of listing every
+job's artifacts, so a warm op costs the same on a store of ten jobs
+and of a thousand.  The index is derived and never trusted over the
+job directories: a missing ``index/`` (a store written before it
+existed, or deleted) is rebuilt from one scan, atomically, and the
+rebuild is counted (``store_index_rebuilds``); ``serve fsck`` audits
+it against the job directories and ``--repair`` mends it.  Its rules:
+
+* a job's marker is written before its ``job.json`` and again after
+  it (a marker whose ``job.json`` has not landed is skipped, not
+  pruned);
+* it is unlinked only after ``merged.json`` lands, then re-checked and
+  restored if ``merged.json`` is gone again; every quarantine of
+  ``merged.json`` re-creates it;
+* the ``quarantined`` flag is written before every quarantine move,
+  and admission runs the exact artifact scan once it is set, so the
+  admission decision never rests on a tally;
+* nothing but a rebuild creates ``index/`` itself, so a lone new entry
+  can never pose as a whole index.
+
 **Exactly-once classification.**  Unit results are published *through
 the cache*: every fault classification inside a unit is also stored
 under its :func:`~repro.faults.campaign.fault_run_key` in the shared
@@ -48,6 +75,7 @@ job — re-simulates nothing that any worker anywhere already computed.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -79,6 +107,10 @@ DEFAULT_MIN_FREE_BYTES = 64 * 1024 * 1024
 #: work — media this corrupt needs an operator, not more writes
 DEFAULT_MAX_QUARANTINE_FRACTION = 0.5
 
+#: tries an index read or write gets: a missing index is rebuilt
+#: between tries, and it can go missing again before the next one
+INDEX_ATTEMPTS = 5
+
 #: separator between unit id and owner in a claim file name.  ``@`` is
 #: safe: unit ids are hex + ``u``/``-``, owners are sanitized.
 _CLAIM_SEP = "@"
@@ -94,6 +126,7 @@ STORE_COUNTERS = (
     "store_corrupt_heartbeats",
     "store_quarantined",
     "store_degraded_rejections",
+    "store_index_rebuilds",
 )
 
 
@@ -154,6 +187,11 @@ def _write_atomic(path: pathlib.Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _touch(path: pathlib.Path) -> None:
+    """Create the empty file *path* (its directory must exist)."""
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o644))
 
 
 def _read_json(path: pathlib.Path) -> Optional[dict]:
@@ -238,6 +276,103 @@ class JobStore:
         """Store-wide worker heartbeat directory (one file per owner)."""
         return self.root / "workers"
 
+    @property
+    def index_dir(self) -> pathlib.Path:
+        """The derived job index (see the module docstring)."""
+        return self.root / "index"
+
+    def active_marker(self, job_id: str) -> pathlib.Path:
+        """The index entry that lists *job_id* as unmerged."""
+        return self.index_dir / "active" / job_id
+
+    @property
+    def quarantine_flag(self) -> pathlib.Path:
+        """Present once any job artifact may have been quarantined."""
+        return self.index_dir / "quarantined"
+
+    # -- the index -----------------------------------------------------
+    def rebuild_index(self) -> bool:
+        """Rebuild a missing ``index/`` from one scan of the jobs.
+
+        The scan is built in a temporary directory and renamed into
+        place, so no reader ever sees half an index; if another
+        process's rebuild lands first, this one is discarded.  Returns
+        True if this call's index landed; a rebuild that found planned
+        jobs counts in ``store_index_rebuilds``.
+        """
+        if self.index_dir.is_dir():
+            return False
+        self.root.mkdir(parents=True, exist_ok=True)
+        scratch = pathlib.Path(tempfile.mkdtemp(dir=self.root,
+                                                prefix=".index-"))
+        try:
+            (scratch / "active").mkdir()
+            jobs = self.list_jobs()
+            for job_id in jobs:
+                if not self.merged_path(job_id).exists():
+                    _touch(scratch / "active" / job_id)
+            if any(self.quarantined_files(job_id) for job_id in jobs):
+                _touch(scratch / "quarantined")
+            os.rename(scratch, self.index_dir)
+        except OSError as error:
+            shutil.rmtree(scratch, ignore_errors=True)
+            if error.errno in (errno.ENOTEMPTY, errno.EEXIST):
+                return False  # another process's rebuild landed first
+            raise
+        if jobs:
+            self.registry.inc("store_index_rebuilds")
+        return True
+
+    def _with_index(self, operation):
+        """``operation()`` on the index, rebuilding it whenever the
+        operation finds it missing (nothing else creates ``index/``)."""
+        for _ in range(INDEX_ATTEMPTS - 1):
+            try:
+                return operation()
+            except FileNotFoundError:
+                self.rebuild_index()
+        return operation()
+
+    def _index_touch(self, path: pathlib.Path) -> None:
+        """Create the index entry *path*."""
+        self._with_index(lambda: _touch(path))
+
+    def mark_active(self, job_id: str) -> None:
+        """List *job_id* as unmerged in the index."""
+        self._index_touch(self.active_marker(job_id))
+
+    def unmark_active(self, job_id: str) -> None:
+        """Drop the marker of a merged job.
+
+        Called only once ``merged.json`` has landed; if it is gone
+        again by the time the marker is (a concurrent quarantine), the
+        marker is restored.
+        """
+        try:
+            os.unlink(self.active_marker(job_id))
+        except OSError:
+            return
+        if not self.merged_path(job_id).exists():
+            self.mark_active(job_id)
+
+    def active_jobs(self) -> List[str]:
+        """Every unmerged planned job id, sorted (the claim scan order).
+
+        Read from the index, so the walk costs the same however many
+        merged jobs the store holds.  A marker whose job has merged is
+        pruned on the way; one whose ``job.json`` has not landed is
+        skipped and kept (its planner writes the manifest next).
+        """
+        active_dir = self.index_dir / "active"
+        names = self._with_index(lambda: os.listdir(active_dir))
+        active = []
+        for job_id in sorted(names):
+            if self.merged_path(job_id).exists():
+                self.unmark_active(job_id)
+            elif (self.job_dir(job_id) / "job.json").exists():
+                active.append(job_id)
+        return active
+
     # -- integrity -----------------------------------------------------
     def _quarantine(self, path: pathlib.Path, job_id: str,
                     kind: str) -> bool:
@@ -249,12 +384,22 @@ class JobStore:
         way the artifact can never be served again.
         """
         self.registry.inc(f"store_corrupt_{kind}")
+        self._index_touch(self.quarantine_flag)
+        merged = path == self.merged_path(job_id)
+        if merged:
+            # the job is unmerged again: listed before the move (a crash
+            # after it must not lose the job) and after it (a pruner
+            # that saw the old merged.json may have dropped the marker)
+            self.mark_active(job_id)
         quarantine = self.quarantine_dir(job_id)
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
             os.replace(path, quarantine / path.name)
         except OSError:
             return False
+        finally:
+            if merged:
+                self.mark_active(job_id)
         self.registry.inc("store_quarantined")
         return True
 
@@ -287,7 +432,16 @@ class JobStore:
         return shutil.disk_usage(probe).free
 
     def quarantine_fraction(self) -> float:
-        """Quarantined artifacts as a fraction of all job artifacts."""
+        """Quarantined artifacts as a fraction of all job artifacts.
+
+        0.0 without a scan while the index's ``quarantined`` flag is
+        absent (nothing was ever quarantined, so the fraction is exactly
+        zero); otherwise the exact scan of every job's artifacts.
+        """
+        if not self.quarantine_flag.exists():
+            self.rebuild_index()  # a no-op unless index/ is missing
+            if not self.quarantine_flag.exists() and self.index_dir.is_dir():
+                return 0.0
         quarantined = artifacts = 0
         for job_id in self.list_jobs():
             quarantined += len(self.quarantined_files(job_id))
@@ -340,6 +494,7 @@ class JobStore:
         if (job_dir / "job.json").exists():
             return job_id, False
         self.check_admission()
+        self.mark_active(job_id)
         for unit in units:
             _write_atomic(self._units_dir(job_id) / f"{unit['unit']}.json",
                           canonical_json(unit))
@@ -353,8 +508,11 @@ class JobStore:
             for unit in units
         ]
         # job.json lands last: a job directory without it is still being
-        # planned and is invisible to workers
+        # planned and is invisible to workers.  The marker is written
+        # again after it, in case an index rebuilt meanwhile scanned the
+        # directory before the manifest landed.
         _write_atomic(job_dir / "job.json", canonical_json(payload))
+        self.mark_active(job_id)
         return job_id, True
 
     def load_job(self, job_id: str) -> Optional[dict]:
@@ -380,7 +538,11 @@ class JobStore:
         return payload
 
     def list_jobs(self) -> List[str]:
-        """Every fully planned job id, sorted (stable claim scan order)."""
+        """Every fully planned job id, sorted.
+
+        A scan of the whole store, kept for ``fsck``, ``serve status``
+        and index rebuilds; the per-op paths walk :meth:`active_jobs`.
+        """
         if not self.jobs_dir.is_dir():
             return []
         return sorted(
@@ -709,8 +871,10 @@ class JobStore:
 
     def write_merged(self, job_id: str, payload: dict) -> None:
         """Publish the merged output (atomic; concurrent writers race
-        benignly because the merge is deterministic — identical bytes)."""
+        benignly because the merge is deterministic — identical bytes),
+        then drop the job's index marker."""
         _write_atomic(self.merged_path(job_id), canonical_json(payload))
+        self.unmark_active(job_id)
 
     # -- worker health -------------------------------------------------
     def beat(self, owner: str, payload: dict) -> None:

@@ -1,7 +1,8 @@
 """The work-stealing worker behind ``python -m repro serve --worker``.
 
-A worker owns no state beyond its identity: it scans the store's
-unmerged jobs in sorted order, claims one pending unit by atomic
+A worker owns no state beyond its identity: it walks the store's
+unmerged jobs (the index's active list, :meth:`JobStore.active_jobs`)
+in sorted order, claims one pending unit by atomic
 rename, executes it (:func:`~repro.service.jobs.execute_unit`),
 publishes the result and telemetry — publishing completes the unit —
 and drops its claim.  Any number of workers (on any host sharing the
@@ -131,9 +132,7 @@ class ServiceWorker:
         left behind.
         """
         self.beat()
-        for job_id in self.store.list_jobs():
-            if self.store.merged_path(job_id).exists():
-                continue
+        for job_id in self.store.active_jobs():
             job = self.store.load_job(job_id)
             if job is None:
                 # torn manifest: nothing in this job can be trusted or
@@ -175,7 +174,7 @@ class ServiceWorker:
 
     def _janitor(self) -> None:
         from repro.service.health import sweep_job
-        for job_id in self.store.list_jobs():
+        for job_id in self.store.active_jobs():
             sweep_job(self.store, job_id, self.lease_seconds)
 
     def run(self, max_idle: Optional[float] = None, once: bool = False,

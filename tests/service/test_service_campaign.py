@@ -221,6 +221,40 @@ class TestFigureJobs:
         assert merged["figure"] == "fig5"
         assert "Figure 5" in merged["table"]
 
+    def test_merge_reuses_the_cells_its_units_decoded(self, tmp_path,
+                                                      monkeypatch):
+        """A figure job's units and its merge share one runner in a
+        process: the merge's driver replay reads no cell back from the
+        cache, each unit reports only its own simulations, and a merge
+        in a process that ran no unit writes the same bytes."""
+        import math
+
+        from repro.analysis.result_cache import ResultCache
+        from repro.service import jobs
+
+        store = JobStore(tmp_path / "store")
+        job_id, _ = submit_figure_job(store, "fig5", scale=0.25, sms=1,
+                                      unit_size=4)
+        worker = ServiceWorker(store, owner="fig-worker",
+                               heartbeat_seconds=math.inf)
+        while store.counts(job_id)["pending"]:
+            worker.run_once()
+        gets = []
+        get_payload = ResultCache.get_payload
+        monkeypatch.setattr(
+            ResultCache, "get_payload",
+            lambda cache, key: gets.append(key) or get_payload(cache, key))
+        assert jobs.finalize_job(store, job_id)
+        assert gets == []
+        cells = sum(unit["count"] for unit in store.load_job(job_id)["units"])
+        assert job_status(store, job_id)["simulations"] == cells
+
+        jobs._FIGURE_RUNNERS.clear()  # as in a process that ran no unit
+        merged = jobs.merge_job(store, job_id)
+        assert len(gets) == cells
+        assert canonical_json(merged).encode() == \
+            store.merged_path(job_id).read_bytes()
+
     def test_unknown_figure_rejected(self, tmp_path):
         from repro.common.errors import ConfigError
 
