@@ -150,30 +150,21 @@ def _cache_arg(args):
 
 
 def cmd_figure(args) -> int:
-    from repro.analysis import active_threads, approaches, coverage_sweep
-    from repro.analysis import inst_mix, overhead_sweep, power_energy
-    from repro.analysis import raw_distance, switching
+    from repro.analysis import approaches, coverage_sweep
     from repro.analysis.runner import SuiteRunner, experiment_config
+    from repro.service.jobs import figure_registry
 
     if args.name == "fig-sched":
         return _figure_sched(args)
     if args.name == "fig-pareto":
         return _figure_pareto(args)
 
-    drivers = {
-        "fig1": (active_threads.run_figure1, active_threads.format_figure1),
-        "fig5": (inst_mix.run_figure5, inst_mix.format_figure5),
-        "fig8a": (switching.run_figure8a, switching.format_figure8a),
-        "fig8b": (raw_distance.run_figure8b, raw_distance.format_figure8b),
-        "fig9a": (coverage_sweep.run_figure9a, coverage_sweep.format_figure9a),
-        "fig9a-sampled": (coverage_sweep.run_figure9a_sampled,
-                          coverage_sweep.format_figure9a_sampled),
-        "fig9b": (overhead_sweep.run_figure9b, overhead_sweep.format_figure9b),
-        "fig9b-stalls": (overhead_sweep.run_figure9b_stalls,
-                         overhead_sweep.format_figure9b_stalls),
-        "fig10": (approaches.run_figure10, approaches.format_figure10),
-        "fig11": (power_energy.run_figure11, power_energy.format_figure11),
-    }
+    # the service's cache-backed figures, plus the two it cannot shard
+    drivers = {name: (run_fn, format_fn) for name, (_, run_fn, format_fn)
+               in figure_registry().items()}
+    drivers["fig9a-sampled"] = (coverage_sweep.run_figure9a_sampled,
+                                coverage_sweep.format_figure9a_sampled)
+    drivers["fig10"] = (approaches.run_figure10, approaches.format_figure10)
     if args.name not in drivers:
         print(f"unknown figure {args.name!r}; choose from "
               f"{sorted(drivers) + ['fig-pareto', 'fig-sched']}",

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.config import DMRConfig, GPUConfig, config_fingerprint
 from repro.common.errors import ConfigError, HarnessError
-from repro.obs.metrics import NULL_REGISTRY, MetricSnapshot, MetricsRegistry
+from repro.obs.metrics import MetricSnapshot, MetricsRegistry
 from repro.resilience import declare_harness_metrics
 from repro.service.sharding import fanout_workers, pool_chunks
 from repro.sim.gpu import KernelResult
@@ -131,7 +131,8 @@ class ResultCache:
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir \
             else default_cache_dir()
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
         self.hits = 0
         self.misses = 0
         self.stores = 0

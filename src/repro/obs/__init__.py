@@ -8,9 +8,8 @@ it observable without making it slow:
 
 * :mod:`repro.obs.metrics` — the metric primitives (counters, gauges,
   sparse and fixed-bucket histograms), the :class:`MetricsRegistry`
-  every simulator component writes into, the no-op
-  :class:`NullRegistry` backend (so the disabled path costs near
-  nothing), and :class:`MetricSnapshot`, the plain-data mergeable form
+  every simulator component writes into, and :class:`MetricSnapshot`,
+  the plain-data mergeable form
   that workers serialize back to the parent process.  Snapshot merge is
   associative and commutative with the empty snapshot as identity
   (property-tested), so fleet-wide aggregation is deterministic no
@@ -45,8 +44,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricSnapshot,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     merge_snapshots,
 )
 from repro.obs.probes import PipelineProbe
@@ -71,9 +68,9 @@ class ObsSession:
     into the :class:`~repro.sim.gpu.KernelResult` payload.
     """
 
-    def __init__(self, metrics: bool = True, trace: bool = False,
+    def __init__(self, trace: bool = False,
                  max_trace_events: int = 500_000) -> None:
-        self.registry = MetricsRegistry() if metrics else NULL_REGISTRY
+        self.registry = MetricsRegistry()
         self.tracer: Optional[Tracer] = (
             Tracer(max_events=max_trace_events) if trace else None
         )
@@ -143,8 +140,6 @@ __all__ = [
     "Histogram",
     "MetricSnapshot",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "ObsSession",
     "OBS_ENV",
     "PipelineProbe",

@@ -23,12 +23,6 @@ spellings for the same increment (``bump(...)`` next to
 double-attribution bugs hide.  The object accessors (:meth:`counter`,
 :meth:`histogram`, ...) remain for reads and merges.
 
-:class:`NullRegistry` is the disabled backend: same surface, every
-write a no-op, one shared instance (:data:`NULL_REGISTRY`).  Hot loops
-that cannot afford even a no-op method call per cycle instead hold
-``probe = None`` and branch on it; the null registry serves the
-coarser-grained call sites.
-
 :class:`MetricSnapshot` is the plain-data transfer form: worker
 processes serialize one per run, the parent merges them.  ``merge`` is
 associative and commutative with :meth:`MetricSnapshot.empty` as the
@@ -307,9 +301,6 @@ class MetricsRegistry:
     or :class:`MetricSnapshot` objects.
     """
 
-    #: real registries record; the null backend overrides this
-    enabled = True
-
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -450,41 +441,6 @@ class MetricsRegistry:
             f"histograms={len(self._histograms)}, "
             f"fixed={len(self._fixed)})"
         )
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled backend: same surface, every write a no-op.
-
-    Accessors still hand out live metric objects (callers may hold
-    them), but the shorthand write paths — the only ones the simulator
-    uses per event — fall through immediately.  One shared instance
-    (:data:`NULL_REGISTRY`) serves every disabled component.
-    """
-
-    enabled = False
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def observe(self, name: str, key: Hashable, amount: int = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: int, count: int = 1) -> None:
-        pass
-
-    def sample(self, name: str, bounds: Sequence[int], value: int,
-               amount: int = 1) -> None:
-        pass
-
-    def snapshot(self) -> "MetricSnapshot":
-        return MetricSnapshot.empty()
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"
-
-
-#: the shared disabled backend
-NULL_REGISTRY = NullRegistry()
 
 
 class MetricSnapshot:

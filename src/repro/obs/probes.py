@@ -4,9 +4,8 @@ One :class:`PipelineProbe` per SM, created by
 :meth:`repro.obs.ObsSession.probe`.  The probe is the *only* obs object
 the hot loops ever see, and they see it behind a single ``is not None``
 check — when observability is off there is no probe, no registry call,
-no branch beyond that one comparison.  (This is deliberately stricter
-than the null-object registry: a no-op method call per cycle is still a
-call.)
+no branch beyond that one comparison.  (No null-object registry
+stands in for it: a no-op method call per cycle is still a call.)
 
 Events are duck-typed: the probe reads ``cycle`` / ``sm_id`` /
 ``warp_id`` / ``pc`` and the instruction's opcode/unit off whatever

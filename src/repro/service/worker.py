@@ -54,7 +54,7 @@ from typing import Callable, Dict, Optional
 
 from repro.common.errors import (PermanentSimFailure, PoisonedTask,
                                  TaskTimeout, TransientWorkerFailure)
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import execute_unit
 from repro.service.store import (DEFAULT_LEASE_SECONDS, JobStore,
                                  default_owner)
@@ -261,7 +261,7 @@ def run_fleet(store: JobStore, job_id: str, workers: int,
     ``fanout_retries``, ``fanout_timeouts`` and
     ``fanout_worker_deaths``.
     """
-    registry = registry if registry is not None else NULL_REGISTRY
+    registry = registry if registry is not None else MetricsRegistry()
     units = [entry["unit"] for entry in store.load_job(job_id)["units"]]
     handed = 0
     live: Dict[str, multiprocessing.Process] = {}

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.common.bitops import ActiveMask, active_lane_list
@@ -231,24 +230,6 @@ class FaultHook:
         return -1
 
 
-@dataclass
-class ControlOutcome:
-    """Control-flow consequence of an executed instruction."""
-
-    kind: str = "advance"  # advance | jump | branch | exit | barrier
-    target: int = 0
-    taken_mask: ActiveMask = 0
-    exit_mask: ActiveMask = 0
-
-
-@dataclass
-class ExecResult:
-    """Everything the SM needs after functionally executing one issue."""
-
-    event: IssueEvent
-    control: ControlOutcome = field(default_factory=ControlOutcome)
-
-
 class Executor:
     """Stateful functional executor bound to one SM.
 
@@ -291,8 +272,9 @@ class Executor:
         self._adhoc: Dict[Instruction, vexec.DecodedInst] = {}
         #: issue counts per engine (diagnostics; not part of the stats registry so
         #: result payloads stay byte-identical across engines).
-        #: ``replayed_issues`` counts issues a replaying SM took from a
-        #: recorded trace (:mod:`repro.sim.replay`) without executing
+        #: ``replayed_issues`` counts issues a replaying executor took
+        #: from a recorded trace (:mod:`repro.sim.replay`) without
+        #: executing
         self.vector_issues = 0
         self.scalar_issues = 0
         self.replayed_issues = 0
@@ -374,40 +356,29 @@ class Executor:
 
     # ------------------------------------------------------------------
     def execute(self, warp: Warp, inst: Instruction, pc: int,
-                cycle: int) -> ExecResult:
+                cycle: int) -> Tuple[IssueEvent, ActiveMask]:
         """Execute *inst* for the warp's current active mask.
 
         Architectural state (registers, predicates, memory) is updated
-        immediately; timing is the SM's job.  The returned event captures
-        per-lane inputs and results for DMR re-execution.
+        immediately; control flow and timing are the SM's job.  Returns
+        the issue's event, which captures per-lane inputs and results
+        for DMR re-execution, and the mask of slots that take a BRA (0
+        for any other opcode).  Every other control outcome follows from
+        the opcode and ``event.logical_mask``: a BRA's is the SIMT mask,
+        and an EXIT retires exactly its guarded lanes.
         """
+        op = inst.opcode
         simt_mask = warp.stack.current_mask
         # BRA's predicate is the branch *condition*, not an execution
         # guard: every SIMT-active lane evaluates the branch.
-        if inst.opcode is Opcode.BRA:
+        if op is Opcode.BRA:
             exec_mask = simt_mask
         else:
             exec_mask = self._guard_mask(warp, inst, simt_mask)
         event = self.issue_event(warp, inst, pc, cycle, exec_mask)
-        control = ControlOutcome()
-        op = inst.opcode
+        if op is Opcode.BAR or op is Opcode.EXIT or op is Opcode.JMP:
+            return event, 0
         info = inst.info
-
-        if op is Opcode.BAR:
-            control.kind = "barrier"
-            return ExecResult(event, control)
-
-        if op is Opcode.EXIT:
-            control.kind = "exit"
-            # An unguarded EXIT retires every SIMT-active lane; a
-            # predicated EXIT only the lanes whose guard holds.
-            control.exit_mask = exec_mask if inst.pred is not None else simt_mask
-            return ExecResult(event, control)
-
-        if op is Opcode.JMP:
-            control.kind = "jump"
-            control.target = int(inst.target)
-            return ExecResult(event, control)
 
         entry = self._decoded_entry(warp, inst, pc)
         site = 0
@@ -421,18 +392,18 @@ class Executor:
             # that raises (a bad address) counts on the engine that ran it.
             self.vector_issues += 1
             try:
-                vexec.execute_vector(self, warp, entry, event, exec_mask,
-                                     control)
+                taken = vexec.execute_vector(self, warp, entry, event,
+                                             exec_mask)
             except vexec.VectorFallback:
                 # state untouched; only the scalar re-run below counts
                 self.vector_issues -= 1
             else:
                 if site:
-                    self._apply_site_lanes(warp, event, control, site)
-                return ExecResult(event, control)
+                    taken = self._apply_site_lanes(warp, event, taken, site)
+                return event, taken
 
         self.scalar_issues += 1
-        taken_mask = 0
+        taken = 0
         for slot in active_lane_list(exec_mask, warp.live_slots):
             hw_lane = warp.lane_of_slot[slot]
             if op is Opcode.BRA:
@@ -457,7 +428,7 @@ class Executor:
 
             if op is Opcode.BRA:
                 if value:
-                    taken_mask |= 1 << slot
+                    taken |= 1 << slot
             elif op is Opcode.SETP:
                 warp.write_pred(slot, inst.pdst, bool(value))
             elif info.is_load:
@@ -477,19 +448,16 @@ class Executor:
             elif info.writes_reg:
                 warp.write_reg(slot, inst.dst.idx, value)
 
-        if op is Opcode.BRA:
-            # BRA with predicated guard: SIMT-inactive or guard-false
-            # lanes fall through.  The taken mask drives divergence.
-            control.kind = "branch"
-            control.target = int(inst.target)
-            control.taken_mask = taken_mask
-        return ExecResult(event, control)
+        # a BRA's guard-false lanes fall through; the taken mask drives
+        # divergence
+        return event, taken
 
     def _apply_site_lanes(self, warp: Warp, event: IssueEvent,
-                          control: ControlOutcome, site: int) -> None:
+                          taken: ActiveMask, site: int) -> ActiveMask:
         """Pass the *site* lanes' vector results through the fault hook,
         in slot order, and write back each value it changed (register,
-        predicate or taken bit); no such write can raise."""
+        predicate or taken bit); no such write can raise.  Returns the
+        BRA taken mask with the changed bits."""
         inst = event.instruction
         op = inst.opcode
         results = event.lane_results
@@ -506,12 +474,12 @@ class Executor:
             results[hw_lane] = value
             event.perturbed_mask |= 1 << hw_lane
             if op is Opcode.BRA:
-                taken = control.taken_mask & ~(1 << slot)
-                control.taken_mask = taken | bool(value) << slot
+                taken = taken & ~(1 << slot) | bool(value) << slot
             elif op is Opcode.SETP:
                 warp.write_pred(slot, inst.pdst, bool(value))
             elif inst.info.writes_reg:
                 warp.write_reg(slot, inst.dst.idx, value)
+        return taken
 
     # ------------------------------------------------------------------
     def reexecute_lane(self, event: IssueEvent, original_lane: int,

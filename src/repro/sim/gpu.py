@@ -183,24 +183,22 @@ class GPU:
         # Control-flow replay (repro.sim.replay), decided once per
         # launch: a fast launch with no fault hook, issue listener,
         # tracing or custom controller records its first run of a key
-        # and replays the later ones.  The mode picks the SM class, so
-        # it is decided from the launch's inputs before any SM is built;
-        # SM.lane_values_unread() stays the rule, checked on every SM
-        # once attached and before any SM runs.
+        # and replays the later ones.  The mode picks the SMs'
+        # executor, so it is decided from the launch's inputs before any
+        # SM is built; SM.lane_values_unread() stays the rule, checked
+        # on every SM once attached and before any SM runs.
         flow = None
         if (cfg.engine == "fast" and self.fault_hook is None
                 and issue_listener is None and controller_factory is None
                 and not (session is not None and session.tracing)):
             flow = replay.plan(program, launch, memory, dispatch, cfg,
                                lane_of_slot)
-        sm_class = SM if flow is None else flow.sm_class
-
         sms: List[SM] = []
         for sm_id, positions in enumerate(positions_of_sm):
             if not positions:
                 continue
             probe = session.probe(sm_id) if session is not None else None
-            sm = sm_class(
+            sm = SM(
                 sm_id=sm_id,
                 config=cfg,
                 program=program,

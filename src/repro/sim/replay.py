@@ -16,14 +16,18 @@ never per issue:
   hook, an issue listener, Chrome tracing, a ``controller_factory``, or
   a key whose stored verdict is "not certified";
 * **record** — an eligible launch whose key has no verdict yet: it
-  executes as ever on :class:`RecordingSM`, whose executor logs each
+  executes as ever on a :class:`RecordingExecutor`, which logs each
   warp instance's guarded outcomes, BARs and memory accesses in a
   :class:`WarpLog`;
 * **replay** — an eligible launch whose key holds a certified record:
-  :class:`ReplaySM` runs the issue loop, scheduler, scoreboard, stats,
-  probes and DMR controller as ever, but takes masks and branch and
-  exit outcomes from each warp's :class:`WarpTrace`, executes nothing,
-  and hands the caller the recorded final memory image.
+  its SMs issue on a :class:`ReplayExecutor`, which executes nothing
+  and takes each guarded issue's mask or taken mask from the warp's
+  :class:`WarpTrace`; the SM's one issue step applies control flow,
+  scoreboard, stats, probes and the DMR controller as ever, and the
+  caller gets the recorded final memory image.
+
+All three modes share the SM's issue stage and issue step
+(:meth:`repro.sim.sm.SM._issue`); the mode only picks the executor.
 
 The store lives in :meth:`Program.memo`, at most :data:`MAX_KEYS` keys
 per program.  A key (:func:`launch_key`) covers everything control
@@ -41,9 +45,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.common.errors import SimulationError
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import SReg, SpecialReg
-from repro.sim.executor import ExecResult, Executor
+from repro.sim.executor import Executor
 from repro.sim.memory import GlobalMemory
-from repro.sim.sm import SM
 
 #: verdicts a program keeps, one per key; the least recently used goes
 MAX_KEYS = 8
@@ -139,12 +142,14 @@ def plan(program, launch, memory: GlobalMemory, dispatch: Sequence[int],
 
 
 class _SMShare:
-    """One SM's part of a launch: the dispatch positions of its blocks
-    in admission order, and the launch that hands out warp flows."""
+    """One SM's part of a launch: the executor class its issues run on,
+    the dispatch positions of its blocks in admission order, and the
+    launch that hands out warp flows."""
 
-    __slots__ = ("_launch", "_positions")
+    __slots__ = ("executor_class", "_launch", "_positions")
 
     def __init__(self, launch, positions: Sequence[int]) -> None:
+        self.executor_class = launch.executor_class
         self._launch = launch
         self._positions = deque(positions)
 
@@ -202,34 +207,26 @@ class RecordingExecutor(Executor):
     memory issue is executed with it set.
     """
 
-    def execute(self, warp, inst, pc: int, cycle: int) -> ExecResult:
+    def execute(self, warp, inst, pc: int, cycle: int):
         info = inst.info
         if info.is_memory:
             record_lanes = self.record_lanes
             self.record_lanes = True
             try:
-                result = Executor.execute(self, warp, inst, pc, cycle)
+                event, taken = Executor.execute(self, warp, inst, pc, cycle)
             finally:
                 self.record_lanes = record_lanes
             warp.flow.touch(inst.opcode in _GLOBAL_OPS, info.is_store,
-                            result.event.lane_results.values())
+                            event.lane_results.values())
         else:
-            result = Executor.execute(self, warp, inst, pc, cycle)
+            event, taken = Executor.execute(self, warp, inst, pc, cycle)
         log = warp.flow
         if inst.pred is not None:
-            log.outcomes.append((pc, result.control.taken_mask
-                                 if inst.opcode is Opcode.BRA
-                                 else result.event.logical_mask))
+            log.outcomes.append((pc, taken if inst.opcode is Opcode.BRA
+                                 else event.logical_mask))
         if inst.opcode is Opcode.BAR:
-            log.barrier(pc, result.event.logical_mask,
-                        warp.stack.live_mask)
-        return result
-
-
-class RecordingSM(SM):
-    """An :class:`SM` that executes and records."""
-
-    executor_class = RecordingExecutor
+            log.barrier(pc, event.logical_mask, warp.stack.live_mask)
+        return event, taken
 
 
 def _repeated_writes(actors) -> Set[int]:
@@ -300,7 +297,7 @@ class _Recording:
     """A recording launch: one :class:`WarpLog` per warp instance,
     judged and stored by :meth:`finish`."""
 
-    sm_class = RecordingSM
+    executor_class = RecordingExecutor
 
     def __init__(self, store, key: bytes) -> None:
         self._store = store
@@ -363,64 +360,32 @@ class WarpTrace:
         self.cursor = cursor + 1
         return value
 
-    def close(self, warp, pc: int) -> None:
-        """The warp exited at *pc*: its record must be used up."""
-        left = len(self.outcomes) - self.cursor
-        if left:
-            raise self._desync(warp, pc, f"{left} recorded outcomes unused")
 
+class ReplayExecutor(Executor):
+    """An :class:`Executor` that executes nothing: each issue's event
+    takes its mask, and a BRA its taken mask, from the warp's
+    :class:`WarpTrace` (the SIMT mask for an unguarded issue)."""
 
-class ReplaySM(SM):
-    """An :class:`SM` whose issues replay recorded control flow."""
-
-    def _issue(self, warp, inst, pc: int, cycle: int) -> None:
-        trace = warp.flow
-        stack = warp.stack
-        exec_mask = stack.current_mask
-        op = inst.opcode
-        value = trace.take(warp, pc) if inst.pred is not None else None
-        if op is Opcode.BRA:
-            stack.branch(value, int(inst.target), pc + 1,
-                         self.program.reconvergence.get(pc, -1))
-            if value and value != exec_mask:
-                self.stats.inc("divergent_branches")
-        else:
-            if value is not None:
-                exec_mask = value
-            if op is Opcode.EXIT:
-                stack.thread_exit(exec_mask)
-                if warp.done:
-                    trace.close(warp, pc)
-                    self._retire_pending = True
-            elif op is Opcode.JMP:
-                stack.jump(int(inst.target))
+    def execute(self, warp, inst, pc: int, cycle: int):
+        self.replayed_issues += 1
+        mask = warp.stack.current_mask
+        taken = 0
+        if inst.pred is not None:
+            if inst.opcode is Opcode.BRA:
+                taken = warp.flow.take(warp, pc)
             else:
-                stack.advance()
-                if op is Opcode.BAR:
-                    warp.block.arrive_at_barrier(warp)
-        executor = self.executor
-        executor.replayed_issues += 1
-        # the accounting of SM._issue, for a value-free issue
-        self._charge_latency(warp, inst, pc, cycle)
-        self._record_stats(warp, inst, pc, exec_mask.bit_count(), cycle)
-        if self.config.model_bank_conflicts:
-            self._charge_bank_conflicts(inst)
-        dmr = self.dmr
-        if dmr is not None:
-            stall = dmr.on_issue(
-                executor.issue_event(warp, inst, pc, cycle, exec_mask),
-                executor)
-            if stall:
-                self._defer_stall("replay", stall)
+                mask = warp.flow.take(warp, pc)
+        return self.issue_event(warp, inst, pc, cycle, mask), taken
 
 
 class _Replay:
     """A replaying launch of a certified record."""
 
-    sm_class = ReplaySM
+    executor_class = ReplayExecutor
 
     def __init__(self, record: _Record) -> None:
         self._record = record
+        self._traces: List[WarpTrace] = []
 
     def share(self, positions: Sequence[int]) -> _SMShare:
         return _SMShare(self, positions)
@@ -431,8 +396,18 @@ class _Replay:
             raise SimulationError(
                 f"replay record has no warp {index} of the block at "
                 f"dispatch position {position} (pc 0)")
-        return WarpTrace(position, index, outcomes)
+        trace = WarpTrace(position, index, outcomes)
+        self._traces.append(trace)
+        return trace
 
     def finish(self, memory: GlobalMemory) -> None:
-        """Hand the caller's memory the recorded final image."""
+        """Check that every warp used up its record, then hand the
+        caller's memory the recorded final image."""
+        for trace in self._traces:
+            left = len(trace.outcomes) - trace.cursor
+            if left:
+                raise SimulationError(
+                    f"replay desync: warp {trace.index} of the block at "
+                    f"dispatch position {trace.position} left {left} "
+                    "recorded outcomes unused")
         memory.assign(self._record.image)

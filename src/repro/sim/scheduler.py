@@ -15,7 +15,7 @@ replayed from its seed alone and two SMs never share a stream.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import SchedulerPolicy
 from repro.sim.warp import Warp
@@ -44,14 +44,39 @@ def derive_scheduler_seed(schedule_seed: Optional[int], sm_id: int,
     return _mix64(schedule_seed * _GOLDEN + (sm_id << 8) + scheduler_index)
 
 
+def ready_cycle(warp: Warp, plans: Sequence[Tuple]) -> int:
+    """Cycle from which the scoreboard lets *warp* issue the instruction
+    at its pc: the latest pending write of any register or predicate
+    in the pc's hazard plan (``plans[pc]``, built by the SM).
+
+    The value is pure between the warp's issues (its scoreboard changes
+    only when it issues), so it is memoized on the warp in ``sb_pc`` /
+    ``sb_ready``; the SM invalidates the memo after every issue.  The
+    round-robin scan of :meth:`WarpScheduler.select`, which runs every
+    cycle, inlines this memo.
+    """
+    pc = warp.stack.current_pc
+    if warp.sb_pc != pc:
+        _, _, hazard_regs, hazard_preds = plans[pc]
+        warp.sb_ready = warp.scoreboard.ready_cycle_flat(hazard_regs,
+                                                         hazard_preds)
+        warp.sb_pc = pc
+    return warp.sb_ready
+
+
+def _issuable(warp: Warp, cycle: int, plans: Sequence[Tuple]) -> bool:
+    return warp.can_issue(cycle) and ready_cycle(warp, plans) <= cycle
+
+
 class WarpScheduler:
     """Selects which ready warp issues next.
 
-    When an observability *probe* is attached, each pick additionally
-    reports how many warps were inspected before one was ready (the
-    scan depth — a direct read on scheduler pressure).  The count falls
-    out of the selection loops for free; with no probe there is zero
-    extra work.
+    A warp is ready when it is live, not waiting at a barrier, past its
+    ``stalled_until`` cycle and clear of the scoreboard
+    (:func:`ready_cycle`).  When an observability *probe* is attached,
+    each pick additionally reports how many warps were inspected before
+    one was ready (the scan depth — a direct read on scheduler
+    pressure), counted by the same scan an unobserved pick runs.
 
     With *seed* set, the policy is bypassed: each decision considers
     every issuable warp and picks one by hashing ``(seed, decision
@@ -64,76 +89,77 @@ class WarpScheduler:
         self.policy = policy
         self.probe = probe
         self.seed = seed
+        self._round_robin = (seed is None
+                             and policy is SchedulerPolicy.ROUND_ROBIN)
         self._decisions = 0
         self._last_index = -1
         self._greedy_warp: Optional[int] = None
 
     def select(self, warps: List[Warp], cycle: int,
-               is_ready: Callable[[Warp, int], bool]) -> Optional[Warp]:
-        """Pick the next warp to issue, or None when none is ready.
-
-        *is_ready(warp, cycle)* encapsulates scoreboard and structural
-        checks beyond the warp's own schedulability; it is a persistent
-        callable (the SM passes a bound method), so selection allocates
-        nothing per cycle.
-        """
+               plans: Sequence[Tuple]) -> Optional[Warp]:
+        """Pick the next warp to issue at *cycle*, or None when none is
+        ready.  *plans* are the program's per-pc hazard plans."""
         if not warps:
             return None
-        if self.seed is not None:
-            warp, scanned = self._select_seeded(warps, cycle, is_ready)
-        elif self.policy is SchedulerPolicy.GREEDY_THEN_OLDEST:
-            warp, scanned = self._select_gto(warps, cycle, is_ready)
+        if self._round_robin:
+            # the loose round-robin scan, with ready_cycle's memo
+            # inlined: this loop is most of the issue stage's cost
+            n = len(warps)
+            last = self._last_index
+            warp = None
+            for scanned in range(1, n + 1):
+                idx = (last + scanned) % n
+                candidate = warps[idx]
+                stack = candidate.stack
+                if (stack.done or candidate.barrier_blocked
+                        or cycle < candidate.stalled_until):
+                    continue
+                pc = stack.current_pc
+                if candidate.sb_pc != pc:
+                    _, _, hazard_regs, hazard_preds = plans[pc]
+                    candidate.sb_ready = candidate.scoreboard.ready_cycle_flat(
+                        hazard_regs, hazard_preds)
+                    candidate.sb_pc = pc
+                if candidate.sb_ready > cycle:
+                    continue
+                self._last_index = idx
+                warp = candidate
+                break
+        elif self.seed is not None:
+            warp, scanned = self._select_seeded(warps, cycle, plans)
         else:
-            warp, scanned = self._select_rr(warps, cycle, is_ready)
+            warp, scanned = self._select_gto(warps, cycle, plans)
         if self.probe is not None:
             self.probe.on_schedule(scanned, warp is not None)
         return warp
 
     def _select_seeded(self, warps: List[Warp], cycle: int,
-                       is_ready: Callable[[Warp, int], bool]):
+                       plans: Sequence[Tuple]):
         # Every issuable warp is a candidate; the choice at decision k
         # is mix(seed + k*GOLDEN) mod #candidates.  Cycles with no
         # candidate consume no decision index, so the decision sequence
         # depends only on the choice points, not on stall timing.
-        candidates = [
-            warp for warp in warps
-            if not warp.stack.done and not warp.barrier_blocked
-            and cycle >= warp.stalled_until and is_ready(warp, cycle)
-        ]
+        candidates = [warp for warp in warps
+                      if _issuable(warp, cycle, plans)]
         if not candidates:
             return None, len(warps)
         pick = _mix64(self.seed + self._decisions * _GOLDEN) % len(candidates)
         self._decisions += 1
         return candidates[pick], len(warps)
 
-    def _select_rr(self, warps: List[Warp], cycle: int,
-                   is_ready: Callable[[Warp, int], bool]):
-        n = len(warps)
-        for step in range(1, n + 1):
-            idx = (self._last_index + step) % n
-            warp = warps[idx]
-            # warp.can_issue(cycle), inlined: this loop dominates the
-            # issue stage's per-cycle cost
-            if (not warp.stack.done and not warp.barrier_blocked
-                    and cycle >= warp.stalled_until
-                    and is_ready(warp, cycle)):
-                self._last_index = idx
-                return warp, step
-        return None, n
-
     def _select_gto(self, warps: List[Warp], cycle: int,
-                    is_ready: Callable[[Warp, int], bool]):
+                    plans: Sequence[Tuple]):
         # Greedy: stick with the last-issued warp while it stays ready.
         if self._greedy_warp is not None:
             for warp in warps:
                 if warp.warp_id == self._greedy_warp:
-                    if warp.can_issue(cycle) and is_ready(warp, cycle):
+                    if _issuable(warp, cycle, plans):
                         return warp, 1
                     break
         # Oldest: lowest warp id wins.
         for scanned, warp in enumerate(sorted(warps, key=lambda w: w.warp_id),
                                        start=1):
-            if warp.can_issue(cycle) and is_ready(warp, cycle):
+            if _issuable(warp, cycle, plans):
                 self._greedy_warp = warp.warp_id
                 return warp, scanned
         self._greedy_warp = None

@@ -1,11 +1,18 @@
 """Streaming multiprocessor: the per-SM issue/timing loop.
 
-The SM model is issue-centric: each cycle the single warp scheduler
-issues at most one warp-instruction (paper Section 2.2).  Latencies are
-charged through the scoreboard (dependents wait for the producer's
-ready cycle) rather than by simulating every pipeline register, which
-matches the paper's abstraction: the EXE stage is super-pipelined so a
-new instruction can issue every cycle.
+The SM model is issue-centric: each cycle every warp scheduler (one in
+the paper's SM, Section 2.2; optionally two) issues at most one
+warp-instruction.  Latencies are charged through the scoreboard
+(dependents wait for the producer's ready cycle) rather than by
+simulating every pipeline register, which matches the paper's
+abstraction: the EXE stage is super-pipelined so a new instruction can
+issue every cycle.
+
+There is one issue stage (:meth:`SM._tick`, for every scheduler count,
+policy and observer) and one issue step (:meth:`SM._issue`): the
+executor runs the instruction, or takes its recorded outcome, and the
+SM applies its control flow, latency, stats and DMR hook, whatever the
+launch mode.
 
 Warped-DMR attaches through the ``dmr`` hook object (duck-typed; see
 :class:`repro.core.dmr_controller.DMRController`).  The hook can charge
@@ -22,10 +29,10 @@ tests):
   vector engine skips building them.
 * **Control-flow replay** (:mod:`repro.sim.replay`): in timing-only
   launches on the ``fast`` engine, a
-  :class:`~repro.sim.replay.ReplaySM` takes each warp's masks and
-  branch and exit outcomes from a certified recording of the launch
-  and executes nothing; scheduler, scoreboard, stats, probes and DMR
-  run as ever.
+  :class:`~repro.sim.replay.ReplayExecutor` takes each warp's masks
+  and branch outcomes from a certified recording of the launch and
+  executes nothing; scheduler, scoreboard, stats, probes and DMR run
+  as ever.
 * **Event-driven cycle skipping** (``GPUConfig.cycle_skip``): pending
   stall cycles with one cause burn as a single booked span, and when
   every resident warp is stalled the cycle counter jumps to the next
@@ -38,18 +45,19 @@ tests):
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.common.config import GPUConfig, LaunchConfig, SchedulerPolicy
+from repro.common.config import GPUConfig, LaunchConfig
 from repro.common.errors import SimulationError
 from repro.isa.opcodes import Opcode, UnitType
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import PipelineProbe
 from repro.kernel.program import Program
 from repro.sim.events import IssueEvent
-from repro.sim.executor import ExecResult, Executor, FaultHook
+from repro.sim.executor import Executor, FaultHook
 from repro.sim.memory import GlobalMemory
-from repro.sim.scheduler import WarpScheduler, derive_scheduler_seed
+from repro.sim.scheduler import (WarpScheduler, derive_scheduler_seed,
+                                  ready_cycle)
 from repro.sim.warp import ThreadBlock, Warp
 
 #: Hard cap on SM cycles; hitting it means livelock (kernel bug).
@@ -81,13 +89,10 @@ class SM:
     """One streaming multiprocessor executing a queue of thread blocks.
 
     ``flow`` is this SM's share of a recording or replaying launch
-    (:mod:`repro.sim.replay`, which also subclasses the SM for those
-    two modes): it hands each admitted warp its per-instance log or
-    trace.  ``None``, the default, is plain execution.
+    (:mod:`repro.sim.replay`): it names the executor the SM issues on
+    and hands each admitted warp its per-instance log or trace.
+    ``None``, the default, is plain execution.
     """
-
-    #: the executor class this SM runs issues on
-    executor_class = Executor
 
     def __init__(
         self,
@@ -113,8 +118,9 @@ class SM:
         self.dmr = dmr
         self.max_cycles = max_cycles
         self._flow = flow
-        self.executor = self.executor_class(sm_id, global_memory, fault_hook,
-                                            engine=config.engine)
+        executor_class = Executor if flow is None else flow.executor_class
+        self.executor = executor_class(sm_id, global_memory, fault_hook,
+                                       engine=config.engine)
         self.executor.bind_program(program)
         self._schedulers = [
             WarpScheduler(
@@ -124,14 +130,6 @@ class SM:
             for index in range(config.num_schedulers)
         ]
         self.stats = MetricsRegistry()
-        # single unseeded round-robin scheduler with no probe: the issue
-        # stage may run the inlined fast scan (see _tick_fast)
-        self._fast_issue = (
-            len(self._schedulers) == 1
-            and probe is None
-            and self._schedulers[0].seed is None
-            and config.scheduler is SchedulerPolicy.ROUND_ROBIN
-        )
         self.cycle = 0
         # Pending stall cycles, one deque entry per cycle, labeled with
         # the cause that charged it ("raw" / "replay" / "bank").  The
@@ -157,8 +155,9 @@ class SM:
         # per-pc issue-charge plan: (rf + unit latency, dest reg, dest
         # pred), filled on first issue of each pc
         self._pc_latency: List[Optional[Tuple]] = [None] * len(program)
-        self._sched_lists: List[List[Warp]] = [
-            [] for _ in self._schedulers
+        #: each scheduler with the resident warps it picks from
+        self._sched_lists: List[Tuple[WarpScheduler, List[Warp]]] = [
+            (scheduler, []) for scheduler in self._schedulers
         ]
         # always-present stats objects, bound at first issue (every run
         # issues at least EXIT, so creating them lazily keeps payloads
@@ -248,12 +247,14 @@ class SM:
         self._rebuild_sched_lists()
 
     def _rebuild_sched_lists(self) -> None:
-        if len(self._schedulers) == 1:
-            self._sched_lists = [self._resident_warps]
+        schedulers = self._schedulers
+        if len(schedulers) == 1:
+            self._sched_lists = [(schedulers[0], self._resident_warps)]
         else:
             self._sched_lists = [
-                [w for w in self._resident_warps if w.warp_id % 2 == index]
-                for index in range(len(self._schedulers))
+                (scheduler, [w for w in self._resident_warps
+                             if w.warp_id % 2 == index])
+                for index, scheduler in enumerate(schedulers)
             ]
 
     # ------------------------------------------------------------------
@@ -324,16 +325,43 @@ class SM:
         if probe is not None:
             probe.on_cycle(cycle, len(self._resident_warps))
 
-        if self._fast_issue:
-            issued = self._tick_fast(cycle)
-        elif len(self._schedulers) == 1:
-            issued = self._tick_single(cycle)
-        else:
-            issued = self._tick_dual(cycle)
+        # Issue stage: each scheduler picks from its warps, in order;
+        # a DMR verification stall blocks the pipeline for the rest
+        issued = 0
+        first = None  # the instruction issued first this cycle
+        dmr = self.dmr
+        plans = self._plans
+        for scheduler, warps in self._sched_lists:
+            warp = scheduler.select(warps, cycle, plans)
+            if warp is None:
+                continue
+            pc = warp.stack.current_pc
+            inst = self._insts[pc]
+            # Dual-scheduler structural hazard: LD/ST units and SFUs
+            # are shared between the schedulers (paper Section 2.2);
+            # each scheduler has its own SPs.
+            if (first is not None and inst.unit is not UnitType.SP
+                    and inst.unit is first.unit):
+                self.stats.inc("dual_issue_conflicts")
+                continue
+            if dmr is not None:
+                raw_stall = dmr.check_raw(warp.warp_id, inst)
+                if raw_stall > 0:
+                    # the RAW-on-unverified rule: this tick absorbs one
+                    # stall cycle if nothing issued yet; the remainder
+                    # burns on later ticks
+                    self._defer_stall("raw", raw_stall - (0 if issued else 1))
+                    if not issued:
+                        self._book_stall("raw", 1)
+                        issued = -1  # stalled, not idle
+                    self.stats.inc("raw_unverified_stalls")
+                    break
+            self._issue(warp, inst, pc, cycle)
+            issued += 1
+            first = inst
 
         if issued == 0:
             self.stats.inc("cycles_idle")
-            dmr = self.dmr
             if dmr is None:
                 if self._skip_enabled:
                     self._skip_idle(cycle)
@@ -350,108 +378,6 @@ class SM:
             # retire scan entirely
             self._retire_pending = False
             self._retire_finished()
-
-    def _tick_fast(self, cycle: int) -> int:
-        """Issue stage for the dominant configuration, single frame.
-
-        Semantically identical to :meth:`_tick_single` with a
-        round-robin scheduler: same scan order, same cursor update,
-        same readiness memo, same DMR RAW check after the pick.  Only
-        taken when the scheduler is unseeded round-robin and no probe
-        is attached (``select`` would have to report scan depths).
-        """
-        scheduler = self._schedulers[0]
-        warps = self._sched_lists[0]
-        n = len(warps)
-        last = scheduler._last_index
-        plans = self._plans
-        for step in range(1, n + 1):
-            idx = (last + step) % n
-            warp = warps[idx]
-            stack = warp.stack
-            if (stack.done or warp.barrier_blocked
-                    or cycle < warp.stalled_until):
-                continue
-            pc = stack.current_pc
-            if warp.sb_pc == pc:
-                if warp.sb_ready > cycle:
-                    continue
-            else:
-                _, _, hazard_regs, hazard_preds = plans[pc]
-                ready = warp.scoreboard.ready_cycle_flat(
-                    hazard_regs, hazard_preds
-                )
-                warp.sb_pc = pc
-                warp.sb_ready = ready
-                if ready > cycle:
-                    continue
-            scheduler._last_index = idx
-            inst = self._insts[pc]
-            if self.dmr is not None and self._raw_stalled(warp, inst):
-                return -1  # stalled, not idle
-            self._issue(warp, inst, pc, cycle)
-            return 1
-        return 0
-
-    def _tick_single(self, cycle: int) -> int:
-        """Issue stage for the common single-scheduler configuration."""
-        warp = self._schedulers[0].select(
-            self._sched_lists[0], cycle, self._warp_ready
-        )
-        if warp is None:
-            return 0
-        pc = warp.stack.current_pc
-        inst = self._insts[pc]
-        if self.dmr is not None and self._raw_stalled(warp, inst):
-            return -1  # stalled, not idle
-        self._issue(warp, inst, pc, cycle)
-        return 1
-
-    def _raw_stalled(self, warp: Warp, inst) -> bool:
-        """DMR's RAW-on-unverified rule for the picked single issue.
-
-        A stall burns one cycle now (this tick) and defers the rest.
-        """
-        raw_stall = self.dmr.check_raw(warp.warp_id, inst)
-        if raw_stall <= 0:
-            return False
-        self._defer_stall("raw", raw_stall - 1)
-        self._book_stall("raw", 1)
-        self.stats.inc("raw_unverified_stalls")
-        return True
-
-    def _tick_dual(self, cycle: int) -> int:
-        issued = 0
-        issued_units: List[UnitType] = []
-        for index, scheduler in enumerate(self._schedulers):
-            warp = scheduler.select(
-                self._sched_lists[index], cycle, self._warp_ready
-            )
-            if warp is None:
-                continue
-            pc = warp.stack.current_pc
-            inst = self._insts[pc]
-            # Dual-scheduler structural hazard: LD/ST units and SFUs
-            # are shared between the schedulers (paper Section 2.2);
-            # each scheduler has its own SPs.
-            if inst.unit is not UnitType.SP and inst.unit in issued_units:
-                self.stats.inc("dual_issue_conflicts")
-                continue
-            if self.dmr is not None:
-                raw_stall = self.dmr.check_raw(warp.warp_id, inst)
-                if raw_stall > 0:
-                    # this tick absorbs one stall cycle if nothing
-                    # issued yet; the remainder burns on later ticks
-                    self._defer_stall("raw", raw_stall - (0 if issued else 1))
-                    if not issued:
-                        self._book_stall("raw", 1)
-                        issued = -1  # stalled, not idle
-                    self.stats.inc("raw_unverified_stalls")
-                    break  # the verification stall blocks the pipeline
-            self._issue(warp, inst, pc, cycle)
-            issued += 1
-            issued_units.append(inst.unit)
-        return issued
 
     def _skip_idle(self, cycle: int) -> None:
         """Jump the cycle counter over a provably idle span.
@@ -471,16 +397,8 @@ class SM:
             if warp.barrier_blocked:
                 continue
             until = warp.stalled_until
-            pc = warp.stack.current_pc
-            if warp.sb_pc == pc:
-                ready = warp.sb_ready
-            else:
-                _, _, hazard_regs, hazard_preds = plans[pc]
-                ready = warp.scoreboard.ready_cycle_flat(
-                    hazard_regs, hazard_preds
-                )
-                warp.sb_pc = pc
-                warp.sb_ready = ready
+            ready = (warp.sb_ready if warp.sb_pc == warp.stack.current_pc
+                     else ready_cycle(warp, plans))
             if ready > until:
                 until = ready
             if wake is None or until < wake:
@@ -495,19 +413,34 @@ class SM:
         probe = self._probe
         if probe is not None:
             probe.on_cycle(nxt, len(self._resident_warps), extra)
-            for index in range(len(self._schedulers)):
-                warps = self._sched_lists[index]
+            for _, warps in self._sched_lists:
                 if warps:  # select() on an empty list records nothing
                     probe.on_schedule(len(warps), False, extra)
 
     def _issue(self, warp: Warp, inst, pc: int, cycle: int) -> None:
-        result = self.executor.execute(warp, inst, pc, cycle)
-        self._apply_control(warp, inst, result)
-        if warp.done:
-            self._retire_pending = True
-        event = result.event
+        """The one issue step of every launch mode: the executor runs
+        *inst* (or, replaying, takes its recorded outcome), then the
+        SM applies its control flow, latency, stats and DMR hook."""
+        event, taken = self.executor.execute(warp, inst, pc, cycle)
+        stack = warp.stack
+        op = inst.opcode
+        if op is Opcode.BRA:
+            stack.branch(taken, int(inst.target), pc + 1,
+                         self.program.reconvergence.get(pc, -1))
+            if taken and taken != event.logical_mask:
+                self.stats.inc("divergent_branches")
+        elif op is Opcode.EXIT:
+            stack.thread_exit(event.logical_mask)
+            if warp.done:
+                self._retire_pending = True
+        elif op is Opcode.JMP:
+            stack.jump(int(inst.target))
+        else:
+            stack.advance()
+            if op is Opcode.BAR:
+                warp.block.arrive_at_barrier(warp)
         self._charge_latency(warp, inst, pc, cycle)
-        self._record_stats(warp, inst, pc, event.active_count, cycle, event)
+        self._record_stats(warp, inst, pc, cycle, event)
         if self.config.model_bank_conflicts:
             self._charge_bank_conflicts(inst)
         dmr = self.dmr
@@ -528,22 +461,6 @@ class SM:
     # ------------------------------------------------------------------
     # Issue mechanics
     # ------------------------------------------------------------------
-    def _warp_ready(self, warp: Warp, cycle: int) -> bool:
-        """Scoreboard readiness of the instruction at the warp's pc.
-
-        The ready cycle is pure between issues (the scoreboard only
-        changes in :meth:`_charge_latency`), so it is memoized on the
-        warp and invalidated after every issue.
-        """
-        pc = warp.stack.current_pc
-        if warp.sb_pc == pc:
-            return warp.sb_ready <= cycle
-        _, _, hazard_regs, hazard_preds = self._plans[pc]
-        ready = warp.scoreboard.ready_cycle_flat(hazard_regs, hazard_preds)
-        warp.sb_pc = pc
-        warp.sb_ready = ready
-        return ready <= cycle
-
     def _unit_latency(self, inst) -> int:
         cfg = self.config
         if inst.unit is UnitType.SFU:
@@ -574,33 +491,12 @@ class SM:
         if (cycle & 0x3FF) == 0:
             warp.scoreboard.prune(cycle)
 
-    def _apply_control(self, warp: Warp, inst, result: ExecResult) -> None:
-        control = result.control
-        if control.kind == "advance":
-            warp.stack.advance()
-        elif control.kind == "jump":
-            warp.stack.jump(control.target)
-        elif control.kind == "branch":
-            reconv = self.program.reconvergence.get(result.event.pc, -1)
-            warp.stack.branch(
-                control.taken_mask, control.target,
-                result.event.pc + 1, reconv,
-            )
-            if control.taken_mask and control.taken_mask != result.event.logical_mask:
-                self.stats.inc("divergent_branches")
-        elif control.kind == "exit":
-            warp.stack.thread_exit(control.exit_mask)
-        elif control.kind == "barrier":
-            warp.stack.advance()
-            warp.block.arrive_at_barrier(warp)
-        else:
-            raise SimulationError(f"unknown control outcome {control.kind!r}")
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def _record_stats(self, warp: Warp, inst, pc: int, active: int,
-                      cycle: int, event: Optional[IssueEvent] = None) -> None:
+    def _record_stats(self, warp: Warp, inst, pc: int, cycle: int,
+                      event: IssueEvent) -> None:
+        active = event.logical_mask.bit_count()
         stats = self.stats
         c_issued = self._c_issued
         if c_issued is None:
@@ -641,9 +537,8 @@ class SM:
         if dest is not None:
             last_write[dest] = cycle
 
-        if event is not None:
-            for listener in self._issue_listeners:
-                listener(event)
+        for listener in self._issue_listeners:
+            listener(event)
 
     def _defer_stall(self, cause: str, cycles: int) -> None:
         """Schedule *cycles* future non-issue cycles attributed to *cause*."""

@@ -550,13 +550,14 @@ def _fill_event(event: IssueEvent, hw_lanes, cols, results) -> None:
 
 @np.errstate(all="ignore")
 def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
-                   exec_mask: int, control) -> None:
-    """Run one issue on the vector engine (fault-free path only).
+                   exec_mask: int) -> int:
+    """Run one issue on the vector engine.
 
-    Mutates the warp/memory state, fills *event* (when
-    ``executor.record_lanes`` asks for lane values), and sets *control*
-    for branches.  Raises :class:`VectorFallback` — before touching any
-    state — when the issue needs the scalar engine.
+    Mutates the warp/memory state and fills *event* (when
+    ``executor.record_lanes`` asks for lane values); returns a BRA's
+    taken mask (0 for any other opcode).  Raises
+    :class:`VectorFallback` — before touching any state — when the
+    issue needs the scalar engine.
     """
     sel, slots, hw_lanes = warp.issue_view(exec_mask)
     n = len(slots)
@@ -572,10 +573,7 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
                 taken |= 1 << slot
         if record:
             _fill_event(event, hw_lanes, [results], results)
-        control.kind = "branch"
-        control.target = int(entry.inst.target)
-        control.taken_mask = taken
-        return
+        return taken
 
     vals = [_gather(warp, sel, plan) for plan in entry.src_plans]
 
@@ -590,7 +588,7 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
                         _py(result, n))
         if entry.dest is not None:
             _write_back(warp, sel, entry.dest, result)
-        return
+        return 0
 
     if kind == _KIND_SETP:
         outcome = entry.fn(vals, n)
@@ -598,7 +596,7 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
         if record:
             _fill_event(event, hw_lanes, [_py(v, n) for v in vals],
                         outcome.tolist())
-        return
+        return 0
 
     if kind == _KIND_SELP:
         pred = _to_lanes(warp.preds[sel, entry.psrc], n)
@@ -608,7 +606,7 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
             _fill_event(event, hw_lanes, cols, _py(result, n))
         if entry.dest is not None:
             _write_back(warp, sel, entry.dest, result)
-        return
+        return 0
 
     # memory: vectorized effective addresses, per-lane word access
     addresses = (_to_lanes(_ints(vals[0]), n) + entry.offset).tolist()
@@ -624,3 +622,4 @@ def execute_vector(executor, warp, entry: DecodedInst, event: IssueEvent,
         stored = cols[1] if record else _py(vals[1], n)
         for addr, value in zip(addresses, stored):
             memory.store(addr, value)
+    return 0

@@ -9,8 +9,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricSnapshot,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     merge_snapshots,
 )
 
@@ -251,21 +249,6 @@ class TestMetricsRegistry:
             {"counters": [["c", 1]], "histograms": []}
         )
         assert r.value("c") == 1
-
-
-class TestNullRegistry:
-    def test_all_writes_are_noops(self):
-        r = NullRegistry()
-        r.inc("c", 5)
-        r.observe("h", 1)
-        r.set_gauge("g", 2)
-        r.sample("f", (1,), 0)
-        assert r.value("c") == 0
-        assert r.snapshot().is_empty
-
-    def test_shared_instance_disabled_flag(self):
-        assert NULL_REGISTRY.enabled is False
-        assert MetricsRegistry().enabled is True
 
 
 class TestMetricSnapshot:

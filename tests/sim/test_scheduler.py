@@ -1,8 +1,13 @@
 """Unit tests for warp schedulers."""
 
 from repro.common.config import SchedulerPolicy
-from repro.sim.scheduler import WarpScheduler, derive_scheduler_seed
+from repro.sim.scheduler import (WarpScheduler, derive_scheduler_seed,
+                                 ready_cycle)
 from repro.sim.warp import ThreadBlock, Warp
+
+#: hazard plans of a one-instruction program reading r0 (every warp
+#: sits at pc 0)
+PLANS = [((0,), None, (0,), ())]
 
 
 def make_warps(n):
@@ -17,15 +22,17 @@ def make_warps(n):
     return warps
 
 
-def always_ready(warp, cycle):
-    return True
+def block_on_scoreboard(warp, until=10):
+    """Give *warp* a pending write of r0 that clears at *until*."""
+    warp.scoreboard.mark_reg_write(0, until)
+    warp.sb_pc = -1  # the scoreboard changed: drop the memo, as the SM does
 
 
 class TestRoundRobin:
     def test_cycles_through_warps(self):
         warps = make_warps(3)
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        picks = [sched.select(warps, 0, always_ready).warp_id
+        picks = [sched.select(warps, 0, PLANS).warp_id
                  for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
@@ -33,7 +40,7 @@ class TestRoundRobin:
         warps = make_warps(3)
         warps[1].barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        picks = [sched.select(warps, 0, always_ready).warp_id
+        picks = [sched.select(warps, 0, PLANS).warp_id
                  for _ in range(4)]
         assert picks == [0, 2, 0, 2]
 
@@ -42,35 +49,46 @@ class TestRoundRobin:
         for warp in warps:
             warp.barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        assert sched.select(warps, 0, always_ready) is None
+        assert sched.select(warps, 0, PLANS) is None
 
     def test_empty_list(self):
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        assert sched.select([], 0, always_ready) is None
+        assert sched.select([], 0, PLANS) is None
 
-    def test_respects_ready_callback(self):
+    def test_respects_scoreboard(self):
         warps = make_warps(2)
+        block_on_scoreboard(warps[0])
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        only_one = lambda w, c: w.warp_id == 1
-        assert sched.select(warps, 0, only_one).warp_id == 1
+        assert sched.select(warps, 0, PLANS).warp_id == 1
+        assert sched.select(warps, 0, PLANS).warp_id == 1
+        assert sched.select(warps, 10, PLANS).warp_id == 0
+
+    def test_ready_cycle_is_memoized_per_pc(self):
+        warp, = make_warps(1)
+        block_on_scoreboard(warp, until=7)
+        assert ready_cycle(warp, PLANS) == 7
+        warp.scoreboard.mark_reg_write(0, 9)  # unseen until invalidated
+        assert ready_cycle(warp, PLANS) == 7
+        warp.sb_pc = -1
+        assert ready_cycle(warp, PLANS) == 9
 
 
 class TestGreedyThenOldest:
     def test_sticks_with_current_warp(self):
         warps = make_warps(3)
         sched = WarpScheduler(SchedulerPolicy.GREEDY_THEN_OLDEST)
-        picks = [sched.select(warps, 0, always_ready).warp_id
+        picks = [sched.select(warps, 0, PLANS).warp_id
                  for _ in range(4)]
         assert picks == [0, 0, 0, 0]
 
     def test_falls_back_to_oldest_when_greedy_stalls(self):
         warps = make_warps(3)
         sched = WarpScheduler(SchedulerPolicy.GREEDY_THEN_OLDEST)
-        assert sched.select(warps, 0, always_ready).warp_id == 0
+        assert sched.select(warps, 0, PLANS).warp_id == 0
         warps[0].barrier_blocked = True
-        assert sched.select(warps, 0, always_ready).warp_id == 1
+        assert sched.select(warps, 0, PLANS).warp_id == 1
         # ...and now it greedily stays on warp 1
-        assert sched.select(warps, 0, always_ready).warp_id == 1
+        assert sched.select(warps, 0, PLANS).warp_id == 1
 
 
 class TestSeededExploration:
@@ -79,7 +97,7 @@ class TestSeededExploration:
     def _picks(self, seed, count=16, n=4):
         warps = make_warps(n)
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=seed)
-        return [sched.select(warps, 0, always_ready).warp_id
+        return [sched.select(warps, 0, PLANS).warp_id
                 for _ in range(count)]
 
     def test_same_seed_replays_identically(self):
@@ -96,7 +114,7 @@ class TestSeededExploration:
         warps = make_warps(4)
         warps[2].barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=11)
-        picks = {sched.select(warps, 0, always_ready).warp_id
+        picks = {sched.select(warps, 0, PLANS).warp_id
                  for _ in range(32)}
         assert 2 not in picks
         assert picks <= {0, 1, 3}
@@ -106,22 +124,26 @@ class TestSeededExploration:
         for warp in warps:
             warp.barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=3)
-        assert sched.select(warps, 0, always_ready) is None
+        assert sched.select(warps, 0, PLANS) is None
 
     def test_stalls_consume_no_decision_index(self):
         """A no-candidate cycle must not shift later decisions, so a
         schedule replays exactly regardless of stall timing."""
         warps = make_warps(3)
         reference = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=5)
-        expected = [reference.select(warps, 0, always_ready).warp_id
+        expected = [reference.select(warps, 0, PLANS).warp_id
                     for _ in range(8)]
 
         stalled = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=5)
         picks = []
         for i in range(8):
             if i == 3:  # interpose a cycle where nothing can issue
-                assert stalled.select(warps, 0, lambda w, c: False) is None
-            picks.append(stalled.select(warps, 0, always_ready).warp_id)
+                for warp in warps:
+                    warp.stalled_until = 1
+                assert stalled.select(warps, 0, PLANS) is None
+                for warp in warps:
+                    warp.stalled_until = 0
+            picks.append(stalled.select(warps, 0, PLANS).warp_id)
         assert picks == expected
 
     def test_derive_scheduler_seed_separates_streams(self):

@@ -168,10 +168,9 @@ def _site_warp():
 
 def _outcome(warp, result):
     """Everything an issue leaves behind, value types included."""
-    event = result.event
+    event, taken = result
     return (warp.reg_i.tolist(), warp.reg_f.tolist(), warp.reg_isf.tolist(),
-            warp.preds.tolist(), dict(warp.reg_overflow),
-            result.control.kind, result.control.taken_mask,
+            warp.preds.tolist(), dict(warp.reg_overflow), taken,
             [(lane, type(v), v) for lane, v in event.lane_results.items()],
             list(event.lane_inputs.items()), event.perturbed_mask)
 

@@ -177,8 +177,7 @@ def _snapshot(warp, executor, memory, result):
     regs = [[warp.read_reg(slot, reg) for reg in range(NUM_REGS)]
             for slot in range(warp.live_slots)]
     preds = warp.preds.tolist()
-    event = result.event
-    control = result.control
+    event, taken = result
     return pickle.dumps({
         "regs": regs,
         "preds": preds,
@@ -187,8 +186,7 @@ def _snapshot(warp, executor, memory, result):
         "logical_mask": event.logical_mask,
         "hw_mask": event.hw_mask,
         "dest_reg": event.dest_reg,
-        "control": (control.kind, control.target, control.taken_mask,
-                    control.exit_mask),
+        "taken": taken,
         "global_mem": memory.to_payload(),
         "shared_mem": list(warp.block.shared._words),
     })
