@@ -10,7 +10,7 @@ against the current cycle.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.common.errors import SimulationError
 
@@ -38,36 +38,14 @@ class Scoreboard:
         """Cycle at which *reg* is readable (0 if no pending write)."""
         return self._reg_ready.get(reg, 0)
 
-    def ready_cycle(
-        self,
-        src_regs: Iterable[int],
-        dst_reg: Optional[int],
-        src_preds: Iterable[int],
-        dst_pred: Optional[int],
-    ) -> int:
-        """Earliest cycle an instruction with these operands may issue.
+    def ready_cycle_flat(self, regs: Iterable[int],
+                         preds: Iterable[int]) -> int:
+        """Earliest cycle an instruction checking these operands may issue.
 
         Readers wait for pending producers (RAW); writers wait for
         pending writers of the same register (WAW, conservative in-order
-        completion).
-        """
-        ready = 0
-        for reg in src_regs:
-            ready = max(ready, self._reg_ready.get(reg, 0))
-        if dst_reg is not None:
-            ready = max(ready, self._reg_ready.get(dst_reg, 0))
-        for pred in src_preds:
-            ready = max(ready, self._pred_ready.get(pred, 0))
-        if dst_pred is not None:
-            ready = max(ready, self._pred_ready.get(dst_pred, 0))
-        return ready
-
-    def ready_cycle_flat(self, regs: Iterable[int],
-                         preds: Iterable[int]) -> int:
-        """:meth:`ready_cycle` over pre-flattened operand tuples.
-
-        The caller merges sources and destination into *regs* (RAW +
-        WAW) and all predicates into *preds* once per pc, so the hot
+        completion).  The caller merges sources and destination into
+        *regs* and all predicates into *preds* once per pc, so the hot
         query is a single pass with no ``max`` calls.
         """
         ready = 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.isa.opcodes import CmpOp
 from repro.kernel.builder import KernelBuilder
 from repro.sim.scoreboard import Scoreboard
 from repro.sim.sm import _hazard_plans
@@ -42,10 +43,18 @@ class TestScoreboard:
         assert sb.ready_cycle_flat((3,), ()) == 50
 
     def test_predicate_tracking(self):
+        """A pending predicate write blocks its readers and, through the
+        SM's hazard plan, an instruction that writes the same predicate."""
+        b = KernelBuilder("pwaw")
+        pdst = b.pred()
+        b.setp(pdst, b.reg(), CmpOp.EQ, 1)
+        b.exit()
+        _, _, hazard_regs, hazard_preds = _hazard_plans(b.build())[0]
         sb = Scoreboard()
-        sb.mark_pred_write(1, ready_cycle=30)
-        assert sb.ready_cycle_flat((), (1,)) == 30
-        assert sb.ready_cycle_flat((), (0,)) == 0
+        sb.mark_pred_write(pdst, ready_cycle=30)
+        assert sb.ready_cycle_flat((), (pdst,)) == 30
+        assert sb.ready_cycle_flat(hazard_regs, hazard_preds) == 30
+        assert sb.ready_cycle_flat((), (pdst + 1,)) == 0
 
     def test_max_over_all_operands(self):
         sb = Scoreboard()
