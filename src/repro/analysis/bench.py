@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
 from repro.isa.opcodes import CmpOp
-from repro.isa.operands import SReg, SpecialReg
 from repro.kernel.builder import KernelBuilder
 from repro.kernel.program import Program
 from repro.sim import replay
@@ -287,26 +285,6 @@ def bench_campaign(workload: str = "scan", samples: int = 200,
     payload["parallel_speedup"] = (modes["serial_cold"]["seconds"]
                                    / modes["parallel_cold"]["seconds"])
     return payload
-
-
-def format_campaign_bench(payload: dict) -> str:
-    """Human-readable rendering of a campaign-benchmark payload."""
-    from repro.analysis.report import format_table
-
-    rows = [
-        [mode,
-         f"{entry['seconds'] * 1000:.1f}",
-         f"{entry['faults_per_s']:.1f}",
-         str(entry["simulations"])]
-        for mode, entry in payload["modes"].items()
-    ]
-    return format_table(
-        ["mode", "ms", "faults/s", "simulations"], rows,
-        title=(f"Campaign throughput: {payload['workload']} x "
-               f"{payload['samples']} faults, {payload['workers']} workers "
-               f"({payload['cpus']} cpus), "
-               f"parallel speedup {payload['parallel_speedup']:.2f}x"),
-    )
 
 
 def run_bench(scale: float = 0.5, seed: int = 0, iters: int = 200,

@@ -7,18 +7,20 @@ instruction consumes two issue slots — full coverage, ~2x kernel time,
 no extra transfer.
 
 Implemented as a drop-in replacement for the per-SM DMR controller
-(same hook protocol as :class:`repro.core.dmr_controller.DMRController`).
+(same hook protocol as :class:`repro.core.dmr_controller.DMRController`,
+comparing lane values only on a faulty executor), so a DMTR launch
+without a fault hook is timing-only and records or replays its control
+flow like any other.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.bitops import active_lane_list
 from repro.obs.metrics import MetricsRegistry
 from repro.core.comparator import ResultComparator
 from repro.core.coverage import is_coverable
-from repro.isa.instruction import Instruction
 from repro.sim.events import IssueEvent
 from repro.sim.executor import Executor
 
@@ -26,14 +28,12 @@ from repro.sim.executor import Executor
 class DMTRController:
     """Verify every instruction one cycle after it executes."""
 
-    def __init__(self, stats: MetricsRegistry,
-                 functional_verify: bool = False) -> None:
+    def __init__(self, stats: MetricsRegistry) -> None:
         self.stats = stats
-        self.functional_verify = functional_verify
         self.comparator = ResultComparator()
 
     # -- SM hook protocol ---------------------------------------------------
-    def check_raw(self, warp_id: int, inst: Instruction) -> int:
+    def check_raw(self, warp_id: int, srcs: Tuple[int, ...]) -> int:
         # With a 1-cycle slack every result is verified before any
         # realistic consumer (>= 8-cycle RAW distance) arrives.
         return 0
@@ -47,7 +47,7 @@ class DMTRController:
             self.stats.inc("coverage_verified_lanes", event.active_count)
         self.stats.inc("dmtr_replays")
         self.stats.inc(f"verify_unit_{event.unit.value}")
-        if self.functional_verify and executor is not None:
+        if executor is not None and executor.faulty:
             # Core-affinity replay: DMTR re-executes on the same lane
             # (the hidden-error weakness Warped-DMR's lane shuffling
             # avoids).

@@ -41,10 +41,6 @@ class VulnerabilityProfile:
     pc_weights: Tuple[Tuple[int, int], ...]    # (pc, detections there)
     lane_weights: Tuple[Tuple[int, int], ...]  # (lane, harmful faults)
 
-    @property
-    def total_detections(self) -> int:
-        return sum(weight for _, weight in self.pc_weights)
-
 
 def _ranked(counter: collections.Counter) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))

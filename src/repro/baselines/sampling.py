@@ -13,13 +13,12 @@ related-work argument implies:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.config import DMRConfig, GPUConfig
 from repro.common.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.core.dmr_controller import DMRController
-from repro.isa.instruction import Instruction
 from repro.sim.events import IssueEvent
 from repro.sim.executor import Executor
 
@@ -35,7 +34,6 @@ class SamplingDMRController:
         stats: MetricsRegistry,
         epoch_cycles: int = 1000,
         sample_cycles: int = 100,
-        functional_verify: bool = False,
     ) -> None:
         if epoch_cycles <= 0 or not 0 < sample_cycles <= epoch_cycles:
             raise ConfigError(
@@ -49,17 +47,16 @@ class SamplingDMRController:
             gpu_config=gpu_config,
             dmr_config=dmr_config,
             stats=stats,
-            functional_verify=functional_verify,
         )
 
     # ------------------------------------------------------------------
     def _sampling(self, cycle: int) -> bool:
         return (cycle % self.epoch_cycles) < self.sample_cycles
 
-    def check_raw(self, warp_id: int, inst: Instruction) -> int:
+    def check_raw(self, warp_id: int, srcs: Tuple[int, ...]) -> int:
         # buffered entries still satisfy the RAW rule even between
         # windows: an unverified result must not be consumed silently
-        return self._inner.check_raw(warp_id, inst)
+        return self._inner.check_raw(warp_id, srcs)
 
     def on_issue(self, event: IssueEvent, executor: Executor) -> int:
         if self._sampling(event.cycle):
@@ -83,10 +80,6 @@ class SamplingDMRController:
     def quiescent(self) -> bool:
         return self._inner.quiescent()
 
-    @property
-    def functional_verify(self) -> bool:
-        return self._inner.functional_verify
-
     def on_kernel_end(self, cycle: int) -> int:
         return self._inner.on_kernel_end(cycle)
 
@@ -102,8 +95,7 @@ class SamplingDMRController:
 def sampling_factory(gpu_config: GPUConfig,
                      dmr_config: Optional[DMRConfig] = None,
                      epoch_cycles: int = 1000,
-                     sample_cycles: int = 100,
-                     functional_verify: bool = False):
+                     sample_cycles: int = 100):
     """A ``controller_factory`` for :meth:`repro.sim.gpu.GPU.launch`."""
     dmr_config = dmr_config or DMRConfig.paper_default()
 
@@ -114,7 +106,6 @@ def sampling_factory(gpu_config: GPUConfig,
             stats=stats,
             epoch_cycles=epoch_cycles,
             sample_cycles=sample_cycles,
-            functional_verify=functional_verify,
         )
 
     return factory

@@ -420,11 +420,6 @@ class DMRConfig:
         """Return a copy protecting only the hardware lanes in *mask*."""
         return replace(self, protected_mask=mask)
 
-    @property
-    def is_partial(self) -> bool:
-        """Whether this configuration protects less than everything."""
-        return self.protected_pcs is not None or self.protected_mask is not None
-
     def to_dict(self) -> Dict[str, Any]:
         """Flat dict form, convenient for experiment logs."""
         out: Dict[str, Any] = {}

@@ -2,26 +2,26 @@
 
 The SM calls four hooks (see :mod:`repro.sim.sm`):
 
-* ``check_raw(warp_id, inst)`` before issue — the RAW-on-unverified rule;
+* ``check_raw(warp_id, srcs)`` before issue, with the source registers
+  from the program's decode table — the RAW-on-unverified rule;
 * ``on_issue(event, executor)`` after issue — dispatches to intra-warp
   DMR (partially utilized) or the Replay Checker (fully utilized) and
   returns stall cycles to charge;
 * ``on_idle(cycle)`` on no-issue cycles — free verification slots;
 * ``on_kernel_end(cycle)`` — ReplayQ flush.
 
-Two optional declarations let the SM take its fast paths while a
-controller is attached (DESIGN.md §10): ``functional_verify`` — when
-``False`` the controller reads only an issue's pc, opcode, unit and
-masks, never its lane values, so the SM may skip lane recording;
-and ``quiescent()`` — ``True`` when an idle cycle would be a
-no-op, so the SM may jump over a span of idle cycles.  A controller
-that declares neither gets per-issue lane values and per-cycle idle
-calls.
+Redundant executions are compared lane by lane if and only if the
+executor is ``faulty`` (a fault hook is armed, so issue events carry
+lane values); otherwise the controller reads only an issue's pc,
+opcode, unit and masks.  One optional declaration lets the SM skip
+idle cycles while a controller is attached (DESIGN.md §10):
+``quiescent()`` — ``True`` when an idle cycle would be a no-op.  A
+controller that does not declare it gets per-cycle idle calls.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.common.bitops import count_active
 from repro.common.config import DMRConfig, GPUConfig
@@ -29,7 +29,6 @@ from repro.core.comparator import ResultComparator
 from repro.core.coverage import CoverageReport, is_coverable
 from repro.core.inter_warp import ReplayChecker
 from repro.core.intra_warp import IntraWarpDMR
-from repro.isa.instruction import Instruction
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import IssueEvent
 from repro.sim.executor import Executor
@@ -43,13 +42,11 @@ class DMRController:
         gpu_config: GPUConfig,
         dmr_config: DMRConfig,
         stats: MetricsRegistry,
-        functional_verify: bool = False,
         probe: Optional[object] = None,
     ) -> None:
         self.gpu_config = gpu_config
         self.config = dmr_config
         self.stats = stats
-        self.functional_verify = functional_verify
         self.comparator = ResultComparator()
         # partial thread protection: None protects everything (and every
         # gate below short-circuits to the pre-knob behaviour)
@@ -61,7 +58,6 @@ class DMRController:
             cluster_size=gpu_config.cluster_size,
             stats=stats,
             comparator=self.comparator,
-            functional_verify=functional_verify,
             probe=probe,
             protected_mask=dmr_config.protected_mask,
         )
@@ -70,7 +66,6 @@ class DMRController:
             dmr_config=dmr_config,
             stats=stats,
             comparator=self.comparator,
-            functional_verify=functional_verify,
             probe=probe,
         )
         if probe is not None:
@@ -78,10 +73,10 @@ class DMRController:
             probe.bind_queue_depth(lambda: len(self.checker.replayq))
 
     # -- SM hooks ----------------------------------------------------------
-    def check_raw(self, warp_id: int, inst: Instruction) -> int:
+    def check_raw(self, warp_id: int, srcs: Tuple[int, ...]) -> int:
         if not self.config.enabled:
             return 0
-        return self.checker.check_raw(warp_id, inst)
+        return self.checker.check_raw(warp_id, srcs)
 
     def _protects(self, event: IssueEvent) -> bool:
         """Partial-protection gate: does DMR verify this issue at all?"""

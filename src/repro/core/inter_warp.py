@@ -30,8 +30,7 @@ from repro.common.bitops import active_lane_list, count_active
 from repro.common.config import DMRConfig
 from repro.core.comparator import ResultComparator
 from repro.core.mapping import shuffled_lane
-from repro.core.replayq import ReplayQ, ReplayQEntry
-from repro.isa.instruction import Instruction
+from repro.core.replayq import ReplayQ
 from repro.isa.opcodes import UnitType
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import IssueEvent
@@ -47,19 +46,17 @@ class ReplayChecker:
         dmr_config: DMRConfig,
         stats: MetricsRegistry,
         comparator: ResultComparator,
-        functional_verify: bool = False,
         probe: Optional[object] = None,
     ) -> None:
         self.cluster_size = cluster_size
         self.config = dmr_config
         self.stats = stats
         self.comparator = comparator
-        self.functional_verify = functional_verify
         self.probe = probe
         self.replayq = ReplayQ(dmr_config.replayq_entries)
         self._pending: Optional[IssueEvent] = None
         # (warp_id, reg) -> producing entry still unverified in the queue
-        self._unverified: Dict[Tuple[int, int], ReplayQEntry] = {}
+        self._unverified: Dict[Tuple[int, int], IssueEvent] = {}
         self._executor: Optional[Executor] = None
 
     # ------------------------------------------------------------------
@@ -119,22 +116,23 @@ class ReplayChecker:
             if entry is None:
                 continue
             self._forget_unverified(entry)
-            self._verify(entry.event, cycle, "drain_idle")
+            self._verify(entry, cycle, "drain_idle")
             self.stats.inc("replayq_idle_drains")
 
-    def check_raw(self, warp_id: int, inst: Instruction) -> int:
-        """RAW-on-unverified rule: verify buffered producers first.
+    def check_raw(self, warp_id: int, srcs: Tuple[int, ...]) -> int:
+        """RAW-on-unverified rule: verify buffered producers of the
+        source registers *srcs* first.
 
         Returns the stall cycles to charge (one per producer verified).
         """
         stalls = 0
-        for reg in inst.source_registers():
+        for reg in srcs:
             entry = self._unverified.get((warp_id, reg))
             if entry is None:
                 continue
             if self.replayq.remove(entry):
                 self._forget_unverified(entry)
-                self._verify(entry.event, entry.event.cycle, "raw_forced")
+                self._verify(entry, entry.cycle, "raw_forced")
                 stalls += 1
         return stalls
 
@@ -150,7 +148,7 @@ class ReplayChecker:
             cycles += 1
         for entry in self.replayq.drain():
             self._forget_unverified(entry)
-            self._verify(entry.event, cycle + cycles, "flush")
+            self._verify(entry, cycle + cycles, "flush")
             cycles += 1
         self._unverified.clear()
         return cycles
@@ -178,8 +176,8 @@ class ReplayChecker:
             # Swap: the buffered different-type entry rides along with
             # the new issue; the pending instruction takes its slot.
             self._forget_unverified(entry)
-            self._verify(entry.event, next_event.cycle, "coexec_from_queue")
-            self._enqueue(pending, next_event.cycle)
+            self._verify(entry, next_event.cycle, "coexec_from_queue")
+            self._enqueue(pending)
             self.stats.inc("replayq_swaps")
             return 0, {entry.unit}
 
@@ -191,18 +189,18 @@ class ReplayChecker:
             self.stats.inc("replayq_full_stalls")
             return (1 if self.config.eager_reexecution else 2), set()
 
-        self._enqueue(pending, next_event.cycle)
+        self._enqueue(pending)
         return 0, set()
 
-    def _enqueue(self, event: IssueEvent, cycle: int) -> None:
-        entry = self.replayq.enqueue(event, cycle)
+    def _enqueue(self, event: IssueEvent) -> None:
+        self.replayq.enqueue(event)
         if event.dest_reg is not None:
-            self._unverified[(event.warp_id, event.dest_reg)] = entry
+            self._unverified[(event.warp_id, event.dest_reg)] = event
         self.stats.inc("replayq_enqueues")
         if self.probe is not None:
             self.probe.on_enqueue(event, len(self.replayq))
 
-    def _forget_unverified(self, entry: ReplayQEntry) -> None:
+    def _forget_unverified(self, entry: IssueEvent) -> None:
         if entry.dest_reg is None:
             return
         key = (entry.warp_id, entry.dest_reg)
@@ -224,7 +222,8 @@ class ReplayChecker:
         if self.probe is not None:
             self.probe.on_inter_verify(event, how, cycle,
                                        shuffled=self.config.lane_shuffle)
-        if not (self.functional_verify and self._executor is not None):
+        executor = self._executor
+        if executor is None or not executor.faulty:
             return
         # partial thread protection: unprotected lanes get no replay
         lanes = active_lane_list(
@@ -232,7 +231,7 @@ class ReplayChecker:
             event.warp_width)
         shuffle = self.config.lane_shuffle
         self.comparator.verify(
-            self._executor, event,
+            executor, event,
             ((lane, shuffled_lane(lane, self.cluster_size) if shuffle
               else lane) for lane in lanes),
             cycle, "inter",

@@ -30,14 +30,12 @@ class IntraWarpDMR:
         cluster_size: int,
         stats: MetricsRegistry,
         comparator: ResultComparator,
-        functional_verify: bool = False,
         probe: Optional[object] = None,
         protected_mask: Optional[int] = None,
     ) -> None:
         self.rfu = RegisterForwardingUnit(cluster_size)
         self.stats = stats
         self.comparator = comparator
-        self.functional_verify = functional_verify
         self.probe = probe
         # partial thread protection: only originals in this lane mask
         # are re-executed (None = every active lane, the full scheme)
@@ -61,14 +59,14 @@ class IntraWarpDMR:
         self.stats.inc("intra_warp_verified_lanes", len(verified_lanes))
         self.stats.inc("intra_warp_redundant_executions", len(pairs))
         self.stats.inc(
-            f"intra_redundant_lanes_{event.instruction.unit.value}",
+            f"intra_redundant_lanes_{event.unit.value}",
             len(pairs),
         )
         if self.probe is not None:
             self.probe.on_intra_pairing(event, len(verified_lanes),
                                         len(pairs))
 
-        if self.functional_verify and executor is not None:
+        if executor is not None and executor.faulty:
             self.comparator.verify(
                 executor, event,
                 ((original, verifier) for verifier, original in pairs.items()),

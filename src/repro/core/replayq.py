@@ -22,29 +22,11 @@ from repro.isa.opcodes import UnitType
 from repro.sim.events import IssueEvent
 
 
-@dataclass
-class ReplayQEntry:
-    """One buffered unverified instruction."""
-
-    event: IssueEvent
-    enqueue_cycle: int
-
-    @property
-    def unit(self) -> UnitType:
-        return self.event.unit
-
-    @property
-    def warp_id(self) -> int:
-        return self.event.warp_id
-
-    @property
-    def dest_reg(self) -> Optional[int]:
-        return self.event.dest_reg
-
-
 class ReplayQ:
     """FIFO of unverified instructions with type-directed dequeue.
 
+    An entry is the buffered instruction's :class:`IssueEvent`: its
+    opcode, unit, captured source values and original results.
     ``capacity == 0`` is a legal configuration (the Fig 9(b) sweep's
     leftmost point): every enqueue attempt reports "full" and the
     pipeline takes the eager re-execution stall instead.
@@ -54,13 +36,12 @@ class ReplayQ:
         if capacity < 0:
             raise ConfigError(f"ReplayQ capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: List[ReplayQEntry] = []
-        self.peak_occupancy = 0
+        self._entries: List[IssueEvent] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[ReplayQEntry]:
+    def __iter__(self) -> Iterator[IssueEvent]:
         return iter(self._entries)
 
     @property
@@ -71,55 +52,39 @@ class ReplayQ:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def enqueue(self, event: IssueEvent, cycle: int) -> ReplayQEntry:
+    def enqueue(self, event: IssueEvent) -> None:
         if self.is_full:
             raise ConfigError("enqueue on a full ReplayQ; check is_full first")
-        entry = ReplayQEntry(event=event, enqueue_cycle=cycle)
-        self._entries.append(entry)
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
-        return entry
+        self._entries.append(event)
 
-    def dequeue_different_type(self, unit: UnitType) -> Optional[ReplayQEntry]:
+    def dequeue_different_type(self, unit: UnitType) -> Optional[IssueEvent]:
         """Remove and return the oldest entry whose type differs from *unit*.
 
         The paper picks randomly among candidates; oldest-first is used
         here for determinism (the choice does not affect coverage, only
         which verification happens first).
         """
-        for i, entry in enumerate(self._entries):
-            if entry.unit is not unit:
+        for i, event in enumerate(self._entries):
+            if event.unit is not unit:
                 return self._entries.pop(i)
         return None
 
-    def dequeue_of_type(self, unit: UnitType) -> Optional[ReplayQEntry]:
+    def dequeue_of_type(self, unit: UnitType) -> Optional[IssueEvent]:
         """Remove and return the oldest entry executing on *unit*."""
-        for i, entry in enumerate(self._entries):
-            if entry.unit is unit:
+        for i, event in enumerate(self._entries):
+            if event.unit is unit:
                 return self._entries.pop(i)
         return None
 
-    def dequeue_oldest(self) -> Optional[ReplayQEntry]:
-        """Remove and return the oldest entry (idle-cycle draining)."""
-        if self._entries:
-            return self._entries.pop(0)
-        return None
+    def remove(self, event: IssueEvent) -> bool:
+        """Remove *event* itself (RAW-forced early verification)."""
+        for i, queued in enumerate(self._entries):
+            if queued is event:
+                del self._entries[i]
+                return True
+        return False
 
-    def remove(self, entry: ReplayQEntry) -> bool:
-        """Remove a specific entry (RAW-forced early verification)."""
-        try:
-            self._entries.remove(entry)
-            return True
-        except ValueError:
-            return False
-
-    def find_producer(self, warp_id: int, reg: int) -> Optional[ReplayQEntry]:
-        """Newest buffered entry of *warp_id* that writes register *reg*."""
-        for entry in reversed(self._entries):
-            if entry.warp_id == warp_id and entry.dest_reg == reg:
-                return entry
-        return None
-
-    def drain(self) -> List[ReplayQEntry]:
+    def drain(self) -> List[IssueEvent]:
         """Remove and return everything (kernel-end flush)."""
         entries, self._entries = self._entries, []
         return entries

@@ -122,11 +122,6 @@ class CampaignResult:
         return len(self.runs)
 
     @property
-    def effective_runs(self) -> int:
-        """Runs where the fault actually perturbed a computation."""
-        return sum(1 for run in self.runs if run.activations > 0)
-
-    @property
     def harmful_runs(self) -> int:
         """Runs whose fault mattered (neither masked nor hung)."""
         return sum(
@@ -163,12 +158,6 @@ class CampaignResult:
         """
         return binomial_interval(self.detected_runs, self.harmful_runs,
                                  confidence, method)
-
-    @property
-    def sdc_rate(self) -> float:
-        if not self.runs:
-            return 0.0
-        return self.count(Outcome.SDC) / len(self.runs)
 
     def summary(self) -> Dict[str, int]:
         return {outcome.value: self.count(outcome) for outcome in Outcome}

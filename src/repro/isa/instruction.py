@@ -80,28 +80,13 @@ class Instruction:
                 f"{self.opcode.value} cannot take an address offset"
             )
 
-    # Decode metadata is memoized on the (frozen) instance: the issue
-    # loop, scheduler and scoreboard query it once per dynamic issue,
-    # which for a hot kernel means millions of lookups per static
-    # instruction.  ``object.__setattr__`` is the sanctioned escape
-    # hatch for lazy caches on frozen dataclasses; the cached values
-    # are derived purely from the (immutable) fields, so equality and
-    # hashing are unaffected.
     @property
     def info(self) -> OpInfo:
-        info = self.__dict__.get("_info")
-        if info is None:
-            info = op_info(self.opcode)
-            object.__setattr__(self, "_info", info)
-        return info
+        return op_info(self.opcode)
 
     @property
     def unit(self) -> UnitType:
-        unit = self.__dict__.get("_unit")
-        if unit is None:
-            unit = self.info.unit
-            object.__setattr__(self, "_unit", unit)
-        return unit
+        return op_info(self.opcode).unit
 
     @property
     def is_resolved(self) -> bool:
@@ -118,25 +103,10 @@ class Instruction:
         verifies the *address computation* of memory operations (paper
         Section 1), so address inputs count as DMRed sources.
         """
-        regs = self.__dict__.get("_source_registers")
-        if regs is None:
-            regs = tuple(op.idx for op in self.srcs if isinstance(op, Reg))
-            object.__setattr__(self, "_source_registers", regs)
-        return regs
+        return tuple(op.idx for op in self.srcs if isinstance(op, Reg))
 
     def dest_register(self) -> Optional[int]:
         return self.dst.idx if self.dst is not None else None
-
-    def __getstate__(self):
-        """Pickle only the declared fields, never the memo caches."""
-        return {
-            field: self.__dict__[field]
-            for field in self.__dataclass_fields__  # type: ignore[attr-defined]
-            if field in self.__dict__
-        }
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Disassembly

@@ -80,13 +80,12 @@ class PipelineProbe:
         """One warp-instruction issued (also the SM's issue listener)."""
         if self.tracer is None:
             return
-        inst = event.instruction
         self.tracer.thread_name(self.sm_id, event.warp_id,
                                 f"warp {event.warp_id}")
         self.tracer.duration(
-            self.sm_id, event.warp_id, inst.opcode.value,
+            self.sm_id, event.warp_id, event.instruction.opcode.value,
             ts=event.cycle, dur=1,
-            args={"pc": event.pc, "unit": inst.unit.value,
+            args={"pc": event.pc, "unit": event.unit.value,
                   "active": event.active_count},
         )
 

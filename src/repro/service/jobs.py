@@ -420,16 +420,18 @@ def campaign_merged_payload(workload: str, scheme: str, scale: float,
     }
 
 
-def merge_job(store: JobStore, job_id: str) -> Optional[dict]:
+def merge_job(store: JobStore, job_id: str,
+              job: Optional[dict] = None) -> Optional[dict]:
     """Fold a fully classified job's unit results into merged output.
 
     Returns ``None`` while any unit result is still missing or
     unreadable (the read quarantines it, which leaves that unit lost
     until the next sweep restores it).  Units are folded in index
     order (their ids sort by index), which reproduces the serial item
-    order exactly.
+    order exactly.  *job* is the manifest, when the caller has loaded
+    it already.
     """
-    job = store.load_job(job_id)
+    job = job if job is not None else store.load_job(job_id)
     if job is None:
         return None
     results = []
@@ -489,19 +491,21 @@ def result_shape_ok(kind: str, payload: dict, count: int) -> bool:
     return True
 
 
-def finalize_job(store: JobStore, job_id: str) -> bool:
+def finalize_job(store: JobStore, job_id: str,
+                 job: Optional[dict] = None) -> bool:
     """Merge *job_id* if every unit is done and no merge exists yet.
 
     Any client may call this (workers do when idle, the server every
     poll, ``status``/``fetch`` on demand): the merge is deterministic,
-    so concurrent finalizers write identical bytes.
+    so concurrent finalizers write identical bytes.  *job* is the
+    manifest, when the caller has loaded it already (it is immutable).
     """
     if store.merged_path(job_id).exists():
         return False
-    counts = store.counts(job_id)
+    counts = store.counts(job_id, job)
     if not counts["total"] or counts["done"] < counts["total"]:
         return False
-    merged = merge_job(store, job_id)
+    merged = merge_job(store, job_id, job)
     if merged is None:
         return False
     store.write_merged(job_id, merged)

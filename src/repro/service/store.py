@@ -848,8 +848,10 @@ class JobStore:
         return moved
 
     # -- accounting ----------------------------------------------------
-    def counts(self, job_id: str) -> Dict[str, int]:
-        job = self.load_job(job_id)
+    def counts(self, job_id: str,
+               job: Optional[dict] = None) -> Dict[str, int]:
+        """Unit counts by state; *job* is the manifest, if loaded."""
+        job = job if job is not None else self.load_job(job_id)
         units = {entry["unit"] for entry in job["units"]} if job else set()
         return {
             "total": len(units),

@@ -21,6 +21,9 @@ from repro.isa.opcodes import UnitType
 class IssueEvent:
     """One dynamic warp-instruction issue.
 
+    ``unit``
+        The decoder's instruction type (:class:`UnitType`), taken from
+        the program's decode table at issue.
     ``lane_inputs``
         hw lane -> tuple of evaluated source operand values (only lanes
         active in ``hw_mask``).  For memory instructions the computed
@@ -42,14 +45,11 @@ class IssueEvent:
     logical_mask: ActiveMask
     hw_mask: ActiveMask
     warp_width: int
+    unit: UnitType
     lane_inputs: Dict[int, Tuple] = field(default_factory=dict)
     lane_results: Dict[int, object] = field(default_factory=dict)
     dest_reg: Optional[int] = None
     perturbed_mask: ActiveMask = 0
-
-    @property
-    def unit(self) -> UnitType:
-        return self.instruction.unit
 
     @property
     def active_count(self) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.bitops import ActiveMask, active_lane_list
 from repro.common.config import ENGINE_NAMES
@@ -231,14 +231,16 @@ class FaultHook:
 
 
 class Executor:
-    """Stateful functional executor bound to one SM.
+    """Stateful functional executor bound to one SM and its program.
 
-    ``engine`` selects the execution strategy (the SM passes its
-    ``GPUConfig.engine``): ``"fast"`` (default) runs the vectorized
-    engine whenever it can reproduce scalar semantics bit-for-bit;
-    ``"scalar"`` pins every issue to the per-lane interpreter.  With a
-    fault hook armed, an ALU, SETP, SELP or BRA issue runs vectorized,
-    then passes only its active site lanes
+    Each issue reads its instruction from the program's decode table
+    (:func:`repro.sim.vexec.decoded`, shared with the SM and its
+    schedulers).  ``engine`` selects the execution strategy (the SM
+    passes its ``GPUConfig.engine``): ``"fast"`` (default) runs the
+    vectorized engine whenever it can reproduce scalar semantics
+    bit-for-bit; ``"scalar"`` pins every issue to the per-lane
+    interpreter.  With a fault hook armed, an ALU, SETP, SELP or BRA
+    issue runs vectorized, then passes only its active site lanes
     (:meth:`FaultHook.site_lanes`) through :meth:`FaultHook.apply`, in
     slot order, and writes back what changed; ``perturbed_mask``
     records those lanes.  A load or store with a site lane runs scalar:
@@ -246,12 +248,13 @@ class Executor:
     calls and accesses decides which lane faults first.
 
     ``record_lanes`` says whether issue events must carry per-lane
-    inputs and results.  The SM clears it when nothing attached reads
-    lane values (:meth:`repro.sim.sm.SM.lane_values_unread`); the
-    vector engine then skips building them.
+    inputs and results.  The SM sets it once per launch: lane values
+    are recorded if and only if a fault hook is armed (``faulty``) or
+    an issue listener is attached.  Otherwise the vector engine skips
+    building them.
     """
 
-    def __init__(self, sm_id: int, global_memory: GlobalMemory,
+    def __init__(self, sm_id: int, program, global_memory: GlobalMemory,
                  fault_hook: Optional[FaultHook] = None,
                  engine: str = "fast") -> None:
         if engine not in ENGINE_NAMES:
@@ -263,13 +266,14 @@ class Executor:
         self.global_memory = global_memory
         self.fault_hook = fault_hook or FaultHook()
         self.engine = engine
-        #: whether a fault hook is armed (it reads every lane value)
+        #: whether a fault hook is armed: it reads every lane value, and
+        #: DMR controllers verify lane values if and only if it is set
         self.faulty = fault_hook is not None
         self._vector_enabled = engine == "fast"
         #: whether issue events carry per-lane inputs/results
         self.record_lanes = True
-        self._decoded: Optional[list] = None
-        self._adhoc: Dict[Instruction, vexec.DecodedInst] = {}
+        #: the program's decode table, one entry per pc
+        self.decoded: List[vexec.DecodedInst] = vexec.decoded(program)
         #: issue counts per engine (diagnostics; not part of the stats registry so
         #: result payloads stay byte-identical across engines).
         #: ``replayed_issues`` counts issues a replaying executor took
@@ -279,12 +283,7 @@ class Executor:
         self.scalar_issues = 0
         self.replayed_issues = 0
 
-    def bind_program(self, program) -> None:
-        """Attach *program*'s decode cache for O(1) per-pc lookups."""
-        self._decoded = (vexec.decoded(program)
-                         if self._vector_enabled else None)
-
-    def issue_event(self, warp: Warp, inst: Instruction, pc: int,
+    def issue_event(self, warp: Warp, entry: vexec.DecodedInst, pc: int,
                     cycle: int, exec_mask: ActiveMask) -> IssueEvent:
         """The issue's event with no lane values recorded (yet).
 
@@ -297,11 +296,12 @@ class Executor:
             sm_id=self.sm_id,
             warp_id=warp.warp_id,
             pc=pc,
-            instruction=inst,
+            instruction=entry.inst,
             logical_mask=exec_mask,
             hw_mask=warp.hw_mask(exec_mask),
             warp_width=warp.warp_size,
-            dest_reg=inst.dest_register(),
+            unit=entry.unit,
+            dest_reg=entry.dest,
         )
 
     # ------------------------------------------------------------------
@@ -327,37 +327,20 @@ class Executor:
             raise SimulationError(f"unknown special register {kind}")
         raise SimulationError(f"unknown operand {operand!r}")
 
-    def _guard_mask(self, warp: Warp, inst: Instruction,
+    def _guard_mask(self, warp: Warp, entry: vexec.DecodedInst,
                     mask: ActiveMask) -> ActiveMask:
         """Apply the instruction's guard predicate to the SIMT mask."""
-        if inst.pred is None:
+        if entry.pred is None:
             return mask
         bits = vexec.mask_bits(mask, warp.live_slots)
-        holds = warp.preds[:, inst.pred] != inst.pred_neg
+        holds = warp.preds[:, entry.pred] != entry.pred_neg
         return vexec.pack_mask(bits & holds)
 
-    def _decoded_entry(self, warp: Warp, inst: Instruction,
-                       pc: int) -> Optional[vexec.DecodedInst]:
-        """Decode-cache lookup, or ``None`` if the issue must go scalar."""
-        if not self._vector_enabled or warp.reg_overflow:
-            return None
-        decoded = self._decoded
-        if (decoded is not None and pc < len(decoded)
-                and decoded[pc].inst is inst):
-            entry = decoded[pc]
-        else:
-            # unbound program (direct Executor use): decode on demand,
-            # keyed by instruction equality
-            entry = self._adhoc.get(inst)
-            if entry is None:
-                entry = vexec.DecodedInst(inst)
-                self._adhoc[inst] = entry
-        return entry if entry.fn is not None else None
-
     # ------------------------------------------------------------------
-    def execute(self, warp: Warp, inst: Instruction, pc: int,
+    def execute(self, warp: Warp, pc: int,
                 cycle: int) -> Tuple[IssueEvent, ActiveMask]:
-        """Execute *inst* for the warp's current active mask.
+        """Execute the instruction at *pc* for the warp's current
+        active mask.
 
         Architectural state (registers, predicates, memory) is updated
         immediately; control flow and timing are the SM's job.  Returns
@@ -367,27 +350,29 @@ class Executor:
         the opcode and ``event.logical_mask``: a BRA's is the SIMT mask,
         and an EXIT retires exactly its guarded lanes.
         """
-        op = inst.opcode
+        entry = self.decoded[pc]
+        op = entry.opcode
         simt_mask = warp.stack.current_mask
         # BRA's predicate is the branch *condition*, not an execution
         # guard: every SIMT-active lane evaluates the branch.
         if op is Opcode.BRA:
             exec_mask = simt_mask
         else:
-            exec_mask = self._guard_mask(warp, inst, simt_mask)
-        event = self.issue_event(warp, inst, pc, cycle, exec_mask)
+            exec_mask = self._guard_mask(warp, entry, simt_mask)
+        event = self.issue_event(warp, entry, pc, cycle, exec_mask)
         if op is Opcode.BAR or op is Opcode.EXIT or op is Opcode.JMP:
             return event, 0
-        info = inst.info
+        info = entry.info
 
-        entry = self._decoded_entry(warp, inst, pc)
+        vector = (self._vector_enabled and entry.fn is not None
+                  and not warp.reg_overflow)
         site = 0
-        if entry is not None and self.faulty:
-            site = (self.fault_hook.site_lanes(self.sm_id, inst.unit, cycle)
+        if vector and self.faulty:
+            site = (self.fault_hook.site_lanes(self.sm_id, entry.unit, cycle)
                     & event.hw_mask)
-            if site and (info.is_load or info.is_store):
-                entry = None  # a perturbed address picks the word: scalar
-        if entry is not None:
+            if site and info.is_memory:
+                vector = False  # a perturbed address picks the word: scalar
+        if vector:
             # Counted before it runs, like the scalar path, so an issue
             # that raises (a bad address) counts on the engine that ran it.
             self.vector_issues += 1
@@ -402,6 +387,8 @@ class Executor:
                     taken = self._apply_site_lanes(warp, event, taken, site)
                 return event, taken
 
+        inst = entry.inst
+        unit = entry.unit
         self.scalar_issues += 1
         taken = 0
         for slot in active_lane_list(exec_mask, warp.live_slots):
@@ -419,7 +406,7 @@ class Executor:
                 )
             raw = compute_lane(inst, inputs)
             value = self.fault_hook.apply(
-                self.sm_id, inst.unit, hw_lane, cycle, raw
+                self.sm_id, unit, hw_lane, cycle, raw
             )
             if value is not raw:
                 event.perturbed_mask |= 1 << hw_lane
@@ -467,7 +454,7 @@ class Executor:
                 continue
             raw = results[hw_lane]
             value = self.fault_hook.apply(
-                self.sm_id, inst.unit, hw_lane, event.cycle, raw
+                self.sm_id, event.unit, hw_lane, event.cycle, raw
             )
             if value is raw:
                 continue
@@ -477,7 +464,7 @@ class Executor:
                 taken = taken & ~(1 << slot) | bool(value) << slot
             elif op is Opcode.SETP:
                 warp.write_pred(slot, inst.pdst, bool(value))
-            elif inst.info.writes_reg:
+            elif inst.dst is not None:
                 warp.write_reg(slot, inst.dst.idx, value)
         return taken
 
@@ -494,5 +481,5 @@ class Executor:
         inputs = event.lane_inputs[original_lane]
         raw = compute_lane(event.instruction, inputs)
         return self.fault_hook.apply(
-            event.sm_id, event.instruction.unit, verify_lane, cycle, raw
+            event.sm_id, event.unit, verify_lane, cycle, raw
         )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig, MappingPolicy
-from repro.common.errors import SimulationError
 from repro.obs import ObsSession, resolve_obs
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import replay
@@ -143,13 +142,17 @@ class GPU:
         ``range(grid_dim)``); repeating an id launches a redundant copy
         of that block — the R-Thread baseline uses this.
         ``controller_factory(stats) -> controller`` overrides the
-        per-SM DMR controller (the DMTR baseline uses this); when given
-        it is attached regardless of the DMRConfig.
+        per-SM DMR controller (the DMTR and sampling baselines use
+        this); when given it is attached regardless of the DMRConfig.
 
-        A timing-only launch on the ``fast`` engine records its control
-        flow the first time its key is seen and replays it afterwards
-        (:mod:`repro.sim.replay`); ``KernelResult.engine_issues`` says
-        how each issue ran.
+        Lane values are recorded if and only if a fault hook is armed
+        or an issue listener is attached (Chrome tracing attaches one);
+        every other launch is timing-only, whatever controller it
+        attaches, since controllers verify lane values only on a faulty
+        executor.  A timing-only launch on the ``fast`` engine records
+        its control flow the first time its key is seen and replays it
+        afterwards (:mod:`repro.sim.replay`);
+        ``KernelResult.engine_issues`` says how each issue ran.
         """
         # Late imports: the sim substrate must stay importable without
         # the core (Warped-DMR) layer, which itself builds on sim.
@@ -177,19 +180,16 @@ class GPU:
         per_sm_cycles: List[int] = []
         detections: List = []
         engine_issues = dict.fromkeys(ENGINE_COUNTERS, 0)
-        functional_verify = self.fault_hook is not None
         session = self.obs
 
         # Control-flow replay (repro.sim.replay), decided once per
-        # launch: a fast launch with no fault hook, issue listener,
-        # tracing or custom controller records its first run of a key
-        # and replays the later ones.  The mode picks the SMs'
-        # executor, so it is decided from the launch's inputs before any
-        # SM is built; SM.lane_values_unread() stays the rule, checked
-        # on every SM once attached and before any SM runs.
+        # launch before any SM is built (the mode picks the SMs'
+        # executor): a timing-only fast launch, one with no fault hook,
+        # issue listener or tracing, records its first run of a key and
+        # replays the later ones.
         flow = None
         if (cfg.engine == "fast" and self.fault_hook is None
-                and issue_listener is None and controller_factory is None
+                and issue_listener is None
                 and not (session is not None and session.tracing)):
             flow = replay.plan(program, launch, memory, dispatch, cfg,
                                lane_of_slot)
@@ -218,7 +218,6 @@ class GPU:
                     gpu_config=cfg,
                     dmr_config=self.dmr,
                     stats=sm.stats,
-                    functional_verify=functional_verify,
                     probe=probe,
                 )
             if issue_listener is not None:
@@ -226,12 +225,6 @@ class GPU:
             if probe is not None and session.tracing:
                 sm.add_issue_listener(probe.on_issue)
             sms.append(sm)
-        if flow is not None:
-            readers = [sm.sm_id for sm in sms if not sm.lane_values_unread()]
-            if readers:
-                raise SimulationError(
-                    f"SMs {readers} read lane values in a launch that "
-                    "records or replays control flow")
 
         for sm in sms:
             sm.run()

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.isa.instruction import Instruction
-
 #: Banks per SIMT cluster (paper Figure 2: 4 banks per 4-lane cluster).
 BANKS_PER_CLUSTER = 4
 
@@ -41,9 +39,3 @@ def serialized_accesses(registers: Iterable[int],
         return 0
     banks_touched = {bank_of(register, banks) for register in distinct}
     return len(distinct) - len(banks_touched)
-
-
-def conflict_extra_cycles(inst: Instruction,
-                          banks: int = BANKS_PER_CLUSTER) -> int:
-    """Issue-cycle penalty for *inst*'s operand fetch."""
-    return serialized_accesses(inst.source_registers(), banks)

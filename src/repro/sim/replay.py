@@ -1,20 +1,22 @@
 """Control-flow replay for timing-only launches of race-free kernels.
 
-A timing-only launch — the ``fast`` engine with nothing attached that
-reads lane values (:meth:`repro.sim.sm.SM.lane_values_unread`) — needs
-from each issue only its pc, unit and masks.  Those follow from each
-warp's data-dependent control outcomes, so one recorded run of a
-launch fixes every later timing-only run of it, provided the launch
-behaves the same under every warp schedule.  A barrier-interval race
-and barrier-divergence check, computed once at the end of the
-recording, decides that (DESIGN.md §14 has the argument).
+A timing-only launch — the ``fast`` engine with no fault hook armed and
+no issue listener attached, so nothing records lane values
+(:meth:`repro.sim.sm.SM.run` applies that one rule; DMR controllers
+compare lane values only on a faulty executor) — needs from each issue
+only its pc, unit and masks.  Those follow from each warp's
+data-dependent control outcomes, so one recorded run of a launch fixes
+every later timing-only run of it, provided the launch behaves the same
+under every warp schedule.  A barrier-interval race and
+barrier-divergence check, computed once at the end of the recording,
+decides that (DESIGN.md §14 has the argument).
 
 :meth:`repro.sim.gpu.GPU.launch` picks one of three modes per launch,
 never per issue:
 
 * **execute** — today's path: ``engine="scalar"``, an armed fault
-  hook, an issue listener, Chrome tracing, a ``controller_factory``, or
-  a key whose stored verdict is "not certified";
+  hook, an issue listener, Chrome tracing, or a key whose stored
+  verdict is "not certified";
 * **record** — an eligible launch whose key has no verdict yet: it
   executes as ever on a :class:`RecordingExecutor`, which logs each
   warp instance's guarded outcomes, BARs and memory accesses in a
@@ -27,7 +29,10 @@ never per issue:
   caller gets the recorded final memory image.
 
 All three modes share the SM's issue stage and issue step
-(:meth:`repro.sim.sm.SM._issue`); the mode only picks the executor.
+(:meth:`repro.sim.sm.SM._issue`) and the program's decode table; the
+mode only picks the executor.  Any DMR controller, the DMTR and
+sampling baselines' included, only changes the schedule, which the
+verdict covers.
 
 The store lives in :meth:`Program.memo`, at most :data:`MAX_KEYS` keys
 per program.  A key (:func:`launch_key`) covers everything control
@@ -53,8 +58,6 @@ MAX_KEYS = 8
 
 #: a warp instance: (dispatch position of its block, warp index in it)
 WarpKey = Tuple[int, int]
-
-_GLOBAL_OPS = (Opcode.LD_GLOBAL, Opcode.ST_GLOBAL)
 
 
 @dataclass(frozen=True)
@@ -207,24 +210,25 @@ class RecordingExecutor(Executor):
     memory issue is executed with it set.
     """
 
-    def execute(self, warp, inst, pc: int, cycle: int):
-        info = inst.info
+    def execute(self, warp, pc: int, cycle: int):
+        entry = self.decoded[pc]
+        info = entry.info
         if info.is_memory:
             record_lanes = self.record_lanes
             self.record_lanes = True
             try:
-                event, taken = Executor.execute(self, warp, inst, pc, cycle)
+                event, taken = Executor.execute(self, warp, pc, cycle)
             finally:
                 self.record_lanes = record_lanes
-            warp.flow.touch(inst.opcode in _GLOBAL_OPS, info.is_store,
+            warp.flow.touch(entry.is_global, info.is_store,
                             event.lane_results.values())
         else:
-            event, taken = Executor.execute(self, warp, inst, pc, cycle)
+            event, taken = Executor.execute(self, warp, pc, cycle)
         log = warp.flow
-        if inst.pred is not None:
-            log.outcomes.append((pc, taken if inst.opcode is Opcode.BRA
+        if entry.pred is not None:
+            log.outcomes.append((pc, taken if entry.opcode is Opcode.BRA
                                  else event.logical_mask))
-        if inst.opcode is Opcode.BAR:
+        if entry.opcode is Opcode.BAR:
             log.barrier(pc, event.logical_mask, warp.stack.live_mask)
         return event, taken
 
@@ -366,16 +370,17 @@ class ReplayExecutor(Executor):
     takes its mask, and a BRA its taken mask, from the warp's
     :class:`WarpTrace` (the SIMT mask for an unguarded issue)."""
 
-    def execute(self, warp, inst, pc: int, cycle: int):
+    def execute(self, warp, pc: int, cycle: int):
+        entry = self.decoded[pc]
         self.replayed_issues += 1
         mask = warp.stack.current_mask
         taken = 0
-        if inst.pred is not None:
-            if inst.opcode is Opcode.BRA:
+        if entry.pred is not None:
+            if entry.opcode is Opcode.BRA:
                 taken = warp.flow.take(warp, pc)
             else:
                 mask = warp.flow.take(warp, pc)
-        return self.issue_event(warp, inst, pc, cycle, mask), taken
+        return self.issue_event(warp, entry, pc, cycle, mask), taken
 
 
 class _Replay:

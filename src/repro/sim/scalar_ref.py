@@ -132,21 +132,6 @@ def scalar_thread_steps(program, thread: ScalarThread,
         pc += 1
 
 
-def run_scalar_thread(program, thread: ScalarThread,
-                      global_memory: Dict[int, object],
-                      shared_memory: Dict[int, object],
-                      max_steps: int = 100_000) -> None:
-    """Run one thread to EXIT (barriers as no-ops), mutating memories.
-
-    Only valid for programs whose shared data flow is per-thread
-    private; barrier-synchronized kernels go through
-    :func:`run_scalar_block`.
-    """
-    for _ in scalar_thread_steps(program, thread, global_memory,
-                                 shared_memory, max_steps):
-        pass
-
-
 def run_scalar_block(program, block_id: int, block_dim: int,
                      grid_dim: int,
                      global_memory: Dict[int, object]) -> None:

@@ -15,7 +15,7 @@ replayed from its seed alone and two SMs never share a stream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.common.config import SchedulerPolicy
 from repro.sim.warp import Warp
@@ -44,10 +44,11 @@ def derive_scheduler_seed(schedule_seed: Optional[int], sm_id: int,
     return _mix64(schedule_seed * _GOLDEN + (sm_id << 8) + scheduler_index)
 
 
-def ready_cycle(warp: Warp, plans: Sequence[Tuple]) -> int:
+def ready_cycle(warp: Warp, decoded: Sequence) -> int:
     """Cycle from which the scoreboard lets *warp* issue the instruction
     at its pc: the latest pending write of any register or predicate
-    in the pc's hazard plan (``plans[pc]``, built by the SM).
+    among the pc's hazard operands (``decoded[pc]``, the program's
+    decode table).
 
     The value is pure between the warp's issues (its scoreboard changes
     only when it issues), so it is memoized on the warp in ``sb_pc`` /
@@ -57,15 +58,15 @@ def ready_cycle(warp: Warp, plans: Sequence[Tuple]) -> int:
     """
     pc = warp.stack.current_pc
     if warp.sb_pc != pc:
-        _, _, hazard_regs, hazard_preds = plans[pc]
-        warp.sb_ready = warp.scoreboard.ready_cycle_flat(hazard_regs,
-                                                         hazard_preds)
+        entry = decoded[pc]
+        warp.sb_ready = warp.scoreboard.ready_cycle_flat(entry.hazard_regs,
+                                                         entry.hazard_preds)
         warp.sb_pc = pc
     return warp.sb_ready
 
 
-def _issuable(warp: Warp, cycle: int, plans: Sequence[Tuple]) -> bool:
-    return warp.can_issue(cycle) and ready_cycle(warp, plans) <= cycle
+def _issuable(warp: Warp, cycle: int, decoded: Sequence) -> bool:
+    return warp.can_issue(cycle) and ready_cycle(warp, decoded) <= cycle
 
 
 class WarpScheduler:
@@ -96,9 +97,9 @@ class WarpScheduler:
         self._greedy_warp: Optional[int] = None
 
     def select(self, warps: List[Warp], cycle: int,
-               plans: Sequence[Tuple]) -> Optional[Warp]:
+               decoded: Sequence) -> Optional[Warp]:
         """Pick the next warp to issue at *cycle*, or None when none is
-        ready.  *plans* are the program's per-pc hazard plans."""
+        ready.  *decoded* is the program's decode table."""
         if not warps:
             return None
         if self._round_robin:
@@ -116,9 +117,9 @@ class WarpScheduler:
                     continue
                 pc = stack.current_pc
                 if candidate.sb_pc != pc:
-                    _, _, hazard_regs, hazard_preds = plans[pc]
+                    entry = decoded[pc]
                     candidate.sb_ready = candidate.scoreboard.ready_cycle_flat(
-                        hazard_regs, hazard_preds)
+                        entry.hazard_regs, entry.hazard_preds)
                     candidate.sb_pc = pc
                 if candidate.sb_ready > cycle:
                     continue
@@ -126,21 +127,21 @@ class WarpScheduler:
                 warp = candidate
                 break
         elif self.seed is not None:
-            warp, scanned = self._select_seeded(warps, cycle, plans)
+            warp, scanned = self._select_seeded(warps, cycle, decoded)
         else:
-            warp, scanned = self._select_gto(warps, cycle, plans)
+            warp, scanned = self._select_gto(warps, cycle, decoded)
         if self.probe is not None:
             self.probe.on_schedule(scanned, warp is not None)
         return warp
 
     def _select_seeded(self, warps: List[Warp], cycle: int,
-                       plans: Sequence[Tuple]):
+                       decoded: Sequence):
         # Every issuable warp is a candidate; the choice at decision k
         # is mix(seed + k*GOLDEN) mod #candidates.  Cycles with no
         # candidate consume no decision index, so the decision sequence
         # depends only on the choice points, not on stall timing.
         candidates = [warp for warp in warps
-                      if _issuable(warp, cycle, plans)]
+                      if _issuable(warp, cycle, decoded)]
         if not candidates:
             return None, len(warps)
         pick = _mix64(self.seed + self._decisions * _GOLDEN) % len(candidates)
@@ -148,18 +149,18 @@ class WarpScheduler:
         return candidates[pick], len(warps)
 
     def _select_gto(self, warps: List[Warp], cycle: int,
-                    plans: Sequence[Tuple]):
+                    decoded: Sequence):
         # Greedy: stick with the last-issued warp while it stays ready.
         if self._greedy_warp is not None:
             for warp in warps:
                 if warp.warp_id == self._greedy_warp:
-                    if _issuable(warp, cycle, plans):
+                    if _issuable(warp, cycle, decoded):
                         return warp, 1
                     break
         # Oldest: lowest warp id wins.
         for scanned, warp in enumerate(sorted(warps, key=lambda w: w.warp_id),
                                        start=1):
-            if _issuable(warp, cycle, plans):
+            if _issuable(warp, cycle, decoded):
                 self._greedy_warp = warp.warp_id
                 return warp, scanned
         self._greedy_warp = None

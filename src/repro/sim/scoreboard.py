@@ -34,10 +34,6 @@ class Scoreboard:
         self._pred_ready[pred] = max(self._pred_ready.get(pred, 0), ready_cycle)
 
     # -- queries -----------------------------------------------------------
-    def reg_ready_cycle(self, reg: int) -> int:
-        """Cycle at which *reg* is readable (0 if no pending write)."""
-        return self._reg_ready.get(reg, 0)
-
     def ready_cycle_flat(self, regs: Iterable[int],
                          preds: Iterable[int]) -> int:
         """Earliest cycle an instruction checking these operands may issue.

@@ -19,14 +19,20 @@ Warped-DMR attaches through the ``dmr`` hook object (duck-typed; see
 stall cycles, which the SM consumes as non-issue cycles — exactly how
 the paper's ReplayQ full/RAW stalls behave.
 
+Every per-pc fact an issue reads (unit, source registers, scoreboard
+hazards, and the operand plans the executor runs) comes from the
+program's one decode table (:func:`repro.sim.vexec.decoded`); the SM
+adds one latency list per SM, built from its ``GPUConfig``.
+
 Three throughput features are layered on top without touching the
 cycle accounting (each asserted cycle/byte-identical by the invariance
 tests):
 
-* **Lane-value gating**: when nothing reads per-lane values
-  (:meth:`SM.lane_values_unread` — a timing-only DMR controller reads
-  none), issue events carry no per-lane inputs or results, and the
-  vector engine skips building them.
+* **Lane-value gating**: issue events carry per-lane inputs and
+  results if and only if a fault hook is armed or an issue listener is
+  attached (tracing attaches one); otherwise the vector engine skips
+  building them.  A DMR controller verifies lane values only on a
+  faulty executor, so it reads none in any other launch.
 * **Control-flow replay** (:mod:`repro.sim.replay`): in timing-only
   launches on the ``fast`` engine, a
   :class:`~repro.sim.replay.ReplayExecutor` takes each warp's masks
@@ -64,27 +70,6 @@ from repro.sim.warp import ThreadBlock, Warp
 DEFAULT_MAX_CYCLES = 20_000_000
 
 
-def _hazard_plans(program: Program) -> List[Tuple]:
-    """Per-pc scoreboard operand tuples, built once per program.
-
-    ``(src_regs, dest_reg, hazard_regs, hazard_preds)`` for every
-    instruction: the first two feed RAW-distance stats, the flattened
-    hazard tuples (sources plus destination, RAW + WAW) feed
-    :meth:`Scoreboard.ready_cycle_flat`.  The old per-check list
-    comprehension was one of the hottest allocations in the issue loop.
-    """
-    plans = []
-    for inst in program.instructions:
-        srcs = inst.source_registers()
-        dest = inst.dest_register()
-        hazard_regs = srcs if dest is None else srcs + (dest,)
-        hazard_preds = tuple(
-            p for p in (inst.pred, inst.psrc, inst.pdst) if p is not None
-        )
-        plans.append((srcs, dest, hazard_regs, hazard_preds))
-    return plans
-
-
 class SM:
     """One streaming multiprocessor executing a queue of thread blocks.
 
@@ -119,9 +104,8 @@ class SM:
         self.max_cycles = max_cycles
         self._flow = flow
         executor_class = Executor if flow is None else flow.executor_class
-        self.executor = executor_class(sm_id, global_memory, fault_hook,
-                                       engine=config.engine)
-        self.executor.bind_program(program)
+        self.executor = executor_class(sm_id, program, global_memory,
+                                       fault_hook, engine=config.engine)
         self._schedulers = [
             WarpScheduler(
                 config.scheduler, probe=probe,
@@ -149,12 +133,19 @@ class SM:
         #: the DMR controller's ``quiescent`` check while idle skipping
         #: is on (bound by run(), after attachment)
         self._dmr_idle_skip: Optional[Callable[[], bool]] = None
-        # -- per-cycle hot-path caches --------------------------------
-        self._insts = program.instructions
-        self._plans = program.memo("sm.hazard_plans", _hazard_plans)
-        # per-pc issue-charge plan: (rf + unit latency, dest reg, dest
-        # pred), filled on first issue of each pc
-        self._pc_latency: List[Optional[Tuple]] = [None] * len(program)
+        # -- per-cycle hot-path tables --------------------------------
+        self._decoded = decoded = self.executor.decoded
+        # per-pc issue-to-ready latency: register read plus the unit's
+        # pipeline (shared-memory accesses take their own)
+        self._latency = [
+            config.rf_latency + (
+                config.sp_latency if entry.unit is UnitType.SP
+                else config.sfu_latency if entry.unit is UnitType.SFU
+                else config.ldst_shared_latency
+                if entry.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED)
+                else config.ldst_global_latency)
+            for entry in decoded
+        ]
         #: each scheduler with the resident warps it picks from
         self._sched_lists: List[Tuple[WarpScheduler, List[Warp]]] = [
             (scheduler, []) for scheduler in self._schedulers
@@ -183,24 +174,6 @@ class SM:
     def add_issue_listener(self, fn: Callable[[IssueEvent], None]) -> None:
         """Register a callback invoked on every issue (tracing hook)."""
         self._issue_listeners.append(fn)
-
-    def lane_values_unread(self) -> bool:
-        """Whether nothing attached to this SM reads per-lane values.
-
-        Holds with no fault hook, no issue listener, and no DMR
-        controller or one declaring ``functional_verify=False`` (a
-        timing-only checker reads pcs, units and masks only).  A
-        controller that does not declare the flag counts as a reader.
-        Gates lane recording (``Executor.record_lanes``); evaluated
-        when :meth:`run` starts, after GPU.launch has attached
-        controllers and listeners.  GPU.launch records or replays
-        control flow (:mod:`repro.sim.replay`) only in launches where
-        it holds on every SM.
-        """
-        dmr = self.dmr
-        return (not self.executor.faulty and not self._issue_listeners
-                and (dmr is None
-                     or not getattr(dmr, "functional_verify", True)))
 
     def _admit_blocks(self) -> None:
         """Launch pending blocks while thread capacity allows."""
@@ -262,7 +235,8 @@ class SM:
     # ------------------------------------------------------------------
     def run(self) -> MetricsRegistry:
         """Execute every assigned block to completion; returns the stats."""
-        self.executor.record_lanes = not self.lane_values_unread()
+        executor = self.executor
+        executor.record_lanes = executor.faulty or bool(self._issue_listeners)
         quiescent = getattr(self.dmr, "quiescent", None)
         self._dmr_idle_skip = quiescent if self._skip_enabled else None
         self._admit_blocks()
@@ -328,24 +302,24 @@ class SM:
         # Issue stage: each scheduler picks from its warps, in order;
         # a DMR verification stall blocks the pipeline for the rest
         issued = 0
-        first = None  # the instruction issued first this cycle
+        first = None  # the unit that issued first this cycle
         dmr = self.dmr
-        plans = self._plans
+        decoded = self._decoded
         for scheduler, warps in self._sched_lists:
-            warp = scheduler.select(warps, cycle, plans)
+            warp = scheduler.select(warps, cycle, decoded)
             if warp is None:
                 continue
             pc = warp.stack.current_pc
-            inst = self._insts[pc]
+            entry = decoded[pc]
+            unit = entry.unit
             # Dual-scheduler structural hazard: LD/ST units and SFUs
             # are shared between the schedulers (paper Section 2.2);
             # each scheduler has its own SPs.
-            if (first is not None and inst.unit is not UnitType.SP
-                    and inst.unit is first.unit):
+            if unit is first and unit is not UnitType.SP:
                 self.stats.inc("dual_issue_conflicts")
                 continue
             if dmr is not None:
-                raw_stall = dmr.check_raw(warp.warp_id, inst)
+                raw_stall = dmr.check_raw(warp.warp_id, entry.srcs)
                 if raw_stall > 0:
                     # the RAW-on-unverified rule: this tick absorbs one
                     # stall cycle if nothing issued yet; the remainder
@@ -356,9 +330,9 @@ class SM:
                         issued = -1  # stalled, not idle
                     self.stats.inc("raw_unverified_stalls")
                     break
-            self._issue(warp, inst, pc, cycle)
+            self._issue(warp, entry, pc, cycle)
             issued += 1
-            first = inst
+            first = unit
 
         if issued == 0:
             self.stats.inc("cycles_idle")
@@ -392,13 +366,13 @@ class SM:
         identical cycle.
         """
         wake: Optional[int] = None
-        plans = self._plans
+        decoded = self._decoded
         for warp in self._resident_warps:
             if warp.barrier_blocked:
                 continue
             until = warp.stalled_until
             ready = (warp.sb_ready if warp.sb_pc == warp.stack.current_pc
-                     else ready_cycle(warp, plans))
+                     else ready_cycle(warp, decoded))
             if ready > until:
                 until = ready
             if wake is None or until < wake:
@@ -417,15 +391,16 @@ class SM:
                 if warps:  # select() on an empty list records nothing
                     probe.on_schedule(len(warps), False, extra)
 
-    def _issue(self, warp: Warp, inst, pc: int, cycle: int) -> None:
+    def _issue(self, warp: Warp, entry, pc: int, cycle: int) -> None:
         """The one issue step of every launch mode: the executor runs
-        *inst* (or, replaying, takes its recorded outcome), then the
-        SM applies its control flow, latency, stats and DMR hook."""
-        event, taken = self.executor.execute(warp, inst, pc, cycle)
+        the instruction at *pc* (or, replaying, takes its recorded
+        outcome), then the SM applies its control flow, latency, stats
+        and DMR hook.  *entry* is the pc's decode-table entry."""
+        event, taken = self.executor.execute(warp, pc, cycle)
         stack = warp.stack
-        op = inst.opcode
+        op = entry.opcode
         if op is Opcode.BRA:
-            stack.branch(taken, int(inst.target), pc + 1,
+            stack.branch(taken, int(entry.inst.target), pc + 1,
                          self.program.reconvergence.get(pc, -1))
             if taken and taken != event.logical_mask:
                 self.stats.inc("divergent_branches")
@@ -434,26 +409,26 @@ class SM:
             if warp.done:
                 self._retire_pending = True
         elif op is Opcode.JMP:
-            stack.jump(int(inst.target))
+            stack.jump(int(entry.inst.target))
         else:
             stack.advance()
             if op is Opcode.BAR:
                 warp.block.arrive_at_barrier(warp)
-        self._charge_latency(warp, inst, pc, cycle)
-        self._record_stats(warp, inst, pc, cycle, event)
+        self._charge_latency(warp, entry, pc, cycle)
+        self._record_stats(warp, entry, cycle, event)
         if self.config.model_bank_conflicts:
-            self._charge_bank_conflicts(inst)
+            self._charge_bank_conflicts(entry)
         dmr = self.dmr
         if dmr is not None:
             stall = dmr.on_issue(event, self.executor)
             if stall:
                 self._defer_stall("replay", stall)
 
-    def _charge_bank_conflicts(self, inst) -> None:
-        """Defer the register-bank conflict cycles of *inst*
-        (``GPUConfig.model_bank_conflicts``)."""
-        from repro.sim.regbank import conflict_extra_cycles
-        extra = conflict_extra_cycles(inst)
+    def _charge_bank_conflicts(self, entry) -> None:
+        """Defer the register-bank conflict cycles of *entry*'s operand
+        fetch (``GPUConfig.model_bank_conflicts``)."""
+        from repro.sim.regbank import serialized_accesses
+        extra = serialized_accesses(entry.srcs)
         if extra:
             self._defer_stall("bank", extra)
             self.stats.inc("bank_conflict_cycles", extra)
@@ -461,30 +436,12 @@ class SM:
     # ------------------------------------------------------------------
     # Issue mechanics
     # ------------------------------------------------------------------
-    def _unit_latency(self, inst) -> int:
-        cfg = self.config
-        if inst.unit is UnitType.SFU:
-            return cfg.sfu_latency
-        if inst.unit is UnitType.LDST:
-            if inst.opcode in (Opcode.LD_SHARED, Opcode.ST_SHARED):
-                return cfg.ldst_shared_latency
-            return cfg.ldst_global_latency
-        return cfg.sp_latency
-
-    def _charge_latency(self, warp: Warp, inst, pc: int, cycle: int) -> None:
-        plan = self._pc_latency[pc]
-        if plan is None:
-            plan = self._pc_latency[pc] = (
-                self.config.rf_latency + self._unit_latency(inst),
-                inst.dest_register(),
-                inst.pdst,
-            )
-        total, dest, pdst = plan
-        ready = cycle + total
-        if dest is not None:
-            warp.scoreboard.mark_reg_write(dest, ready)
-        if pdst is not None:
-            warp.scoreboard.mark_pred_write(pdst, ready)
+    def _charge_latency(self, warp: Warp, entry, pc: int, cycle: int) -> None:
+        ready = cycle + self._latency[pc]
+        if entry.dest is not None:
+            warp.scoreboard.mark_reg_write(entry.dest, ready)
+        if entry.pdst is not None:
+            warp.scoreboard.mark_pred_write(entry.pdst, ready)
         # the scoreboard changed: drop the warp's memoized ready cycle
         # (required even when the pc repeats, e.g. a branch to itself)
         warp.sb_pc = -1
@@ -494,7 +451,7 @@ class SM:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def _record_stats(self, warp: Warp, inst, pc: int, cycle: int,
+    def _record_stats(self, warp: Warp, entry, cycle: int,
                       event: IssueEvent) -> None:
         active = event.logical_mask.bit_count()
         stats = self.stats
@@ -507,7 +464,7 @@ class SM:
         c_issued.value += 1  # monotone by construction (add() sans check)
         self._c_thread_insts.value += active
         self._hb_active[active] += 1  # defaultdict: add() sans sign check
-        unit = inst.unit
+        unit = entry.unit
         self._hb_unit[unit.value] += 1
 
         # Same-unit run lengths (Fig 8a): record the finished run when
@@ -522,11 +479,10 @@ class SM:
 
         # RAW distances (Fig 8b): cycles from a register's write to its
         # next read by any consumer in the same warp.  Operand sets come
-        # from the per-pc hazard plans (no per-issue list building);
-        # write cycles live in a per-warp dict keyed by register.
-        srcs, dest, _, _ = self._plans[pc]
+        # from the decode table (no per-issue list building); write
+        # cycles live in a per-warp dict keyed by register.
         last_write = warp.raw_last_write
-        for reg in srcs:
+        for reg in entry.srcs:
             write_cycle = last_write.get(reg)
             if write_cycle is not None:
                 hb_raw = self._hb_raw
@@ -534,6 +490,7 @@ class SM:
                     hb_raw = self._hb_raw = \
                         stats.histogram("raw_distance")._bins
                 hb_raw[cycle - write_cycle] += 1
+        dest = entry.dest
         if dest is not None:
             last_write[dest] = cycle
 

@@ -5,9 +5,10 @@ and walks a ~40-branch opcode chain once per lane per instruction.  This
 module replaces that with the shape GPGPU-Sim-class simulators use:
 
 * **decode once** — :func:`decoded` builds, per :class:`Program`, one
-  :class:`DecodedInst` per instruction: an operand fetch plan, the
-  memoized opcode metadata, and a handler resolved from a dispatch table
-  of compiled per-opcode NumPy kernels;
+  :class:`DecodedInst` per instruction: the facts every issue reads
+  (unit, source registers, scoreboard hazards), an operand fetch plan,
+  and a handler resolved from a dispatch table of compiled per-opcode
+  NumPy kernels;
 * **execute lane-batched** — per dynamic issue the handler runs once
   over the warp's active-slot register columns (gathered straight from
   the warp's NumPy value planes) instead of once per lane.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -452,17 +453,33 @@ _KIND_STORE = "store"
 
 
 class DecodedInst:
-    """Per-instruction decode artifacts, built once per program."""
+    """One instruction as the issue path reads it, built once per program.
 
-    __slots__ = ("inst", "opcode", "info", "kind", "fn", "dest", "pdst",
-                 "psrc", "pred", "pred_neg", "offset", "src_plans",
-                 "is_global")
+    ``unit`` is the decoder's instruction type (paper Section 4.3),
+    ``srcs`` the general registers it reads (address registers
+    included: Warped-DMR verifies address computations), and
+    ``hazard_regs`` / ``hazard_preds`` the flattened scoreboard
+    operands (sources plus destination, RAW + WAW) that
+    :meth:`~repro.sim.scoreboard.Scoreboard.ready_cycle_flat` checks.
+    The rest is the vector engine's: operand fetch plans, execution
+    shape and handler (``fn`` is ``None`` for scalar-only opcodes).
+    """
+
+    __slots__ = ("inst", "opcode", "info", "unit", "srcs", "hazard_regs",
+                 "hazard_preds", "kind", "fn", "dest", "pdst", "psrc",
+                 "pred", "pred_neg", "offset", "src_plans", "is_global")
 
     def __init__(self, inst: Instruction) -> None:
         self.inst = inst
         self.opcode = inst.opcode
         self.info = inst.info
+        self.unit = self.info.unit
+        self.srcs = inst.source_registers()
         self.dest = inst.dest_register()
+        self.hazard_regs = (self.srcs if self.dest is None
+                            else self.srcs + (self.dest,))
+        self.hazard_preds = tuple(p for p in (inst.pred, inst.psrc, inst.pdst)
+                                  if p is not None)
         self.pdst = inst.pdst
         self.psrc = inst.psrc
         self.pred = inst.pred
@@ -499,7 +516,9 @@ def _plan_operand(operand) -> Tuple[int, object]:
 
 
 def decoded(program) -> List[DecodedInst]:
-    """The program's decode cache (built once, shared by every SM)."""
+    """The program's decode table, one :class:`DecodedInst` per pc:
+    built once and shared by every SM, scheduler and executor that
+    runs the program."""
     return program.memo(
         "vexec.decoded",
         lambda p: [DecodedInst(inst) for inst in p.instructions],

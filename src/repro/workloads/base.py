@@ -21,7 +21,7 @@ import abc
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 from repro.common.config import LaunchConfig
 from repro.kernel.program import Program
@@ -107,13 +107,3 @@ def _template(workload: Workload, scale: float, seed: int) -> WorkloadRun:
 def words_bytes(words: int) -> int:
     """Byte volume of *words* 32-bit words (transfer accounting)."""
     return 4 * words
-
-
-def as_float_list(values) -> List[float]:
-    """Coerce a numpy array / iterable to plain Python floats."""
-    return [float(v) for v in values]
-
-
-def as_int_list(values) -> List[int]:
-    """Coerce a numpy array / iterable to plain Python ints."""
-    return [int(v) for v in values]

@@ -28,7 +28,6 @@ def launch(epoch=64, sample=16, fault=None, iterations=16, config=None):
         memory=memory,
         controller_factory=sampling_factory(
             config, epoch_cycles=epoch, sample_cycles=sample,
-            functional_verify=fault is not None,
         ),
     )
     return result, memory

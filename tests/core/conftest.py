@@ -5,7 +5,17 @@ from __future__ import annotations
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, op_info
 from repro.isa.operands import Reg
+from repro.kernel.program import Program
 from repro.sim.events import IssueEvent
+from repro.sim.executor import Executor, FaultHook
+from repro.sim.memory import GlobalMemory
+
+
+def faulty_executor() -> Executor:
+    """An executor with the bare (identity) fault hook armed, so DMR
+    compares lane values on it."""
+    program = Program("exit", (Instruction(Opcode.EXIT),))
+    return Executor(0, program, GlobalMemory(), FaultHook())
 
 
 def make_event(opcode: Opcode = Opcode.IADD, warp_id: int = 0,
@@ -27,7 +37,7 @@ def make_event(opcode: Opcode = Opcode.IADD, warp_id: int = 0,
     event = IssueEvent(
         cycle=cycle, sm_id=0, warp_id=warp_id, pc=0, instruction=inst,
         logical_mask=mask, hw_mask=mask, warp_width=warp_width,
-        dest_reg=inst.dest_register(),
+        unit=info.unit, dest_reg=inst.dest_register(),
     )
     values = srcs or tuple(range(1, info.num_srcs + 1))
     for lane in range(warp_width):

@@ -119,9 +119,10 @@ class TestIdleDraining:
 
 class TestRAWOnUnverified:
     def _consumer(self, reg):
+        """The source registers of ``iadd r9, r<reg>, r8``."""
         return Instruction(
             opcode=Opcode.IADD, dst=Reg(9), srcs=(Reg(reg), Reg(8))
-        )
+        ).source_registers()
 
     def test_consumer_of_buffered_result_stalls(self):
         checker, stats = make_checker()

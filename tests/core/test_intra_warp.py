@@ -5,15 +5,14 @@ from repro.core.comparator import ResultComparator
 from repro.core.intra_warp import IntraWarpDMR
 from repro.isa.opcodes import Opcode
 
-from tests.core.conftest import make_event
+from tests.core.conftest import faulty_executor, make_event
 
 
-def make_engine(cluster=4, functional=False):
+def make_engine(cluster=4):
     stats = MetricsRegistry()
     comparator = ResultComparator()
     engine = IntraWarpDMR(
         cluster_size=cluster, stats=stats, comparator=comparator,
-        functional_verify=functional,
     )
     return engine, stats, comparator
 
@@ -57,19 +56,18 @@ class TestVerifiedCounting:
 
 
 class TestFunctionalVerification:
+    """Lane values are compared on a faulty executor (an armed hook;
+    the bare one may perturb any lane, so every pair is recomputed)."""
+
     def test_clean_execution_no_detections(self):
-        from repro.sim.executor import Executor
-        from repro.sim.memory import GlobalMemory
-        engine, _, comparator = make_engine(functional=True)
-        executor = Executor(0, GlobalMemory())
-        engine.process(make_event(Opcode.IADD, hw_mask=0b0011), executor)
+        engine, _, comparator = make_engine()
+        engine.process(make_event(Opcode.IADD, hw_mask=0b0011),
+                       faulty_executor())
         assert comparator.detection_count == 0
 
     def test_corrupted_original_detected(self):
-        from repro.sim.executor import Executor
-        from repro.sim.memory import GlobalMemory
-        engine, _, comparator = make_engine(functional=True)
-        executor = Executor(0, GlobalMemory())
+        engine, _, comparator = make_engine()
+        executor = faulty_executor()
         event = make_event(Opcode.IADD, hw_mask=0b0011)
         event.lane_results[0] = 999  # corrupt lane 0's stored result
         engine.process(event, executor)

@@ -22,7 +22,7 @@ def make_event(opcode=Opcode.IADD, warp_id=0, dest=None):
     return IssueEvent(
         cycle=0, sm_id=0, warp_id=warp_id, pc=0, instruction=inst,
         logical_mask=0xFFFFFFFF, hw_mask=0xFFFFFFFF, warp_width=32,
-        dest_reg=inst.dest_register(),
+        unit=info.unit, dest_reg=inst.dest_register(),
     )
 
 
@@ -57,68 +57,57 @@ class TestQueue:
     def test_enqueue_dequeue_fifo(self):
         q = ReplayQ(4)
         events = [make_event(warp_id=i) for i in range(3)]
-        for i, e in enumerate(events):
-            q.enqueue(e, cycle=i)
+        for event in events:
+            q.enqueue(event)
         assert len(q) == 3
-        assert q.dequeue_oldest().warp_id == 0
-        assert q.dequeue_oldest().warp_id == 1
+        assert q.dequeue_of_type(UnitType.SP) is events[0]
+        assert q.dequeue_of_type(UnitType.SP) is events[1]
 
     def test_enqueue_full_rejected(self):
         q = ReplayQ(1)
-        q.enqueue(make_event(), 0)
+        q.enqueue(make_event())
         with pytest.raises(ConfigError):
-            q.enqueue(make_event(), 1)
+            q.enqueue(make_event())
 
     def test_dequeue_different_type(self):
         q = ReplayQ(4)
-        q.enqueue(make_event(Opcode.IADD), 0)
-        q.enqueue(make_event(Opcode.LD_GLOBAL), 1)
+        q.enqueue(make_event(Opcode.IADD))
+        q.enqueue(make_event(Opcode.LD_GLOBAL))
         entry = q.dequeue_different_type(UnitType.SP)
         assert entry.unit is UnitType.LDST
         assert len(q) == 1
 
     def test_dequeue_different_type_none_available(self):
         q = ReplayQ(4)
-        q.enqueue(make_event(Opcode.IADD), 0)
+        q.enqueue(make_event(Opcode.IADD))
         assert q.dequeue_different_type(UnitType.SP) is None
         assert len(q) == 1
 
     def test_dequeue_of_type(self):
         q = ReplayQ(4)
-        q.enqueue(make_event(Opcode.LD_GLOBAL), 0)
-        q.enqueue(make_event(Opcode.SIN), 1)
+        q.enqueue(make_event(Opcode.LD_GLOBAL))
+        q.enqueue(make_event(Opcode.SIN))
         assert q.dequeue_of_type(UnitType.SFU).unit is UnitType.SFU
         assert q.dequeue_of_type(UnitType.SFU) is None
 
-    def test_find_producer_newest_wins(self):
-        q = ReplayQ(4)
-        first = q.enqueue(make_event(dest=5, warp_id=1), 0)
-        second = q.enqueue(make_event(dest=5, warp_id=1), 1)
-        assert q.find_producer(1, 5) is second
-        assert q.find_producer(2, 5) is None
-        assert q.find_producer(1, 6) is None
-
     def test_remove_specific_entry(self):
+        """Removal is by identity: an equal event is another entry."""
         q = ReplayQ(4)
-        entry = q.enqueue(make_event(), 0)
-        assert q.remove(entry)
-        assert not q.remove(entry)
+        event, twin = make_event(), make_event()
+        assert event == twin
+        q.enqueue(twin)
+        q.enqueue(event)
+        assert q.remove(event)
+        assert not q.remove(event)
+        assert list(q) == [twin] and next(iter(q)) is twin
 
     def test_drain_empties(self):
         q = ReplayQ(4)
-        q.enqueue(make_event(), 0)
-        q.enqueue(make_event(), 1)
+        q.enqueue(make_event())
+        q.enqueue(make_event())
         drained = q.drain()
         assert len(drained) == 2
         assert q.is_empty
-
-    def test_peak_occupancy(self):
-        q = ReplayQ(4)
-        q.enqueue(make_event(), 0)
-        q.enqueue(make_event(), 1)
-        q.dequeue_oldest()
-        q.enqueue(make_event(), 2)
-        assert q.peak_occupancy == 2
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigError):

@@ -21,10 +21,8 @@ def fake_event(cycle=3, warp_id=1, pc=8, active=16,
                opcode="IADD", unit="alu"):
     return SimpleNamespace(
         cycle=cycle, warp_id=warp_id, pc=pc, active_count=active,
-        instruction=SimpleNamespace(
-            opcode=SimpleNamespace(value=opcode),
-            unit=SimpleNamespace(value=unit),
-        ),
+        instruction=SimpleNamespace(opcode=SimpleNamespace(value=opcode)),
+        unit=SimpleNamespace(value=unit),
     )
 
 

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.common.errors import StoreDegraded
-from repro.service.health import fsck_store
+from repro.service.health import fsck_store, sweep_job
 from repro.service.jobs import submit_fanout_job
 from repro.service.server import ServiceServer
 from repro.service.store import JobStore, canonical_json, job_id_for
@@ -140,6 +140,33 @@ class TestFlatCost:
         jobs = os.fspath(store.jobs_dir)
         assert not [path for path in calls.listed
                     if path.startswith(jobs)]
+
+
+class TestSweepManifestReads:
+    def test_a_merging_sweep_parses_job_json_once(self, tmp_path,
+                                                  monkeypatch):
+        """``sweep_job`` loads the immutable manifest once and hands it
+        to lost-unit regeneration, the unit count and the merge."""
+        store = JobStore(tmp_path)
+        job_id = submit_fanout(store)
+        worker = ServiceWorker(store, owner="w", heartbeat_seconds=math.inf)
+        while store.counts(job_id)["pending"]:
+            assert worker.run_once() is not None  # executes, never sweeps
+        reads = []
+        open_ = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if os.path.basename(os.fspath(file)) == "job.json":
+                reads.append(file)
+            return open_(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", counting_open)
+            swept = sweep_job(store, job_id)
+        assert swept["finalized"]
+        assert len(reads) == 1
+        assert store.read_merged(job_id) == {
+            "kind": "fanout", "keys": ["sq0", "sq1", "sq2", "sq3"]}
 
 
 # ----------------------------------------------------------------------

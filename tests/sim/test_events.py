@@ -3,7 +3,11 @@
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode, UnitType
 from repro.isa.operands import Reg
+from repro.kernel.program import Program
 from repro.sim.events import IssueEvent
+from repro.sim.executor import Executor
+from repro.sim.memory import GlobalMemory
+from repro.sim.warp import ThreadBlock, Warp
 
 
 def make(mask=0xFFFFFFFF, width=32, opcode=Opcode.FFMA):
@@ -13,7 +17,7 @@ def make(mask=0xFFFFFFFF, width=32, opcode=Opcode.FFMA):
     return IssueEvent(
         cycle=7, sm_id=1, warp_id=3, pc=12, instruction=inst,
         logical_mask=mask, hw_mask=mask, warp_width=width,
-        dest_reg=0,
+        unit=UnitType.SP, dest_reg=0,
     )
 
 
@@ -32,14 +36,19 @@ class TestIssueEvent:
         assert not make(0xFFFF, width=32).is_full
 
     def test_unit_forwarding(self):
-        assert make().unit is UnitType.SP
+        """An executor's event carries the unit of its pc's decode-table
+        entry, the instruction's own unit."""
         load = Instruction(opcode=Opcode.LD_GLOBAL, dst=Reg(0),
                            srcs=(Reg(1),))
-        event = IssueEvent(
-            cycle=0, sm_id=0, warp_id=0, pc=0, instruction=load,
-            logical_mask=1, hw_mask=1, warp_width=32,
-        )
-        assert event.unit is UnitType.LDST
+        program = Program("load", (load, Instruction(Opcode.EXIT)))
+        executor = Executor(0, program, GlobalMemory())
+        block = ThreadBlock(0, block_dim=32, warp_size=32, shared_words=4)
+        warp = Warp(0, block, warp_base=0, warp_size=32, num_registers=2,
+                    num_predicates=1, lane_of_slot=list(range(32)),
+                    grid_dim=1)
+        event = executor.issue_event(warp, executor.decoded[0], 0, 0, 1)
+        assert event.unit is UnitType.LDST is load.unit
+        assert event.dest_reg == 0
 
     def test_repr_is_informative(self):
         text = repr(make(0b11))

@@ -1,11 +1,13 @@
-"""Lane-value gating: who reads per-lane values, and what it costs.
+"""Lane-value gating: the one rule, and what it costs.
 
-``SM.lane_values_unread()`` says whether anything attached to an SM (a
-fault hook, an issue listener, a DMR controller that verifies lane
-values) reads an issue's per-lane inputs and results.  It decides
-whether issue events carry them (``Executor.record_lanes``) and
-whether a launch may record or replay its control flow.  These tests
-pin the predicate, the recording rule it drives, and that the ``fast``
+Per launch, issue events carry per-lane inputs and results
+(``Executor.record_lanes``) if and only if a fault hook is armed or an
+issue listener is attached (Chrome tracing attaches one), and a DMR
+controller compares lane values if and only if its executor is
+``faulty``.  No controller takes part in the decision, so a launch
+with neither a hook nor a listener is timing-only whatever controller
+it attaches.  These tests pin the rule over every shipped controller
+and a duck-typed one, the recording it drives, and that the ``fast``
 engine matches the ``scalar`` oracle byte for byte on either side of
 it.
 """
@@ -19,6 +21,7 @@ import weakref
 import pytest
 
 from repro.analysis.runner import experiment_config
+from repro.baselines.dmtr import DMTRController
 from repro.baselines.sampling import SamplingDMRController
 from repro.common.bitops import active_lane_list
 from repro.common.config import DMRConfig, GPUConfig, LaunchConfig
@@ -27,7 +30,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import TransientFault
 from repro.isa.opcodes import CmpOp, Opcode, UnitType
 from repro.kernel.builder import KernelBuilder
-from repro.sim.executor import FaultHook
+from repro.sim.executor import Executor, FaultHook
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
 from repro.sim.sm import SM
@@ -65,57 +68,14 @@ def make_sm(program, *, fault_hook=None):
     )
 
 
-def _controllers(sm, functional_verify):
-    """Both shipped Warped-DMR controllers, as GPU.launch builds them."""
-    dmr = DMRConfig.paper_default()
-    return [
-        DMRController(sm.config, dmr, sm.stats,
-                      functional_verify=functional_verify),
-        SamplingDMRController(sm.config, dmr, sm.stats,
-                              functional_verify=functional_verify),
-    ]
-
-
-class TestLaneValuesUnread:
-    def test_undeclared_controller_reads_lane_values(self):
-        """A controller that does not declare ``functional_verify`` is
-        assumed to read lane values."""
-        sm = make_sm(build_counting_kernel())
-        assert sm.lane_values_unread()
-        sm.dmr = object()
-        assert not sm.lane_values_unread()
-
-    def test_timing_only_controllers_read_none(self):
-        sm = make_sm(build_counting_kernel())
-        for controller in _controllers(sm, functional_verify=False):
-            sm.dmr = controller
-            assert sm.lane_values_unread(), type(controller).__name__
-
-    def test_verifying_controllers_read_lane_values(self):
-        sm = make_sm(build_counting_kernel())
-        for controller in _controllers(sm, functional_verify=True):
-            sm.dmr = controller
-            assert not sm.lane_values_unread(), type(controller).__name__
-
-    def test_issue_listener_reads_lane_values(self):
-        sm = make_sm(build_counting_kernel())
-        sm.add_issue_listener(lambda event: None)
-        assert not sm.lane_values_unread()
-
-    def test_fault_hook_reads_lane_values(self):
-        sm = make_sm(build_counting_kernel(), fault_hook=FaultHook())
-        assert not sm.lane_values_unread()
-
-
 class SpyController:
     """A duck-typed DMR controller that keeps every issue event."""
 
-    def __init__(self, functional_verify: bool) -> None:
-        self.functional_verify = functional_verify
+    def __init__(self) -> None:
         self.detections = []
         self.events = []
 
-    def check_raw(self, warp_id, inst) -> int:
+    def check_raw(self, warp_id, srcs) -> int:
         return 0
 
     def on_issue(self, event, executor) -> int:
@@ -129,26 +89,104 @@ class SpyController:
         return 0
 
 
+#: every shipped controller, built as its launch builds it, and a spy
+CONTROLLERS = {
+    "warped_dmr": lambda sm: DMRController(
+        sm.config, DMRConfig.paper_default(), sm.stats),
+    "sampling": lambda sm: SamplingDMRController(
+        sm.config, DMRConfig.paper_default(), sm.stats),
+    "dmtr": lambda sm: DMTRController(sm.stats),
+    "spy": lambda sm: SpyController(),
+}
+
+
+def records_lanes(controller=None, *, fault_hook=None, listener=None):
+    """Whether an SM running the counting kernel with *controller*
+    (a ``CONTROLLERS`` name), *fault_hook* and *listener* attached
+    records lane values."""
+    sm = make_sm(build_counting_kernel(), fault_hook=fault_hook)
+    if controller is not None:
+        sm.dmr = CONTROLLERS[controller](sm)
+    if listener is not None:
+        sm.add_issue_listener(listener)
+    sm.run()
+    return sm.executor.record_lanes
+
+
 #: opcodes whose issue computes no lane values on either engine
 _VALUE_FREE = (Opcode.BAR, Opcode.EXIT, Opcode.JMP)
 
 
-def _spied_events(*, functional_verify=False, fault_hook=None,
-                  listener=None):
-    """The issue events a spy controller sees in a ``fast`` launch of
-    the counting kernel (two SMs, four blocks).  A
-    ``controller_factory`` launch never records or replays, so it
-    executes."""
+class TestLaneValuesUnread:
+    """Lane values go unread unless a fault hook is armed or an issue
+    listener is attached; the controller never changes that."""
+
+    def test_undeclared_controller_reads_lane_values(self):
+        """A duck-typed controller declares nothing, yet on a faulty
+        executor it is handed every active lane's inputs and results,
+        and on a fault-free one none."""
+        for hook in (None, FaultHook()):
+            sm = make_sm(build_counting_kernel(), fault_hook=hook)
+            sm.dmr = spy = SpyController()
+            sm.run()
+            events = [event for event in spy.events
+                      if event.instruction.opcode not in _VALUE_FREE
+                      and event.hw_mask]
+            assert events
+            for event in events:
+                lanes = (set(active_lane_list(event.hw_mask,
+                                              event.warp_width))
+                         if hook else set())
+                assert set(event.lane_inputs) == lanes, event.pc
+                assert set(event.lane_results) == lanes, event.pc
+
+    def test_timing_only_controllers_read_none(self):
+        assert not records_lanes()
+        for name in CONTROLLERS:
+            assert not records_lanes(name), name
+
+    def test_verifying_controllers_read_lane_values(self, monkeypatch):
+        """A controller re-executes lanes exactly when its executor is
+        faulty, which is when lane values are recorded."""
+        calls = []
+        original = Executor.reexecute_lane
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Executor, "reexecute_lane", counted)
+        for name in CONTROLLERS:
+            calls.clear()
+            assert not records_lanes(name)
+            assert not calls, name
+            assert records_lanes(name, fault_hook=FaultHook()), name
+            assert bool(calls) == (name != "spy"), name
+
+    def test_issue_listener_reads_lane_values(self):
+        for name in (None, *CONTROLLERS):
+            assert records_lanes(name, listener=lambda event: None), name
+
+    def test_fault_hook_reads_lane_values(self):
+        assert records_lanes(fault_hook=FaultHook())
+
+
+def _spied_events(*, fault_hook=None, listener=None):
+    """The issue events a spy controller sees in an executing ``fast``
+    launch of the counting kernel (two SMs, four blocks).  Executing,
+    not recording: a recording launch fills each load's and store's
+    word addresses in for its race check."""
     spies = []
 
     def factory(stats):
-        spies.append(SpyController(functional_verify))
+        spies.append(SpyController())
         return spies[-1]
 
     gpu = GPU(GPUConfig(num_sms=2, engine="fast"), fault_hook=fault_hook)
-    result = gpu.launch(build_counting_kernel(3), LaunchConfig(4, 64),
-                        memory=GlobalMemory(), controller_factory=factory,
-                        issue_listener=listener)
+    with replay_disabled():
+        result = gpu.launch(build_counting_kernel(3), LaunchConfig(4, 64),
+                            memory=GlobalMemory(), controller_factory=factory,
+                            issue_listener=listener)
     assert result.engine_issues["vector"] > 0
     events = [event for spy in spies for event in spy.events]
     assert len(events) == result.instructions_issued
@@ -158,23 +196,21 @@ def _spied_events(*, functional_verify=False, fault_hook=None,
 
 
 class TestLaneRecording:
-    """Issue events carry per-lane values exactly when something
-    attached reads them (``record_lanes = not lane_values_unread()``)."""
+    """Issue events carry per-lane values exactly when a fault hook or
+    an issue listener is attached."""
 
     def test_timing_only_controller_gets_value_free_events(self):
-        events = _spied_events(functional_verify=False)
+        events = _spied_events()
         assert events
         for event in events:
             assert not event.lane_inputs and not event.lane_results, (
                 event.pc, event.instruction.opcode)
 
-    @pytest.mark.parametrize("reader", ["listener", "fault_hook",
-                                        "functional_verify"])
+    @pytest.mark.parametrize("reader", ["listener", "fault_hook"])
     def test_lane_readers_get_every_active_lane(self, reader):
         kwargs = {
             "listener": dict(listener=lambda event: None),
             "fault_hook": dict(fault_hook=FaultHook()),
-            "functional_verify": dict(functional_verify=True),
         }[reader]
         events = _spied_events(**kwargs)
         assert events
@@ -184,8 +220,7 @@ class TestLaneRecording:
             assert set(event.lane_results) == lanes, event.pc
 
 
-def _matrixmul(engine, *, dmr=None, fault_hook=None,
-               controller_factory=None):
+def _matrixmul(engine, *, dmr=None, fault_hook=None):
     """matrixmul (scale 0.25, 2 SMs): its payload and engine mix.
 
     The launch executes even if an earlier one recorded matrixmul:
@@ -195,8 +230,7 @@ def _matrixmul(engine, *, dmr=None, fault_hook=None,
     gpu = GPU(experiment_config(num_sms=2, engine=engine),
               dmr=dmr or DMRConfig.disabled(), fault_hook=fault_hook)
     with replay_disabled():
-        result = gpu.launch(run.program, run.launch, memory=run.memory,
-                            controller_factory=controller_factory)
+        result = gpu.launch(run.program, run.launch, memory=run.memory)
     run.check(run.memory)
     return pickle.dumps(result.to_payload()), result.engine_issues
 
@@ -223,15 +257,6 @@ class TestLaneReaderPayloads:
         assert issues["vector"] > 0
         assert fast == _matrixmul("scalar", dmr=self.DMR,
                                   fault_hook=hook())[0]
-
-    def test_verifying_controller_launch_matches_scalar(self):
-        def factory(stats):
-            return DMRController(experiment_config(num_sms=2), self.DMR,
-                                 stats, functional_verify=True)
-
-        fast, issues = _matrixmul("fast", controller_factory=factory)
-        assert issues["vector"] > 0
-        assert fast == _matrixmul("scalar", controller_factory=factory)[0]
 
 
 class TestLaunchLifetime:

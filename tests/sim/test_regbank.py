@@ -9,7 +9,8 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Imm, Reg
 from repro.kernel.builder import KernelBuilder
-from repro.sim.regbank import bank_of, conflict_extra_cycles, serialized_accesses
+from repro.sim.regbank import bank_of, serialized_accesses
+from repro.sim.vexec import DecodedInst
 
 from tests.conftest import run_program
 
@@ -36,17 +37,18 @@ class TestBankMath:
         assert serialized_accesses([3, 3]) == 0
 
     def test_ffma_worst_case(self):
-        # three sources, all in bank 1
+        # three sources, all in bank 1; the SM charges the serialized
+        # reads of the decode table's source registers
         inst = Instruction(
             opcode=Opcode.FFMA, dst=Reg(0), srcs=(Reg(1), Reg(5), Reg(9))
         )
-        assert conflict_extra_cycles(inst) == 2
+        assert serialized_accesses(DecodedInst(inst).srcs) == 2
 
     def test_immediates_do_not_conflict(self):
         inst = Instruction(
             opcode=Opcode.IADD, dst=Reg(0), srcs=(Reg(1), Imm(4))
         )
-        assert conflict_extra_cycles(inst) == 0
+        assert serialized_accesses(DecodedInst(inst).srcs) == 0
 
 
 class TestBankConflictTiming:

@@ -6,8 +6,9 @@ check certifies it; later launches with the same key replay it.  These
 tests pin the verdicts (registry workloads, planted races and
 divergences; the fuzz corpus's are in ``tests/fuzz``), show that replayed payloads equal executed
 ones byte for byte under every figure configuration, schedule and
-obs setting, and check that excluded launches never record or replay
-and that a corrupted record raises.
+obs setting, and check that excluded launches never record or replay,
+that launches with a baseline's own DMR controller do, and that a
+corrupted record raises.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import SuiteRunner, experiment_config
+from repro.baselines.sampling import sampling_factory
+from repro.baselines.schemes import DMTRScheme
 from repro.common.config import (DMRConfig, GPUConfig, LaunchConfig,
                                  MappingPolicy)
 from repro.common.errors import SimulationError
-from repro.core.dmr_controller import DMRController
 from repro.faults.injector import FaultInjector
 from repro.faults.models import TransientFault
 from repro.fuzz import Corpus, run_kernel
@@ -358,9 +360,6 @@ EXCLUDED = {
     "fault_hook": lambda: dict(fault_hook=_fault_hook()),
     "issue_listener": lambda: dict(issue_listener=lambda event: None),
     "chrome_tracing": lambda: dict(obs="trace"),
-    "controller_factory": lambda: dict(controller_factory=lambda stats:
-                                       DMRController(fast_config(),
-                                                     DMRConfig(), stats)),
 }
 
 
@@ -378,15 +377,38 @@ def test_excluded_launches_neither_record_nor_replay(mode):
         assert result.memory.to_payload() == recorded.memory.to_payload()
 
 
-def test_a_lane_reader_the_mode_decision_misses_fails_the_launch(
-        monkeypatch):
-    """``SM.lane_values_unread`` is the rule; a reader added there that
-    ``GPU.launch``'s choice of mode does not know stops the launch
-    instead of replaying values the reader needs."""
-    monkeypatch.setattr(SM, "lane_values_unread", lambda self: False)
-    program = build_counting_kernel(3)
-    with pytest.raises(SimulationError, match="read lane values"):
-        launch(program)
+def _controller_launch(scheme, engine):
+    """matrixmul (scale 0.25, 2 SMs) with a baseline's own controller
+    attached through ``controller_factory``: DMTR as its scheme runs
+    it, or sampling DMR as its ablation does."""
+    config = experiment_config(num_sms=2, engine=engine)
+    workload = get_workload("matrixmul")
+    if scheme == "dmtr":
+        return DMTRScheme(config).kernel_cycles(workload, 0.25, 0)
+    run = workload.prepare(0.25, 0)
+    return GPU(config).launch(
+        run.program, run.launch, memory=run.memory,
+        controller_factory=sampling_factory(config, epoch_cycles=256,
+                                            sample_cycles=64))
+
+
+@pytest.mark.parametrize("scheme", ["dmtr", "sampling"])
+def test_controller_factory_launches_record_then_replay(scheme):
+    """A custom controller compares lane values only on a faulty
+    executor, so a DMTR or sampling launch without a fault hook is
+    timing-only: its first launch of a key records, its second replays,
+    and both payloads equal the ``scalar`` engine's executed one."""
+    program = get_workload("matrixmul").prepare(0.25, 0).program
+    replay.forget(program)
+    scalar = _controller_launch(scheme, "scalar")
+    first = _controller_launch(scheme, "fast")
+    assert only_verdict(program).certified
+    second = _controller_launch(scheme, "fast")
+    assert first.engine_issues["replayed"] == 0
+    assert first.engine_issues["vector"] > 0
+    assert second.engine_issues == {
+        "vector": 0, "scalar": 0, "replayed": second.instructions_issued}
+    assert payload(first) == payload(second) == payload(scalar)
 
 
 def _corrupt(program, how):

@@ -1,13 +1,20 @@
 """Unit tests for warp schedulers."""
 
 from repro.common.config import SchedulerPolicy
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.operands import Reg
+from repro.kernel.program import Program
+from repro.sim import vexec
 from repro.sim.scheduler import (WarpScheduler, derive_scheduler_seed,
                                  ready_cycle)
 from repro.sim.warp import ThreadBlock, Warp
 
-#: hazard plans of a one-instruction program reading r0 (every warp
-#: sits at pc 0)
-PLANS = [((0,), None, (0,), ())]
+#: decode table of a program whose pc 0 stores r0 (every warp sits at
+#: pc 0, and its only hazard operand is r0)
+DECODED = vexec.decoded(Program("reads_r0", (
+    Instruction(Opcode.ST_GLOBAL, srcs=(Reg(0), Reg(0))),
+    Instruction(Opcode.EXIT))))
 
 
 def make_warps(n):
@@ -32,7 +39,7 @@ class TestRoundRobin:
     def test_cycles_through_warps(self):
         warps = make_warps(3)
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        picks = [sched.select(warps, 0, PLANS).warp_id
+        picks = [sched.select(warps, 0, DECODED).warp_id
                  for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
@@ -40,7 +47,7 @@ class TestRoundRobin:
         warps = make_warps(3)
         warps[1].barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        picks = [sched.select(warps, 0, PLANS).warp_id
+        picks = [sched.select(warps, 0, DECODED).warp_id
                  for _ in range(4)]
         assert picks == [0, 2, 0, 2]
 
@@ -49,46 +56,46 @@ class TestRoundRobin:
         for warp in warps:
             warp.barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        assert sched.select(warps, 0, PLANS) is None
+        assert sched.select(warps, 0, DECODED) is None
 
     def test_empty_list(self):
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        assert sched.select([], 0, PLANS) is None
+        assert sched.select([], 0, DECODED) is None
 
     def test_respects_scoreboard(self):
         warps = make_warps(2)
         block_on_scoreboard(warps[0])
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN)
-        assert sched.select(warps, 0, PLANS).warp_id == 1
-        assert sched.select(warps, 0, PLANS).warp_id == 1
-        assert sched.select(warps, 10, PLANS).warp_id == 0
+        assert sched.select(warps, 0, DECODED).warp_id == 1
+        assert sched.select(warps, 0, DECODED).warp_id == 1
+        assert sched.select(warps, 10, DECODED).warp_id == 0
 
     def test_ready_cycle_is_memoized_per_pc(self):
         warp, = make_warps(1)
         block_on_scoreboard(warp, until=7)
-        assert ready_cycle(warp, PLANS) == 7
+        assert ready_cycle(warp, DECODED) == 7
         warp.scoreboard.mark_reg_write(0, 9)  # unseen until invalidated
-        assert ready_cycle(warp, PLANS) == 7
+        assert ready_cycle(warp, DECODED) == 7
         warp.sb_pc = -1
-        assert ready_cycle(warp, PLANS) == 9
+        assert ready_cycle(warp, DECODED) == 9
 
 
 class TestGreedyThenOldest:
     def test_sticks_with_current_warp(self):
         warps = make_warps(3)
         sched = WarpScheduler(SchedulerPolicy.GREEDY_THEN_OLDEST)
-        picks = [sched.select(warps, 0, PLANS).warp_id
+        picks = [sched.select(warps, 0, DECODED).warp_id
                  for _ in range(4)]
         assert picks == [0, 0, 0, 0]
 
     def test_falls_back_to_oldest_when_greedy_stalls(self):
         warps = make_warps(3)
         sched = WarpScheduler(SchedulerPolicy.GREEDY_THEN_OLDEST)
-        assert sched.select(warps, 0, PLANS).warp_id == 0
+        assert sched.select(warps, 0, DECODED).warp_id == 0
         warps[0].barrier_blocked = True
-        assert sched.select(warps, 0, PLANS).warp_id == 1
+        assert sched.select(warps, 0, DECODED).warp_id == 1
         # ...and now it greedily stays on warp 1
-        assert sched.select(warps, 0, PLANS).warp_id == 1
+        assert sched.select(warps, 0, DECODED).warp_id == 1
 
 
 class TestSeededExploration:
@@ -97,7 +104,7 @@ class TestSeededExploration:
     def _picks(self, seed, count=16, n=4):
         warps = make_warps(n)
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=seed)
-        return [sched.select(warps, 0, PLANS).warp_id
+        return [sched.select(warps, 0, DECODED).warp_id
                 for _ in range(count)]
 
     def test_same_seed_replays_identically(self):
@@ -114,7 +121,7 @@ class TestSeededExploration:
         warps = make_warps(4)
         warps[2].barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=11)
-        picks = {sched.select(warps, 0, PLANS).warp_id
+        picks = {sched.select(warps, 0, DECODED).warp_id
                  for _ in range(32)}
         assert 2 not in picks
         assert picks <= {0, 1, 3}
@@ -124,14 +131,14 @@ class TestSeededExploration:
         for warp in warps:
             warp.barrier_blocked = True
         sched = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=3)
-        assert sched.select(warps, 0, PLANS) is None
+        assert sched.select(warps, 0, DECODED) is None
 
     def test_stalls_consume_no_decision_index(self):
         """A no-candidate cycle must not shift later decisions, so a
         schedule replays exactly regardless of stall timing."""
         warps = make_warps(3)
         reference = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=5)
-        expected = [reference.select(warps, 0, PLANS).warp_id
+        expected = [reference.select(warps, 0, DECODED).warp_id
                     for _ in range(8)]
 
         stalled = WarpScheduler(SchedulerPolicy.ROUND_ROBIN, seed=5)
@@ -140,10 +147,10 @@ class TestSeededExploration:
             if i == 3:  # interpose a cycle where nothing can issue
                 for warp in warps:
                     warp.stalled_until = 1
-                assert stalled.select(warps, 0, PLANS) is None
+                assert stalled.select(warps, 0, DECODED) is None
                 for warp in warps:
                     warp.stalled_until = 0
-            picks.append(stalled.select(warps, 0, PLANS).warp_id)
+            picks.append(stalled.select(warps, 0, DECODED).warp_id)
         assert picks == expected
 
     def test_derive_scheduler_seed_separates_streams(self):

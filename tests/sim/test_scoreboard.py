@@ -5,8 +5,8 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.isa.opcodes import CmpOp
 from repro.kernel.builder import KernelBuilder
+from repro.sim import vexec
 from repro.sim.scoreboard import Scoreboard
-from repro.sim.sm import _hazard_plans
 
 
 class TestScoreboard:
@@ -20,16 +20,16 @@ class TestScoreboard:
         assert sb.ready_cycle_flat((3,), ()) == 50
 
     def test_waw_blocks_writer(self):
-        """The SM's hazard plan lists a destination among the registers
-        it checks, so a pending write of it blocks the writer too."""
+        """The decode table lists a destination among the registers an
+        issue checks, so a pending write of it blocks the writer too."""
         b = KernelBuilder("waw")
         dst = b.reg()
         b.mov(dst, 7)
         b.exit()
-        _, _, hazard_regs, hazard_preds = _hazard_plans(b.build())[0]
+        entry = vexec.decoded(b.build())[0]
         sb = Scoreboard()
         sb.mark_reg_write(dst.idx, ready_cycle=50)
-        assert sb.ready_cycle_flat(hazard_regs, hazard_preds) == 50
+        assert sb.ready_cycle_flat(entry.hazard_regs, entry.hazard_preds) == 50
 
     def test_unrelated_register_unblocked(self):
         sb = Scoreboard()
@@ -44,16 +44,16 @@ class TestScoreboard:
 
     def test_predicate_tracking(self):
         """A pending predicate write blocks its readers and, through the
-        SM's hazard plan, an instruction that writes the same predicate."""
+        decode table, an instruction that writes the same predicate."""
         b = KernelBuilder("pwaw")
         pdst = b.pred()
         b.setp(pdst, b.reg(), CmpOp.EQ, 1)
         b.exit()
-        _, _, hazard_regs, hazard_preds = _hazard_plans(b.build())[0]
+        entry = vexec.decoded(b.build())[0]
         sb = Scoreboard()
         sb.mark_pred_write(pdst, ready_cycle=30)
         assert sb.ready_cycle_flat((), (pdst,)) == 30
-        assert sb.ready_cycle_flat(hazard_regs, hazard_preds) == 30
+        assert sb.ready_cycle_flat(entry.hazard_regs, entry.hazard_preds) == 30
         assert sb.ready_cycle_flat((), (pdst + 1,)) == 0
 
     def test_max_over_all_operands(self):

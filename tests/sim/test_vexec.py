@@ -28,6 +28,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CmpOp, Opcode, UnitType
 from repro.isa.operands import Imm, Reg
 from repro.kernel.builder import KernelBuilder
+from repro.kernel.program import Program
 
 WARP = 32
 
@@ -42,12 +43,14 @@ def _warp(block_dim=WARP, num_regs=4, lane_of_slot=None):
     return warp
 
 
-def _executor(engine="fast", fault_hook=None):
-    return Executor(0, GlobalMemory(size_words=1024), fault_hook,
-                    engine=engine)
-
-
 IADD = Instruction(opcode=Opcode.IADD, dst=Reg(2), srcs=(Reg(0), Reg(1)))
+
+
+def _executor(engine="fast", fault_hook=None, inst=IADD):
+    """An executor bound to a program whose pc 0 holds *inst*."""
+    program = Program("probe", (inst, Instruction(Opcode.EXIT)))
+    return Executor(0, program, GlobalMemory(size_words=1024), fault_hook,
+                    engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -60,13 +63,13 @@ def test_invalid_engine_rejected():
 
 def test_fast_engine_vectorizes():
     ex, warp = _executor(), _warp()
-    ex.execute(warp, IADD, 0, cycle=0)
+    ex.execute(warp, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == (1, 0)
 
 
 def test_scalar_engine_pins_interpreter():
     ex, warp = _executor(engine="scalar"), _warp()
-    ex.execute(warp, IADD, 0, cycle=0)
+    ex.execute(warp, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == (0, 1)
 
 
@@ -75,12 +78,13 @@ def test_scalar_engine_pins_interpreter():
 def test_issue_that_raises_counts_on_its_engine(engine, counts):
     """An out-of-range load raises mid-issue (a HUNG run's end), and
     still counts once, on the engine that ran it."""
-    ex, warp = _executor(engine=engine), _warp()
+    warp = _warp()
     for slot in range(WARP):
         warp.write_reg(slot, 0, 4096 + slot)  # memory holds 1024 words
     ld = Instruction(opcode=Opcode.LD_GLOBAL, dst=Reg(2), srcs=(Reg(0),))
+    ex = _executor(engine=engine, inst=ld)
     with pytest.raises(SimulationError, match="out of range"):
-        ex.execute(warp, ld, 0, cycle=0)
+        ex.execute(warp, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == counts
 
 
@@ -92,7 +96,7 @@ def test_bare_fault_hook_applies_every_lane():
     for engine in ("scalar", "fast"):
         hook = _RecordingHook()
         ex, warp = _executor(engine, fault_hook=hook), _site_warp()
-        outcomes[engine] = _outcome(warp, ex.execute(warp, IADD, 0, cycle=0))
+        outcomes[engine] = _outcome(warp, ex.execute(warp, 0, cycle=0))
         assert hook.lanes == SHUFFLED
     assert (ex.vector_issues, ex.scalar_issues) == (1, 0)
     assert outcomes["fast"] == outcomes["scalar"]
@@ -194,8 +198,8 @@ def test_stuck_at_site_lane_patched_after_vector_issue(inst, slot, bit,
         hook = _RecordingInjector([StuckAtFault(
             sm_id=0, hw_lane=lane, unit=UnitType.SP, bit=bit,
             stuck_to=stuck_to)])
-        ex, warp = _executor(engine, fault_hook=hook), _site_warp()
-        outcomes[engine] = _outcome(warp, ex.execute(warp, inst, 0, cycle=0))
+        ex, warp = _executor(engine, fault_hook=hook, inst=inst), _site_warp()
+        outcomes[engine] = _outcome(warp, ex.execute(warp, 0, cycle=0))
         hooks[engine] = hook
     assert (ex.vector_issues, ex.scalar_issues) == (1, 0)
     assert hooks["fast"].lanes == [lane]
@@ -213,7 +217,7 @@ def test_site_lanes_applied_in_slot_order():
     assert SHUFFLED[7] < SHUFFLED[1]
     hook = _RecordingInjector(faults)
     ex, warp = _executor(fault_hook=hook), _site_warp()
-    ex.execute(warp, IADD, 0, cycle=0)
+    ex.execute(warp, 0, cycle=0)
     assert ex.vector_issues == 1
     assert hook.lanes == [SHUFFLED[1], SHUFFLED[7]]
 
@@ -224,8 +228,9 @@ def test_memory_issue_with_live_site_lane_goes_scalar(inst):
     with an active site lane keeps the scalar per-lane order; off the
     active lanes (or on another unit) it stays vectorized."""
     def run(fault, issued=inst):
-        ex, warp = _executor(fault_hook=FaultInjector([fault])), _site_warp()
-        ex.execute(warp, issued, 0, cycle=0)
+        ex = _executor(fault_hook=FaultInjector([fault]), inst=issued)
+        warp = _site_warp()
+        ex.execute(warp, 0, cycle=0)
         return ex.vector_issues, ex.scalar_issues
 
     ldst = StuckAtFault(sm_id=0, hw_lane=SHUFFLED[4], unit=UnitType.LDST,
@@ -244,17 +249,18 @@ def test_reg_overflow_forces_scalar():
     ex, warp = _executor(), _warp()
     warp.write_reg(0, 0, 1 << 80)  # fits no plane -> overflow side table
     assert warp.reg_overflow
-    ex.execute(warp, IADD, 0, cycle=0)
+    ex.execute(warp, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == (0, 1)
 
 
 def test_mixed_int_float_still_vectorizes_float_ops():
-    ex, warp = _executor(), _warp()
+    warp = _warp()
     for slot in range(WARP):
         warp.write_reg(slot, 0, 1.5 if slot % 2 else 7)
         warp.write_reg(slot, 1, 2)
     fadd = Instruction(opcode=Opcode.FADD, dst=Reg(2), srcs=(Reg(0), Reg(1)))
-    ex.execute(warp, fadd, 0, cycle=0)
+    ex = _executor(inst=fadd)
+    ex.execute(warp, 0, cycle=0)
     assert ex.vector_issues == 1
     assert warp.read_reg(0, 2) == 9.0
     assert warp.read_reg(1, 2) == 3.5
@@ -266,19 +272,19 @@ def test_int_op_on_float_operand_falls_back():
     mutated by the aborted vector attempt."""
     ex, warp = _executor(), _warp()
     warp.write_reg(3, 0, 2.75)
-    ex.execute(warp, IADD, 0, cycle=0)
+    ex.execute(warp, 0, cycle=0)
     assert (ex.vector_issues, ex.scalar_issues) == (0, 1)
     assert warp.read_reg(3, 2) == 2  # int(2.75) + 0, scalar semantics
 
 
 def test_f2i_nonfinite_raises_identically():
+    f2i = Instruction(opcode=Opcode.F2I, dst=Reg(2), srcs=(Reg(0),))
     for engine in ("scalar", "fast"):
-        ex, warp = _executor(engine=engine), _warp()
+        ex, warp = _executor(engine=engine, inst=f2i), _warp()
         for slot in range(WARP):
             warp.write_reg(slot, 0, float("inf"))
-        f2i = Instruction(opcode=Opcode.F2I, dst=Reg(2), srcs=(Reg(0),))
         with pytest.raises(OverflowError):
-            ex.execute(warp, f2i, 0, cycle=0)
+            ex.execute(warp, 0, cycle=0)
 
 
 # ----------------------------------------------------------------------
@@ -294,28 +300,18 @@ def _tiny_program():
 
 
 def test_decode_cache_shared_across_executors():
+    """Every executor of a program, on either engine, reads the one
+    decode table memoized on the Program."""
     program = _tiny_program()
-    ex_a, ex_b = _executor(), _executor()
-    ex_a.bind_program(program)
-    ex_b.bind_program(program)
-    assert ex_a._decoded is ex_b._decoded  # memoized on the Program
-    assert len(ex_a._decoded) == len(program.instructions)
-    for entry, inst in zip(ex_a._decoded, program.instructions):
+    memory = GlobalMemory()
+    ex_a = Executor(0, program, memory)
+    ex_b = Executor(1, program, memory, engine="scalar")
+    assert ex_a.decoded is ex_b.decoded is vexec.decoded(program)
+    assert len(ex_a.decoded) == len(program.instructions)
+    for entry, inst in zip(ex_a.decoded, program.instructions):
         assert entry.inst is inst
-
-
-def test_scalar_executor_skips_decode():
-    ex = _executor(engine="scalar")
-    ex.bind_program(_tiny_program())
-    assert ex._decoded is None
-
-
-def test_unbound_executor_decodes_on_demand():
-    ex, warp = _executor(), _warp()
-    ex.execute(warp, IADD, 0, cycle=0)
-    ex.execute(warp, IADD, 5, cycle=1)
-    assert ex.vector_issues == 2
-    assert len(ex._adhoc) == 1  # equality-keyed, decoded once
+        assert entry.unit is inst.unit
+        assert entry.srcs == inst.source_registers()
 
 
 # ----------------------------------------------------------------------

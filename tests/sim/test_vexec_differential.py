@@ -42,6 +42,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CmpOp, Opcode
 from repro.isa.operands import Imm, Reg, SReg, SpecialReg
 from repro.kernel.builder import KernelBuilder
+from repro.kernel.program import Program
 from repro.sim.executor import Executor
 from repro.sim.gpu import GPU
 from repro.sim.memory import GlobalMemory
@@ -158,7 +159,7 @@ MEM_SPECS = {
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _build(engine, block_dim, mapping):
+def _build(engine, block_dim, mapping, inst):
     block = ThreadBlock(block_id=1, block_dim=block_dim,
                         warp_size=WARP_SIZE, shared_words=SHARED_WORDS)
     warp = Warp(warp_id=0, block=block, warp_base=0, warp_size=WARP_SIZE,
@@ -169,7 +170,8 @@ def _build(engine, block_dim, mapping):
     for addr in range(600):
         memory.store(addr, addr * 3 if addr % 3 else float(addr) / 2)
         block.shared.store(addr, addr * 7 if addr % 2 else -float(addr))
-    executor = Executor(0, memory, None, engine=engine)
+    program = Program("probe", (inst, Instruction(Opcode.EXIT)))
+    executor = Executor(0, program, memory, None, engine=engine)
     return warp, executor, memory
 
 
@@ -196,7 +198,7 @@ def _run_both(inst, reg_values, pred_values, block_dim, mapping):
     """Execute *inst* on both engines; compare state or exception type."""
     outcomes = []
     for engine in ("scalar", "fast"):
-        warp, executor, memory = _build(engine, block_dim, mapping)
+        warp, executor, memory = _build(engine, block_dim, mapping, inst)
         for reg, column in enumerate(reg_values):
             for slot in range(warp.live_slots):
                 warp.write_reg(slot, reg, column[slot])
@@ -204,7 +206,7 @@ def _run_both(inst, reg_values, pred_values, block_dim, mapping):
             for slot in range(warp.live_slots):
                 warp.write_pred(slot, pred, column[slot])
         try:
-            result = executor.execute(warp, inst, 0, cycle=9)
+            result = executor.execute(warp, 0, cycle=9)
         except Exception as error:  # both engines must agree on the abort
             outcomes.append(("raise", type(error)))
             continue
