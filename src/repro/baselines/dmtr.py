@@ -10,7 +10,7 @@ Implemented as a drop-in replacement for the per-SM DMR controller
 (same hook protocol as :class:`repro.core.dmr_controller.DMRController`,
 comparing lane values only on a faulty executor), so a DMTR launch
 without a fault hook is timing-only and records or replays its control
-flow like any other.
+flow like any other.  It verifies every eligible lane the SM counts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 from repro.common.bitops import active_lane_list
 from repro.obs.metrics import MetricsRegistry
 from repro.core.comparator import ResultComparator
-from repro.core.coverage import is_coverable
 from repro.sim.events import IssueEvent
 from repro.sim.executor import Executor
 
@@ -40,11 +39,6 @@ class DMTRController:
 
     def on_issue(self, event: IssueEvent,
                  executor: Optional[Executor]) -> int:
-        eligible = (is_coverable(event.instruction.opcode)
-                    and event.active_count > 0)
-        if eligible:
-            self.stats.inc("coverage_eligible_lanes", event.active_count)
-            self.stats.inc("coverage_verified_lanes", event.active_count)
         self.stats.inc("dmtr_replays")
         self.stats.inc(f"verify_unit_{event.unit.value}")
         if executor is not None and executor.faulty:
@@ -64,6 +58,9 @@ class DMTRController:
         return None
 
     def on_kernel_end(self, cycle: int) -> int:
+        eligible = self.stats.value("coverage_eligible_lanes")
+        if eligible:
+            self.stats.inc("coverage_verified_lanes", eligible)
         return 0
 
     @property

@@ -8,7 +8,8 @@ cycle window, giving the coverage-vs-overhead tradeoff curve the
 related-work argument implies:
 
 * within the sampled window, behaviour is exactly Warped-DMR;
-* outside it, instructions issue unverified (and the ReplayQ drains).
+* outside it, instructions issue unverified (and the ReplayQ drains),
+  though the SM still counts their eligible lanes.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ class SamplingDMRController:
         # outside the window: unprotected issue; give the checker the
         # cycle as an idle slot so leftover ReplayQ entries drain
         self.stats.inc("sampling_skipped_issues")
-        eligible = event.active_count > 0
-        if eligible:
-            from repro.core.coverage import is_coverable
-            if is_coverable(event.instruction.opcode):
-                self.stats.inc("coverage_eligible_lanes",
-                                event.active_count)
         self._inner.on_idle(event.cycle)
         return 0
 
@@ -86,10 +81,6 @@ class SamplingDMRController:
     @property
     def detections(self) -> List:
         return self._inner.detections
-
-    def coverage_report(self):
-        """Coverage over *all* eligible lanes (sampled + skipped)."""
-        return self._inner.coverage_report()
 
 
 def sampling_factory(gpu_config: GPUConfig,

@@ -4,7 +4,8 @@ Coverage is measured over *thread-instructions*: each active lane of
 each issued computation instruction is one unit of work that either was
 redundantly executed (verified) or was not.  Control/bookkeeping
 opcodes with no datapath computation (NOP, BAR, EXIT, JMP) are excluded
-— there is nothing to verify.
+— there is nothing to verify (``OpInfo.coverable``).  The verified lanes
+are derived when each SM finishes: read a finished run's stats.
 """
 
 from __future__ import annotations
@@ -12,15 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry
-from repro.isa.opcodes import Opcode
-
-#: Opcodes with no datapath computation to protect.
-COVERAGE_EXEMPT = frozenset({Opcode.NOP, Opcode.BAR, Opcode.EXIT, Opcode.JMP})
-
-
-def is_coverable(opcode: Opcode) -> bool:
-    """Whether DMR coverage accounting applies to *opcode*."""
-    return opcode not in COVERAGE_EXEMPT
 
 
 def theoretical_intra_warp_coverage(active_threads: int,

@@ -8,7 +8,12 @@ The SM calls four hooks (see :mod:`repro.sim.sm`):
   DMR (partially utilized) or the Replay Checker (fully utilized) and
   returns stall cycles to charge;
 * ``on_idle(cycle)`` on no-issue cycles — free verification slots;
-* ``on_kernel_end(cycle)`` — ReplayQ flush.
+* ``on_kernel_end(cycle)`` — ReplayQ flush, then the derived counters.
+
+Each DMR outcome is counted once, when it happens; the counters that
+restate others are derived in :meth:`DMRController.on_kernel_end`
+(DESIGN.md §7).  Only :meth:`repro.sim.gpu.GPU.launch` decides whether
+DMR runs.
 
 Redundant executions are compared lane by lane if and only if the
 executor is ``faulty`` (a fault hook is armed, so issue events carry
@@ -26,9 +31,9 @@ from typing import Optional, Tuple
 from repro.common.bitops import count_active
 from repro.common.config import DMRConfig, GPUConfig
 from repro.core.comparator import ResultComparator
-from repro.core.coverage import CoverageReport, is_coverable
-from repro.core.inter_warp import ReplayChecker
+from repro.core.inter_warp import VERIFY_PATHS, ReplayChecker
 from repro.core.intra_warp import IntraWarpDMR
+from repro.isa.opcodes import UnitType
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import IssueEvent
 from repro.sim.executor import Executor
@@ -54,11 +59,15 @@ class DMRController:
             frozenset(dmr_config.protected_pcs)
             if dmr_config.protected_pcs is not None else None
         )
+        self._probe = probe
+        # the engines' probe hooks only draw Chrome-trace instants
+        trace_probe = (probe if getattr(probe, "tracer", None) is not None
+                       else None)
         self.intra = IntraWarpDMR(
             cluster_size=gpu_config.cluster_size,
             stats=stats,
             comparator=self.comparator,
-            probe=probe,
+            probe=trace_probe,
             protected_mask=dmr_config.protected_mask,
         )
         self.checker = ReplayChecker(
@@ -66,7 +75,7 @@ class DMRController:
             dmr_config=dmr_config,
             stats=stats,
             comparator=self.comparator,
-            probe=probe,
+            probe=trace_probe,
         )
         if probe is not None:
             # per-cycle ReplayQ depth sampling (see PipelineProbe.on_cycle)
@@ -74,34 +83,15 @@ class DMRController:
 
     # -- SM hooks ----------------------------------------------------------
     def check_raw(self, warp_id: int, srcs: Tuple[int, ...]) -> int:
-        if not self.config.enabled:
-            return 0
         return self.checker.check_raw(warp_id, srcs)
 
     def _protects(self, event: IssueEvent) -> bool:
         """Partial-protection gate: does DMR verify this issue at all?"""
-        if (self._protected_pcs is not None
-                and event.pc not in self._protected_pcs):
-            return False
-        mask = self.config.protected_mask
-        if mask is not None and not (event.hw_mask & mask):
-            return False
-        return True
-
-    def _protected_count(self, event: IssueEvent) -> int:
-        """Active lanes the lane mask actually lets the checker verify."""
-        mask = self.config.protected_mask
-        if mask is None:
-            return event.active_count
-        return count_active(event.hw_mask & mask)
+        pcs, mask = self._protected_pcs, self.config.protected_mask
+        return ((pcs is None or event.pc in pcs)
+                and (mask is None or event.hw_mask & mask != 0))
 
     def on_issue(self, event: IssueEvent, executor: Executor) -> int:
-        if not self.config.enabled:
-            return 0
-        eligible = is_coverable(event.instruction.opcode) and event.active_count > 0
-        if eligible:
-            self.stats.inc("coverage_eligible_lanes", event.active_count)
-
         if not self._protects(event):
             # Unprotected instruction: no verification is spent on it,
             # but it is still the DEC/SCHED instruction of Algorithm 1 —
@@ -110,39 +100,69 @@ class DMRController:
 
         if event.is_full:
             stall = self.checker.accept(event, executor)
-            if eligible:
+            if event.coverable:
                 # Every fully utilized instruction is verified on one of
                 # Algorithm 1's paths (co-execute, buffered replay,
                 # eager re-execution, or the kernel-end flush).
-                verified = self._protected_count(event)
-                self.stats.inc("coverage_verified_lanes", verified)
-                self.stats.inc("coverage_inter_lanes", verified)
+                mask = self.config.protected_mask
+                self.stats.inc("coverage_inter_lanes",
+                               event.active_count if mask is None
+                               else count_active(event.hw_mask & mask))
             return stall
 
         stall = self.checker.observe_other_issue(event, executor)
-        if eligible:
-            verified = self.intra.process(event, executor)
-            self.stats.inc("coverage_verified_lanes", verified)
-            self.stats.inc("coverage_intra_lanes", verified)
+        if event.coverable and event.active_count:
+            self.intra.process(event, executor)
         return stall
 
     def on_idle(self, cycle: int) -> None:
-        if self.config.enabled:
-            self.checker.on_idle(cycle)
+        self.checker.on_idle(cycle)
 
     def quiescent(self) -> bool:
         """Whether :meth:`on_idle` is a no-op until the next issue."""
-        return not self.config.enabled or self.checker.quiescent()
+        return self.checker.quiescent()
 
     def on_kernel_end(self, cycle: int) -> int:
-        if not self.config.enabled:
-            return 0
-        return self.checker.flush(cycle)
+        """Flush the ReplayQ, then derive every counter that restates
+        per-issue ones; returns the flush's cycles."""
+        flush = self.checker.flush(cycle)
+        stats, value = self.stats, self.stats.value
+        pairings = value("intra_warp_instructions")
+        intra = value("intra_warp_verified_lanes")
+        accepted = value("coverage_inter_lanes")
+        redundant = sum(value(f"intra_redundant_lanes_{unit.value}")
+                        for unit in UnitType)
+        paths = {how: value(f"inter_warp_verify_{how}")
+                 for how in VERIFY_PATHS}
+        verified = sum(paths.values())
+        enqueues = value("replayq_enqueues")
+        # the checker only takes full warps; every RFU pair copies onto
+        # another lane, and so does the checker when shuffling lanes
+        replayed = self.gpu_config.warp_size * verified
+        shuffled = replayed if self.config.lane_shuffle else 0
+        obs = None if self._probe is None else self._probe.registry
+        # (registry, counter, amount, whether a counter it restates exists)
+        derived = [
+            (stats, "coverage_intra_lanes", intra, pairings),
+            (stats, "intra_warp_redundant_executions", redundant, pairings),
+            (stats, "coverage_verified_lanes", intra + accepted,
+             pairings or accepted),
+            (stats, "inter_warp_verified_instructions", verified, verified),
+            (obs, "dmr_pair_intra", pairings, pairings),
+            (obs, "dmr_pair_intra_lanes", intra, pairings),
+            (obs, "dmr_pair_inter", verified, verified),
+            (obs, "dmr_pair_inter_lanes", replayed, verified),
+            (obs, "dmr_enqueues", enqueues, enqueues),
+            (obs, "dmr_shuffled_pairs", redundant + shuffled,
+             pairings or shuffled),
+        ] + [(obs, f"dmr_inter_{how}", count, count)
+             for how, count in paths.items()]
+        for registry, name, amount, exists in derived:
+            if exists and registry is not None:
+                registry.inc(name, amount)
+        return flush
 
     # -- reporting -----------------------------------------------------------
     @property
     def detections(self) -> list:
         return self.comparator.detections
-
-    def coverage_report(self) -> CoverageReport:
-        return CoverageReport.from_stats(self.stats)

@@ -36,6 +36,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import IssueEvent
 from repro.sim.executor import Executor
 
+UNITS = tuple(UnitType)  # drain order
+
+#: the paths an instruction is verified on (``inter_warp_verify_<how>``)
+VERIFY_PATHS = ("coexec", "coexec_from_queue", "eager", "coexec_idle",
+                "drain_idle", "raw_forced", "flush")
+
 
 class ReplayChecker:
     """Temporal redundancy engine for fully utilized warps."""
@@ -69,8 +75,8 @@ class ReplayChecker:
         pending instruction (the latch is one deep).
         """
         self._executor = executor
-        stall, used_units = self._resolve_pending(next_event=event)
-        self._drain_idle_units(event.cycle, used_units | {event.unit})
+        stall, verified = self._resolve_pending(next_event=event)
+        self._drain_idle_units(event.cycle, event.unit, verified)
         self._pending = event
         self.stats.inc("inter_warp_instructions")
         return stall
@@ -81,36 +87,33 @@ class ReplayChecker:
         it); it still resolves the pending latch as the DEC/SCHED
         instruction of Algorithm 1."""
         self._executor = executor
-        stall, used_units = self._resolve_pending(next_event=event)
-        self._drain_idle_units(event.cycle, used_units | {event.unit})
+        stall, verified = self._resolve_pending(next_event=event)
+        self._drain_idle_units(event.cycle, event.unit, verified)
         return stall
 
     def on_idle(self, cycle: int) -> None:
         """No issue this cycle: every unit is idle — verify for free."""
-        used: set = set()
-        if self._pending is not None:
-            self._verify(self._pending, cycle, "coexec_idle")
-            used.add(self._pending.unit)
-            self._pending = None
-        self._drain_idle_units(cycle, used)
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            self._verify(pending, cycle, "coexec_idle")
+        self._drain_idle_units(
+            cycle, None, None if pending is None else pending.unit)
 
     def quiescent(self) -> bool:
         """Nothing latched or buffered: :meth:`on_idle` would do nothing
         (and stays a no-op until the next issue)."""
         return self._pending is None and self.replayq.is_empty
 
-    def _drain_idle_units(self, cycle: int, used_units: set) -> None:
-        """One verification per execution-unit type left idle this cycle.
-
-        The issued instruction occupies its own unit; each of the other
-        unit types can host the replay of one buffered entry of that
-        type ("re-executed whenever the corresponding execution unit
-        becomes available", Section 3.2).
-        """
+    def _drain_idle_units(self, cycle: int, issued: Optional[UnitType],
+                          verified: Optional[UnitType]) -> None:
+        """One verification per execution-unit type that neither this
+        cycle's issue nor its verification occupies (*issued*,
+        *verified*; ``None`` for none): "re-executed whenever the
+        corresponding execution unit becomes available" (Section 3.2)."""
         if self.replayq.is_empty:
             return
-        for unit in UnitType:
-            if unit in used_units:
+        for unit in UNITS:
+            if unit is issued or unit is verified:
                 continue
             entry = self.replayq.dequeue_of_type(unit)
             if entry is None:
@@ -157,19 +160,18 @@ class ReplayChecker:
     # Algorithm 1
     # ------------------------------------------------------------------
     def _resolve_pending(self, next_event: IssueEvent) -> tuple:
-        """Algorithm 1.  Returns ``(stall_cycles, units_used)`` where
-        *units_used* are the execution-unit types consumed by this
-        cycle's verifications (unavailable for further draining)."""
+        """Algorithm 1.  Returns ``(stall_cycles, verified_unit)``: the
+        unit type this cycle's verification occupies, or ``None``."""
         pending = self._pending
         if pending is None:
-            return 0, set()
+            return 0, None
         self._pending = None
 
         if pending.unit is not next_event.unit:
             # Different type in DEC/SCHED: co-execute the DMR copy.
             self._verify(pending, next_event.cycle, "coexec")
             self.stats.inc("inter_warp_coexec")
-            return 0, {pending.unit}
+            return 0, pending.unit
 
         entry = self.replayq.dequeue_different_type(pending.unit)
         if entry is not None:
@@ -179,7 +181,7 @@ class ReplayChecker:
             self._verify(entry, next_event.cycle, "coexec_from_queue")
             self._enqueue(pending)
             self.stats.inc("replayq_swaps")
-            return 0, {entry.unit}
+            return 0, entry.unit
 
         if self.replayq.is_full:
             # Eager re-execution: one stall cycle, operands still in
@@ -187,10 +189,10 @@ class ReplayChecker:
             # register file, costing a second cycle.
             self._verify(pending, next_event.cycle, "eager")
             self.stats.inc("replayq_full_stalls")
-            return (1 if self.config.eager_reexecution else 2), set()
+            return (1 if self.config.eager_reexecution else 2), None
 
         self._enqueue(pending)
-        return 0, set()
+        return 0, None
 
     def _enqueue(self, event: IssueEvent) -> None:
         self.replayq.enqueue(event)
@@ -215,10 +217,10 @@ class ReplayChecker:
         mask = self.config.protected_mask
         verified = (event.active_count if mask is None
                     else count_active(event.hw_mask & mask))
-        self.stats.inc("inter_warp_verified_instructions")
-        self.stats.inc("inter_warp_verified_lanes", verified)
-        self.stats.inc(f"inter_warp_verify_{how}")
-        self.stats.inc(f"verify_unit_{event.unit.value}")
+        stats = self.stats
+        stats.inc("inter_warp_verified_lanes", verified)
+        stats.inc(f"inter_warp_verify_{how}")
+        stats.inc(f"verify_unit_{event.unit.value}")
         if self.probe is not None:
             self.probe.on_inter_verify(event, how, cycle,
                                        shuffled=self.config.lane_shuffle)

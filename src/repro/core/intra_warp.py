@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.bitops import active_lane_list
 from repro.core.comparator import ResultComparator
 from repro.core.rfu import RegisterForwardingUnit
 from repro.obs.metrics import MetricsRegistry
@@ -53,18 +52,14 @@ class IntraWarpDMR:
                 verifier: original for verifier, original in pairs.items()
                 if (self.protected_mask >> original) & 1
             }
-        verified_lanes = set(pairs.values())
+        verified = len(set(pairs.values()))
 
-        self.stats.inc("intra_warp_instructions")
-        self.stats.inc("intra_warp_verified_lanes", len(verified_lanes))
-        self.stats.inc("intra_warp_redundant_executions", len(pairs))
-        self.stats.inc(
-            f"intra_redundant_lanes_{event.unit.value}",
-            len(pairs),
-        )
+        stats = self.stats
+        stats.inc("intra_warp_instructions")
+        stats.inc("intra_warp_verified_lanes", verified)
+        stats.inc(f"intra_redundant_lanes_{event.unit.value}", len(pairs))
         if self.probe is not None:
-            self.probe.on_intra_pairing(event, len(verified_lanes),
-                                        len(pairs))
+            self.probe.on_intra_pairing(event, verified, len(pairs))
 
         if executor is not None and executor.faulty:
             self.comparator.verify(
@@ -72,17 +67,4 @@ class IntraWarpDMR:
                 ((original, verifier) for verifier, original in pairs.items()),
                 event.cycle, "intra",
             )
-        return len(verified_lanes)
-
-    def verified_mask(self, event: IssueEvent) -> int:
-        """Mask of active lanes that this cycle's pairing verifies."""
-        return self.rfu.verified_lanes(event.hw_mask, event.warp_width)
-
-    def unverified_lane_count(self, event: IssueEvent) -> int:
-        """Active lanes left unverified (coverage-gap accounting)."""
-        verified = self.verified_mask(event)
-        count = 0
-        for lane in active_lane_list(event.hw_mask, event.warp_width):
-            if not (verified >> lane) & 1:
-                count += 1
-        return count
+        return verified

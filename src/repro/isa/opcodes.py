@@ -9,7 +9,7 @@ the register file and ReplayQ geometry.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 
@@ -88,6 +88,8 @@ class OpInfo:
 
     ``num_srcs`` counts general-register/immediate source operands; the
     destination and predicate guard are tracked separately.
+    ``coverable`` is false for the opcodes with no datapath computation
+    to verify (NOP, BAR, EXIT, JMP), which DMR coverage excludes.
     """
 
     opcode: Opcode
@@ -100,6 +102,7 @@ class OpInfo:
     is_store: bool = False
     is_control: bool = False
     is_barrier: bool = False
+    coverable: bool = True
 
     @property
     def type_bits(self) -> int:
@@ -137,6 +140,8 @@ _TABLE[Opcode.JMP] = _sp(Opcode.JMP, 0, writes=False, is_control=True)
 _TABLE[Opcode.EXIT] = _sp(Opcode.EXIT, 0, writes=False, is_control=True)
 _TABLE[Opcode.NOP] = _sp(Opcode.NOP, 0, writes=False)
 _TABLE[Opcode.BAR] = _sp(Opcode.BAR, 0, writes=False, is_barrier=True)
+for _op in (Opcode.JMP, Opcode.EXIT, Opcode.NOP, Opcode.BAR):
+    _TABLE[_op] = replace(_TABLE[_op], coverable=False)  # nothing to verify
 
 for _op in (Opcode.SIN, Opcode.COS, Opcode.SQRT, Opcode.RSQRT,
             Opcode.EXP, Opcode.LOG):

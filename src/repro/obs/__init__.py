@@ -14,11 +14,11 @@ it observable without making it slow:
   associative and commutative with the empty snapshot as identity
   (property-tested), so fleet-wide aggregation is deterministic no
   matter how runs are ordered or sharded across processes.
-* :mod:`repro.obs.probes` — per-cycle probe hooks the ``SM``,
-  ``DMRController``/``ReplayChecker`` and ``WarpScheduler`` call when
-  observability is enabled: warp occupancy, DMR pairing outcomes
-  (intra vs inter, shuffled lane), ReplayQ depth (polled through a
-  bound getter every cycle) and stall-cause attribution.
+* :mod:`repro.obs.probes` — per-cycle probe hooks the ``SM`` and
+  ``WarpScheduler`` call when observability is enabled: warp
+  occupancy, ReplayQ depth (polled through a bound getter every cycle)
+  and scan depth, plus stall and DMR trace instants under tracing;
+  the DMR and stall counters mirror SM stats, derived at SM end.
 * :mod:`repro.obs.tracer` — a span/event tracer that exports Chrome
   ``trace_event`` JSON timelines (one process track per SM, one thread
   track per warp) loadable in ``chrome://tracing`` / Perfetto.

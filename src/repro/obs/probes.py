@@ -7,6 +7,11 @@ check — when observability is off there is no probe, no registry call,
 no branch beyond that one comparison.  (No null-object registry
 stands in for it: a no-op method call per cycle is still a call.)
 
+The probe records only what nothing else does (occupancy, ReplayQ and
+scan depth, Chrome-trace events); the obs ``dmr_*`` and ``stall_*``
+counters mirror SM stats derived when it finishes, so the DMR and stall
+hooks only draw trace instants, and run only under tracing.
+
 Events are duck-typed: the probe reads ``cycle`` / ``sm_id`` /
 ``warp_id`` / ``pc`` and the instruction's opcode/unit off whatever
 issue-event object the SM passes, so :mod:`repro.obs` depends only on
@@ -90,11 +95,10 @@ class PipelineProbe:
         )
 
     def on_stall(self, cause: str, cycles: int, cycle: int) -> None:
-        """The pipeline charged *cycles* of stall attributed to *cause*."""
-        self.registry.inc(f"stall_{cause}", cycles)
-        if self.tracer is not None:
-            self.tracer.instant(self.sm_id, 0, f"stall:{cause}", cycle,
-                                args={"cycles": cycles}, cat="stall")
+        """The pipeline charged *cycles* of stall attributed to *cause*
+        (tracing only)."""
+        self.tracer.instant(self.sm_id, 0, f"stall:{cause}", cycle,
+                            args={"cycles": cycles}, cat="stall")
 
     # -- scheduler hooks -----------------------------------------------
     def on_schedule(self, scanned: int, found: bool,
@@ -110,46 +114,31 @@ class PipelineProbe:
         if not found:
             registry.inc("sched_no_ready", count)
 
-    # -- DMR hooks -----------------------------------------------------
+    # -- DMR hooks (tracing only) ---------------------------------------
     def on_intra_pairing(self, event, verified_lanes: int,
                          redundant_executions: int) -> None:
         """Intra-warp RFU pairing verified *verified_lanes* this issue."""
-        registry = self.registry
-        registry.inc("dmr_pair_intra")
-        registry.inc("dmr_pair_intra_lanes", verified_lanes)
-        # every RFU pair runs the copy on a *different* lane by design
-        registry.inc("dmr_shuffled_pairs", redundant_executions)
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.sm_id, event.warp_id, "intra-DMR", event.cycle,
-                args={"verified_lanes": verified_lanes,
-                      "redundant": redundant_executions},
-            )
+        self.tracer.instant(
+            self.sm_id, event.warp_id, "intra-DMR", event.cycle,
+            args={"verified_lanes": verified_lanes,
+                  "redundant": redundant_executions},
+        )
 
     def on_inter_verify(self, event, how: str, cycle: int,
                         shuffled: bool) -> None:
         """The Replay Checker verified one instruction via path *how*."""
-        registry = self.registry
-        registry.inc("dmr_pair_inter")
-        registry.inc(f"dmr_inter_{how}")
-        registry.inc("dmr_pair_inter_lanes", event.active_count)
-        if shuffled:
-            registry.inc("dmr_shuffled_pairs", event.active_count)
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.sm_id, event.warp_id, f"inter-DMR:{how}", cycle,
-                args={"pc": event.pc, "lanes": event.active_count,
-                      "shuffled": shuffled},
-            )
+        self.tracer.instant(
+            self.sm_id, event.warp_id, f"inter-DMR:{how}", cycle,
+            args={"pc": event.pc, "lanes": event.active_count,
+                  "shuffled": shuffled},
+        )
 
     def on_enqueue(self, event, depth: int) -> None:
         """An unverified instruction entered the ReplayQ (now *depth*)."""
-        self.registry.inc("dmr_enqueues")
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.sm_id, event.warp_id, "ReplayQ enqueue", event.cycle,
-                args={"pc": event.pc, "depth": depth},
-            )
+        self.tracer.instant(
+            self.sm_id, event.warp_id, "ReplayQ enqueue", event.cycle,
+            args={"pc": event.pc, "depth": depth},
+        )
 
     def __repr__(self) -> str:
         return (f"PipelineProbe(sm={self.sm_id}, "

@@ -1,9 +1,10 @@
 """The work-stealing worker behind ``python -m repro serve --worker``.
 
-A worker owns no state beyond its identity: it walks the store's
-unmerged jobs (the index's active list, :meth:`JobStore.active_jobs`)
-in sorted order, claims one pending unit by atomic
-rename, executes it (:func:`~repro.service.jobs.execute_unit`),
+A worker owns no state beyond its identity and the parsed manifests
+of its active jobs (immutable once planned; a torn one is never kept):
+it walks the store's unmerged jobs (the index's active list,
+:meth:`JobStore.active_jobs`) in sorted order, claims one pending unit
+by atomic rename, executes it (:func:`~repro.service.jobs.execute_unit`),
 publishes the result and telemetry — publishing completes the unit —
 and drops its claim.  Any number of workers (on any host sharing the
 store) run this loop concurrently; the claim protocol guarantees each
@@ -83,6 +84,8 @@ class ServiceWorker:
         self.units_failed = 0
         self.simulations = 0
         self._last_beat = 0.0
+        #: job id -> parsed manifest, for the active jobs only
+        self._manifests: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     def beat(self, state: str = "working", force: bool = False) -> None:
@@ -132,13 +135,18 @@ class ServiceWorker:
         left behind.
         """
         self.beat()
-        for job_id in self.store.active_jobs():
-            job = self.store.load_job(job_id)
+        active = self.store.active_jobs()
+        manifests = self._manifests = {
+            job_id: self._manifests[job_id] for job_id in active
+            if job_id in self._manifests}
+        for job_id in active:
+            job = manifests.get(job_id) or self.store.load_job(job_id)
             if job is None:
                 # torn manifest: nothing in this job can be trusted or
                 # executed; skip it without burning unit attempts —
                 # fsck reports it to the operator
                 continue
+            manifests[job_id] = job
             claimed = self.store.claim_unit(job_id, self.owner)
             if claimed is None:
                 continue

@@ -24,6 +24,9 @@ class IssueEvent:
     ``unit``
         The decoder's instruction type (:class:`UnitType`), taken from
         the program's decode table at issue.
+    ``active_count`` / ``is_full`` / ``coverable``
+        Filled by the executor: the lanes ``hw_mask`` holds, whether
+        they are the whole warp, and whether DMR coverage counts them.
     ``lane_inputs``
         hw lane -> tuple of evaluated source operand values (only lanes
         active in ``hw_mask``).  For memory instructions the computed
@@ -46,18 +49,13 @@ class IssueEvent:
     hw_mask: ActiveMask
     warp_width: int
     unit: UnitType
+    active_count: int
+    is_full: bool
+    coverable: bool
     lane_inputs: Dict[int, Tuple] = field(default_factory=dict)
     lane_results: Dict[int, object] = field(default_factory=dict)
     dest_reg: Optional[int] = None
     perturbed_mask: ActiveMask = 0
-
-    @property
-    def active_count(self) -> int:
-        return self.hw_mask.bit_count()
-
-    @property
-    def is_full(self) -> bool:
-        return self.hw_mask == (1 << self.warp_width) - 1
 
     def __repr__(self) -> str:
         return (

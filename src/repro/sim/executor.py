@@ -288,9 +288,11 @@ class Executor:
         """The issue's event with no lane values recorded (yet).
 
         Carries everything a timing-only consumer reads: pc, opcode,
-        unit, masks and destination.  :meth:`execute` fills the lanes
-        in when ``record_lanes`` asks for them.
+        unit, masks and their derived facts, and destination.
+        :meth:`execute` fills the lanes in when ``record_lanes`` asks.
         """
+        hw_mask = warp.hw_mask(exec_mask)
+        active = hw_mask.bit_count()
         return IssueEvent(
             cycle=cycle,
             sm_id=self.sm_id,
@@ -298,9 +300,12 @@ class Executor:
             pc=pc,
             instruction=entry.inst,
             logical_mask=exec_mask,
-            hw_mask=warp.hw_mask(exec_mask),
+            hw_mask=hw_mask,
             warp_width=warp.warp_size,
             unit=entry.unit,
+            active_count=active,
+            is_full=active == warp.warp_size,
+            coverable=entry.info.coverable,
             dest_reg=entry.dest,
         )
 

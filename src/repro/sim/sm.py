@@ -17,7 +17,10 @@ launch mode.
 Warped-DMR attaches through the ``dmr`` hook object (duck-typed; see
 :class:`repro.core.dmr_controller.DMRController`).  The hook can charge
 stall cycles, which the SM consumes as non-issue cycles — exactly how
-the paper's ReplayQ full/RAW stalls behave.
+the paper's ReplayQ full/RAW stalls behave.  For any attached
+controller the SM counts ``coverage_eligible_lanes``; it tallies stall
+cycles per cause, and :meth:`SM.run` derives every stall counter and
+obs ``stall_*`` mirror from that tally when the SM finishes.
 
 Every per-pc fact an issue reads (unit, source registers, scoreboard
 hazards, and the operand plans the executor runs) comes from the
@@ -51,7 +54,7 @@ tests):
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.config import GPUConfig, LaunchConfig
 from repro.common.errors import SimulationError
@@ -117,10 +120,11 @@ class SM:
         self.cycle = 0
         # Pending stall cycles, one deque entry per cycle, labeled with
         # the cause that charged it ("raw" / "replay" / "bank").  The
-        # label is consumed when the cycle actually burns, so the
-        # per-cause counters partition cycles_dmr_stall exactly.
+        # label is consumed when the cycle actually burns.
         self._stall_causes: Deque[str] = deque()
+        self._stall_cycles: Dict[str, int] = {}  # burned, per cause
         self._probe = probe
+        self._tracing = getattr(probe, "tracer", None) is not None
         self._pending_blocks = list(block_ids)
         self._resident_warps: List[Warp] = []
         self._resident_blocks: List[ThreadBlock] = []
@@ -253,8 +257,16 @@ class SM:
             if flush:
                 self._book_stall("flush", flush)
             self.cycle += flush
-        self.stats.counter("cycles_total").set(self.cycle)
-        return self.stats
+        stats = self.stats
+        stalls = self._stall_cycles
+        if stalls:
+            stats.inc("cycles_dmr_stall", sum(stalls.values()))
+        for cause, cycles in stalls.items():
+            stats.inc(f"cycles_stall_{cause}", cycles)
+            if self._probe is not None:
+                self._probe.registry.inc(f"stall_{cause}", cycles)
+        stats.counter("cycles_total").set(self.cycle)
+        return stats
 
     def _has_work(self) -> bool:
         # the resident list is pruned as soon as a warp finishes
@@ -420,6 +432,8 @@ class SM:
             self._charge_bank_conflicts(entry)
         dmr = self.dmr
         if dmr is not None:
+            if event.active_count and event.coverable:
+                self.stats.inc("coverage_eligible_lanes", event.active_count)
             stall = dmr.on_issue(event, self.executor)
             if stall:
                 self._defer_stall("replay", stall)
@@ -453,7 +467,7 @@ class SM:
     # ------------------------------------------------------------------
     def _record_stats(self, warp: Warp, entry, cycle: int,
                       event: IssueEvent) -> None:
-        active = event.logical_mask.bit_count()
+        active = event.active_count
         stats = self.stats
         c_issued = self._c_issued
         if c_issued is None:
@@ -503,13 +517,8 @@ class SM:
             self._stall_causes.extend([cause] * cycles)
 
     def _book_stall(self, cause: str, cycles: int) -> None:
-        """Account *cycles* of stall burned now, attributed to *cause*.
-
-        ``cycles_dmr_stall`` is the umbrella total; the per-cause
-        ``cycles_stall_*`` counters partition it exactly (asserted by
-        the cycle-accounting invariant tests).
-        """
-        self.stats.inc("cycles_dmr_stall", cycles)
-        self.stats.inc(f"cycles_stall_{cause}", cycles)
-        if self._probe is not None:
+        """Tally *cycles* of stall burned now, attributed to *cause*."""
+        stalls = self._stall_cycles
+        stalls[cause] = stalls.get(cause, 0) + cycles
+        if self._tracing:
             self._probe.on_stall(cause, cycles, self.cycle)

@@ -34,10 +34,12 @@ def make_event(opcode: Opcode = Opcode.IADD, warp_id: int = 0,
         srcs=tuple(Reg(i + 1) for i in range(info.num_srcs)),
     )
     mask = hw_mask if hw_mask is not None else (1 << warp_width) - 1
+    active = mask.bit_count()
     event = IssueEvent(
         cycle=cycle, sm_id=0, warp_id=warp_id, pc=0, instruction=inst,
         logical_mask=mask, hw_mask=mask, warp_width=warp_width,
-        unit=info.unit, dest_reg=inst.dest_register(),
+        unit=info.unit, active_count=active, is_full=active == warp_width,
+        coverable=info.coverable, dest_reg=inst.dest_register(),
     )
     values = srcs or tuple(range(1, info.num_srcs + 1))
     for lane in range(warp_width):

@@ -4,12 +4,13 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.core.coverage import (
-    COVERAGE_EXEMPT,
     CoverageReport,
-    is_coverable,
     theoretical_intra_warp_coverage,
 )
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import Opcode, all_opcodes, op_info
+
+#: opcodes with no datapath computation to protect
+EXEMPT = {Opcode.NOP, Opcode.BAR, Opcode.EXIT, Opcode.JMP}
 
 
 class TestTheoreticalCoverage:
@@ -40,18 +41,17 @@ class TestTheoreticalCoverage:
 
 class TestCoverableOpcodes:
     def test_exempt_set(self):
-        assert COVERAGE_EXEMPT == {
-            Opcode.NOP, Opcode.BAR, Opcode.EXIT, Opcode.JMP
-        }
+        assert {op for op, info in all_opcodes().items()
+                if not info.coverable} == EXEMPT
 
     def test_computation_is_coverable(self):
         for op in (Opcode.IADD, Opcode.FFMA, Opcode.LD_GLOBAL,
                    Opcode.SIN, Opcode.SETP, Opcode.BRA):
-            assert is_coverable(op)
+            assert op_info(op).coverable
 
     def test_bookkeeping_is_not(self):
-        for op in COVERAGE_EXEMPT:
-            assert not is_coverable(op)
+        for op in EXEMPT:
+            assert not op_info(op).coverable
 
 
 class TestCoverageReport:

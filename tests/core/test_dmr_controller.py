@@ -2,6 +2,7 @@
 
 from repro.common.config import DMRConfig, GPUConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.core.coverage import CoverageReport
 from repro.core.dmr_controller import DMRController
 from repro.isa.opcodes import Opcode
 
@@ -33,16 +34,14 @@ class TestDispatch:
         assert stats.value("inter_warp_instructions") == 0
 
     def test_exempt_opcodes_not_counted(self):
+        """A full-warp BAR is still verified, but no coverage counter
+        counts its lanes."""
         controller, stats = make_controller()
         controller.on_issue(make_event(Opcode.BAR), None)
-        assert stats.value("coverage_eligible_lanes") == 0
-
-    def test_disabled_controller_is_inert(self):
-        controller, stats = make_controller(DMRConfig.disabled())
-        assert controller.on_issue(make_event(Opcode.IADD), None) == 0
-        controller.on_idle(0)
-        assert controller.on_kernel_end(10) == 0
-        assert stats.value("coverage_eligible_lanes") == 0
+        controller.on_kernel_end(1)
+        assert stats.value("inter_warp_verified_instructions") == 1
+        assert "coverage_inter_lanes" not in stats.counters()
+        assert "coverage_verified_lanes" not in stats.counters()
 
     def test_coverage_report(self):
         controller, stats = make_controller()
@@ -50,10 +49,13 @@ class TestDispatch:
         controller.on_issue(
             make_event(Opcode.IMUL, hw_mask=0x0003, cycle=1), None
         )
-        report = controller.coverage_report()
-        assert report.eligible_lanes == 34
+        controller.on_kernel_end(2)
+        report = CoverageReport.from_stats(stats)
+        assert report.verified_lanes == 34
         assert report.inter_verified_lanes == 32
         assert report.intra_verified_lanes == 2
+        # the SM, not the controller, counts the eligible lanes
+        assert report.eligible_lanes == 0
 
     def test_kernel_end_flushes(self):
         controller, stats = make_controller()

@@ -1,9 +1,13 @@
 """Unit tests for the Replay Checker (Algorithm 1, paper Section 4.3)."""
 
+import inspect
+import re
+
 from repro.common.config import DMRConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.core.comparator import ResultComparator
-from repro.core.inter_warp import ReplayChecker
+from repro.core import inter_warp
+from repro.core.inter_warp import VERIFY_PATHS, ReplayChecker
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Reg
@@ -32,7 +36,7 @@ class TestAlgorithm1Paths:
         assert checker.accept(make_event(Opcode.IADD, cycle=0), None) == 0
         assert checker.accept(make_event(Opcode.LD_GLOBAL, cycle=1), None) == 0
         assert stats.value("inter_warp_coexec") == 1
-        assert stats.value("inter_warp_verified_instructions") == 1
+        assert stats.value("inter_warp_verify_coexec") == 1
         assert checker.queue_occupancy == 0
 
     def test_same_type_enqueues(self):
@@ -69,13 +73,21 @@ class TestAlgorithm1Paths:
         checker.accept(make_event(Opcode.IADD, cycle=0), None)
         assert checker.accept(make_event(Opcode.IMUL, cycle=1), None) == 2
 
+    def test_verify_paths_name_every_path(self):
+        """The derived totals sum ``VERIFY_PATHS``: it must name every
+        path the checker verifies on."""
+        source = inspect.getsource(inter_warp.ReplayChecker)
+        assert set(re.findall(r'self\._verify\(.*"(\w+)"\)', source)) \
+            == set(VERIFY_PATHS)
+
     def test_every_accepted_instruction_eventually_verified(self):
         checker, stats = make_checker(replayq=2)
         n = 20
         for i in range(n):
             checker.accept(make_event(Opcode.IADD, cycle=i, dest=i), None)
         checker.flush(n)
-        assert stats.value("inter_warp_verified_instructions") == n
+        assert sum(stats.value(f"inter_warp_verify_{how}")
+                   for how in VERIFY_PATHS) == n
 
 
 class TestIdleDraining:

@@ -39,12 +39,7 @@ class TestVerifiedCounting:
         verified = engine.process(make_event(hw_mask=0b1), None)
         assert verified == 1
         # three idle lanes all re-execute it (more-than-dual is allowed)
-        assert stats.value("intra_warp_redundant_executions") == 3
-
-    def test_unverified_lane_count(self):
-        engine, _, _ = make_engine()
-        event = make_event(hw_mask=0b0111)  # 3 active, 1 idle in cluster 0
-        assert engine.unverified_lane_count(event) == 2
+        assert stats.value("intra_redundant_lanes_SP") == 3
 
     def test_zero_cost(self):
         """Intra-warp DMR must never charge stall cycles — the paper's

@@ -22,7 +22,8 @@ def make_event(opcode=Opcode.IADD, warp_id=0, dest=None):
     return IssueEvent(
         cycle=0, sm_id=0, warp_id=warp_id, pc=0, instruction=inst,
         logical_mask=0xFFFFFFFF, hw_mask=0xFFFFFFFF, warp_width=32,
-        unit=info.unit, dest_reg=inst.dest_register(),
+        unit=info.unit, active_count=32, is_full=True,
+        coverable=info.coverable, dest_reg=inst.dest_register(),
     )
 
 

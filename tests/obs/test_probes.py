@@ -2,11 +2,20 @@
 
 The probe is duck-typed over issue events, so these tests drive it with
 a minimal stand-in instead of constructing real simulator events —
-which also proves ``repro.obs`` needs nothing from ``repro.sim``.
+which also proves ``repro.obs`` needs nothing from ``repro.sim``.  The
+obs DMR and stall counters are mirrors of the SM's stats, derived when
+each SM finishes; launch-level tests hold each mirror to the counter it
+restates.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
+
+from repro.analysis.runner import experiment_config
+from repro.common.config import DMRConfig
+from repro.core.inter_warp import VERIFY_PATHS
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import (
     DEPTH_BOUNDS,
@@ -15,6 +24,8 @@ from repro.obs.probes import (
     SCAN_BOUNDS,
 )
 from repro.obs.tracer import Tracer
+from repro.sim.gpu import GPU
+from repro.workloads import get_workload
 
 
 def fake_event(cycle=3, warp_id=1, pc=8, active=16,
@@ -24,6 +35,29 @@ def fake_event(cycle=3, warp_id=1, pc=8, active=16,
         instruction=SimpleNamespace(opcode=SimpleNamespace(value=opcode)),
         unit=SimpleNamespace(value=unit),
     )
+
+
+def launch(name, dmr, **config):
+    """*name* at scale 0.25 on two SMs, obs on; returns the SM stats'
+    counters and the obs snapshot."""
+    run = get_workload(name).prepare(0.25, 0)
+    gpu = GPU(replace(experiment_config(num_sms=2), **config), dmr=dmr,
+              obs="metrics")
+    result = gpu.launch(run.program, run.launch, memory=run.memory)
+    return (result.stats.counters(),
+            MetricsRegistry.from_payload(result.obs).counters())
+
+
+@pytest.fixture(scope="module")
+def bitonic():
+    """Lane shuffle on/off -> bitonic's SM counters and obs snapshot."""
+    return {shuffle: launch("bitonic", replace(DMRConfig.paper_default(),
+                                               lane_shuffle=shuffle))
+            for shuffle in (True, False)}
+
+
+def instants(tracer):
+    return [e for e in tracer.to_payload()["traceEvents"] if e["ph"] == "i"]
 
 
 class TestCycleSampling:
@@ -84,14 +118,27 @@ class TestIssueAndStall:
         names = [e for e in events if e["ph"] == "M"]
         assert {e["args"]["name"] for e in names} == {"SM 2", "warp 5"}
 
-    def test_on_stall_counts_per_cause(self):
-        registry = MetricsRegistry()
-        probe = PipelineProbe(registry, sm_id=0)
+    def test_on_stall_draws_an_instant_only(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        probe = PipelineProbe(registry, sm_id=0, tracer=tracer)
         probe.on_stall("raw", 2, cycle=10)
-        probe.on_stall("raw", 1, cycle=11)
-        probe.on_stall("flush", 4, cycle=12)
-        assert registry.value("stall_raw") == 3
-        assert registry.value("stall_flush") == 4
+        assert [e["name"] for e in instants(tracer)] == ["stall:raw"]
+        assert registry.counters() == {}
+
+    def test_on_stall_counts_per_cause(self):
+        """Every stall cause of a launch (RAW, replay, bank, flush) has
+        an obs ``stall_<cause>`` equal to its ``cycles_stall_<cause>``,
+        and the umbrella is their sum."""
+        stats, obs = launch("matrixmul",
+                            DMRConfig.paper_default().with_replayq(1),
+                            model_bank_conflicts=True)
+        causes = {name[len("cycles_stall_"):]: value
+                  for name, value in stats.items()
+                  if name.startswith("cycles_stall_")}
+        assert set(causes) == {"raw", "replay", "bank", "flush"}
+        assert {name[len("stall_"):]: value for name, value in obs.items()
+                if name.startswith("stall_")} == causes
+        assert stats["cycles_dmr_stall"] == sum(causes.values())
 
 
 class TestSchedulerHooks:
@@ -106,34 +153,52 @@ class TestSchedulerHooks:
 
 
 class TestDMRHooks:
-    def test_intra_pairing(self):
-        registry = MetricsRegistry()
-        probe = PipelineProbe(registry, sm_id=0)
+    def test_hooks_draw_instants_only(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        probe = PipelineProbe(registry, sm_id=0, tracer=tracer)
         probe.on_intra_pairing(fake_event(), verified_lanes=4,
                                redundant_executions=2)
-        assert registry.value("dmr_pair_intra") == 1
-        assert registry.value("dmr_pair_intra_lanes") == 4
-        assert registry.value("dmr_shuffled_pairs") == 2
-
-    def test_inter_verify_counts_path_and_shuffle(self):
-        registry = MetricsRegistry()
-        probe = PipelineProbe(registry, sm_id=0)
         probe.on_inter_verify(fake_event(active=8), "coexec", cycle=4,
                               shuffled=True)
-        probe.on_inter_verify(fake_event(active=8), "drain_idle", cycle=5,
-                              shuffled=False)
-        assert registry.value("dmr_pair_inter") == 2
-        assert registry.value("dmr_inter_coexec") == 1
-        assert registry.value("dmr_inter_drain_idle") == 1
-        assert registry.value("dmr_pair_inter_lanes") == 16
-        assert registry.value("dmr_shuffled_pairs") == 8
+        assert [e["name"] for e in instants(tracer)] == [
+            "intra-DMR", "inter-DMR:coexec"]
+        assert registry.counters() == {}
+
+    def test_intra_pairing(self, bitonic):
+        """bitonic pairs lanes within warps: the intra mirrors restate
+        the SM's pairing counters, and every RFU pair runs its copy on
+        another lane."""
+        stats, obs = bitonic[False]
+        assert stats["intra_warp_instructions"]
+        assert obs["dmr_pair_intra"] == stats["intra_warp_instructions"]
+        assert obs["dmr_pair_intra_lanes"] == \
+            stats["intra_warp_verified_lanes"]
+        assert obs["dmr_shuffled_pairs"] == \
+            stats["intra_warp_redundant_executions"]
+
+    def test_inter_verify_counts_path_and_shuffle(self, bitonic):
+        """bitonic replays full warps: the inter mirrors restate the
+        checker's per-path counters, the Replay Checker re-executes
+        whole 32-lane warps, and lane shuffling moves each of them."""
+        for shuffle, (stats, obs) in bitonic.items():
+            verified = stats["inter_warp_verified_instructions"]
+            assert verified
+            assert obs["dmr_pair_inter"] == verified
+            assert obs["dmr_pair_inter_lanes"] == 32 * verified
+            assert obs["dmr_enqueues"] == stats["replayq_enqueues"]
+            for how in VERIFY_PATHS:
+                assert obs.get(f"dmr_inter_{how}") == \
+                    stats.get(f"inter_warp_verify_{how}")
+            assert obs["dmr_shuffled_pairs"] == (
+                stats["intra_warp_redundant_executions"]
+                + (32 * verified if shuffle else 0))
 
     def test_enqueue_instant_records_depth(self):
         tracer = Tracer()
         registry = MetricsRegistry()
         probe = PipelineProbe(registry, sm_id=0, tracer=tracer)
         probe.on_enqueue(fake_event(), depth=3)
-        assert registry.value("dmr_enqueues") == 1
+        assert registry.counters() == {}
         instant = next(e for e in tracer.to_payload()["traceEvents"]
                        if e["ph"] == "i")
         assert instant["args"]["depth"] == 3

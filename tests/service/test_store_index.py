@@ -168,6 +168,29 @@ class TestSweepManifestReads:
         assert store.read_merged(job_id) == {
             "kind": "fanout", "keys": ["sq0", "sq1", "sq2", "sq3"]}
 
+    def test_a_draining_worker_parses_job_json_once(self, tmp_path,
+                                                   monkeypatch):
+        """A worker keeps each active job's parsed manifest: draining a
+        three-unit job opens ``job.json`` once to execute its units and
+        once more in the idle pass's merging sweep."""
+        store = JobStore(tmp_path)
+        job_id = submit_fanout(store, items=3)
+        assert len(store.load_job(job_id)["units"]) == 3
+        reads = []
+        open_ = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if os.path.basename(os.fspath(file)) == "job.json":
+                reads.append(file)
+            return open_(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", counting_open)
+            worker = drain(store)
+        assert worker.units_done == 3
+        assert store.read_merged(job_id) is not None
+        assert len(reads) == 2
+
 
 # ----------------------------------------------------------------------
 # Crash windows of the marker protocol
